@@ -2,7 +2,7 @@
 
 Subcommands: count, derive-g, certify, cutting, pipeline3, scan.
 Global flags: --seed, --format {csv,json}, --out PATH, --threshold,
---budget-cells.  EXPD_THREADS caps parallelism in scans.
+--budget-cells.
 
 Exit codes: 0 all checks passed, 2 a checked inequality failed, 3 input
 error, 4 budget exceeded.
@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -25,7 +23,6 @@ from .relations import (
     FiniteRelation3,
     Subset,
     count_grid2,
-    count_grid3,
     read_relation,
     relation_to_obj,
     write_relation,
@@ -35,14 +32,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("EXPD_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        raise InputError(f"EXPD_THREADS must be an integer, got {raw!r}") from None
 
 
 def _require_seed(args) -> int:
@@ -303,35 +292,19 @@ def cmd_pipeline3(args) -> int:
         bundle["fiber_report"] = {"status": "skipped:d-absent"}
         bundle["cauchy_schwarz"] = {"status": "skipped:d-absent"}
     else:
-        try:
-            g = pipeline.derive_g(rel, budget_cells=args.budget_cells)
-            fiber = pipeline.check_g_fiber_bounds(rel, g, dd.d, sample_seed=args.seed or 0)
-            bundle["g_edges"] = g.edge_count
-            bundle["fiber_report"] = {
-                "mode": "materialized",
-                "bound": fiber.bound,
-                "max_zz_fiber": fiber.max_zz_fiber,
-                "max_yy_fiber": fiber.max_yy_fiber,
-                "ok": fiber.ok,
-            }
-            checks_ok &= fiber.ok
-        except CapacityError:
-            g_edges, max_zz, max_yy = pipeline.g_edge_count(rel)
-            if g_edges > args.budget_cells:
-                raise BudgetError(
-                    f"|G| = {g_edges} exceeds the cell budget {args.budget_cells}"
-                ) from None
-            bound = dd.d * dd.d
-            ok = max_zz <= bound and max_yy <= bound
-            bundle["g_edges"] = g_edges
-            bundle["fiber_report"] = {
-                "mode": "streamed",
-                "bound": bound,
-                "max_zz_fiber": max_zz,
-                "max_yy_fiber": max_yy,
-                "ok": ok,
-            }
-            checks_ok &= ok
+        fiber = pipeline.check_g_fiber_bounds(rel, dd.d)
+        if fiber.g_edges > args.budget_cells:
+            raise BudgetError(
+                f"|G| = {fiber.g_edges} exceeds the cell budget {args.budget_cells}"
+            )
+        bundle["g_edges"] = fiber.g_edges
+        bundle["fiber_report"] = {
+            "bound": fiber.bound,
+            "max_zz_fiber": fiber.max_zz_fiber,
+            "max_yy_fiber": fiber.max_yy_fiber,
+            "ok": fiber.ok,
+        }
+        checks_ok &= fiber.ok
         cs = pipeline.cauchy_schwarz_check(
             rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z)
         )
@@ -358,18 +331,7 @@ def cmd_pipeline3(args) -> int:
 def cmd_scan(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     family = _family_from_args(args)
-    workers = thread_cap()
-
-    def measure(n: int) -> int:
-        inst = family.build(n)
-        return count_grid3(inst.rel, inst.a, inst.b, inst.c)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(measure, sizes))
-    else:
-        counts = [measure(n) for n in sizes]
-    fit = reports.fit_loglog(sizes, counts)
+    fit = reports.run_scaling(family, sizes)
     rows = [
         reports.ReportRow(
             instance=family.name,
@@ -378,7 +340,7 @@ def cmd_scan(args) -> int:
             slope=fit.slope,
             residual=fit.residual_max,
         )
-        for n, count in zip(sizes, counts)
+        for n, count in zip(fit.sizes, fit.counts)
     ]
     _emit(args, rows, {"sizes": args.sizes})
     return EXIT_OK

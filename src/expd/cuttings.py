@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FamilyError, InputError, ParameterError
-from .relations import FiniteRelation2, Subset
+from .relations import FiniteRelation2, Subset, _iter_bits
 
 __all__ = [
     "CuttingCover",
@@ -369,11 +369,8 @@ def greedy_cutting(
     n_fib = len(a_list)
     sig = [0] * n_points
     for pos, i in enumerate(a_list):
-        fiber = rel.rows[i]
-        while fiber:
-            low = fiber & -fiber
-            sig[low.bit_length() - 1] |= 1 << pos
-            fiber ^= low
+        for v in _iter_bits(rel.rows[i]):
+            sig[v] |= 1 << pos
     classes: dict[int, int] = {}
     first_seen: dict[int, int] = {}
     for v in range(n_points):

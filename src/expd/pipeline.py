@@ -10,8 +10,9 @@ For F ⊆ X×Y×Z the operations here compute, exactly:
   * the derived relation on ordered pairs,
       G = {(y,y',z,z') : ∃x (x,y,z) ∈ F and (x,y',z') ∈ F},
     viewed as a bipartite relation over Y² x Z²;
-  * the fiber law |{z' : (y,y',z,z') ∈ G}| <= d² (and symmetrically), its
-    summed form |G ∩ ({(y,y')} x C²)| <= d²|C|, and the count transfer
+  * |G ∩ B²×C²| and its largest fibers, without enumerating G;
+  * the fiber law |{z' : (y,y',z,z') ∈ G}| <= d² (and symmetrically), which
+    implies its summed form |G ∩ ({(y,y')} x C²)| <= d²|C|, and the count transfer
       |F ∩ A×B×C|  <=  d · |A|^(1/2) · |G ∩ (B²×C²)|^(1/2),
     which goes through the 5-ary intermediary
       W = {(x,y,y',z,z') : (x,y,z) ∈ F and (x,y',z') ∈ F}
@@ -26,6 +27,7 @@ sparse noise, and DSL-defined polynomial grids.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,6 +38,7 @@ from .relations import (
     FiniteRelation3,
     Subset,
     Universe,
+    _iter_bits,
     build_relation3,
     count_grid2,
     pair_universe,
@@ -143,111 +146,77 @@ def derive_g(rel: FiniteRelation3, budget_cells: int = DEFAULT_BUDGET_CELLS) -> 
     return FiniteRelation2(pair_universe(rel.y), pair_universe(rel.z), rows)
 
 
-def g_edge_count(rel: FiniteRelation3) -> tuple[int, int, int]:
-    """(|G|, max (y,y',z) fiber, max (z,z',y) fiber) without materializing the
-    pair matrix; the sparse grouped-by-x form is deduplicated in a key set."""
-    ny, nz = rel.y.size, rel.z.size
-    keys: set[int] = set()
-    for entries in rel.group_by_x().values():
-        for j, k in entries:
-            for j2, k2 in entries:
-                keys.add(((j * ny + j2) * nz + k) * nz + k2)
-    zz_fibers: dict[tuple[int, int], int] = {}
-    yy_fibers: dict[tuple[int, int], int] = {}
-    for key in keys:
-        k2 = key % nz
-        rest = key // nz
-        k = rest % nz
-        ypair = rest // nz
-        j = ypair // ny
-        key_zz = (ypair, k)
-        zz_fibers[key_zz] = zz_fibers.get(key_zz, 0) + 1
-        key_yy = (k * nz + k2, j)
-        yy_fibers[key_yy] = yy_fibers.get(key_yy, 0) + 1
-    max_zz = max(zz_fibers.values(), default=0)
-    max_yy = max(yy_fibers.values(), default=0)
-    return len(keys), max_zz, max_yy
+def _union_sizes(rows_by_x: dict[int, dict[int, int]], xs: int) -> list[int]:
+    """Popcounts of the per-key unions of rows_by_x[x] over the x in bit set xs."""
+    merged: dict[int, int] = {}
+    for x in _iter_bits(xs):
+        for key, mask in rows_by_x[x].items():
+            merged[key] = merged.get(key, 0) | mask
+    return [mask.bit_count() for mask in merged.values()]
 
 
-@dataclass(frozen=True)
-class PointCountCheck:
-    kind: str  # 'full' or 'sample'
-    c_size: int
-    bound: int
-    max_observed: int
-    ok: bool
+def g_edge_count(
+    rel: FiniteRelation3, b: Optional[Subset] = None, c: Optional[Subset] = None
+) -> tuple[int, int, int]:
+    """(|G ∩ B²×C²|, max (y,y',z) fiber, max (z,z',y) fiber), without enumerating G.
+
+    B and C default to all of Y and Z.  Restricting F to X×B×C first restricts
+    G to B²×C².  With X_yz = {x : (x,y,z) ∈ F}, the (y,y',z) fiber of G is
+    ∪_{x∈X_yz} F_{x,y'} ⊆ Z and the (z,z',y) fiber is ∪_{x∈X_yz} F_{x,·,z'} ⊆ Y,
+    so |G| = Σ_{(y,z)} Σ_{y'} |∪_{x∈X_yz} F_{x,y'}|.  The unions depend on
+    (y,z) only through the x-set X_yz, so each distinct x-set is merged once.
+    """
+    if (b is not None and b.universe != rel.y) or (c is not None and c.universe != rel.z):
+        raise InputError("g_edge_count: subsets must match the relation's universes")
+    bbits = (1 << rel.y.size) - 1 if b is None else b.bits
+    cbits = (1 << rel.z.size) - 1 if c is None else c.bits
+    z_rows: dict[int, dict[int, int]] = {}  # x -> {y': F_{x,y'} as a Z mask}
+    y_rows: dict[int, dict[int, int]] = {}  # x -> {z': F_{x,·,z'} as a Y mask}
+    x_sets: dict[tuple[int, int], int] = {}  # (y, z) -> X_yz as an X mask
+    for i, j, k in rel.triples:
+        if bbits >> j & 1 and cbits >> k & 1:
+            by_y = z_rows.setdefault(i, {})
+            by_y[j] = by_y.get(j, 0) | 1 << k
+            by_z = y_rows.setdefault(i, {})
+            by_z[k] = by_z.get(k, 0) | 1 << j
+            x_sets[(j, k)] = x_sets.get((j, k), 0) | 1 << i
+    count = max_zz = max_yy = 0
+    for xs, times in Counter(x_sets.values()).items():
+        zz = _union_sizes(z_rows, xs)
+        count += times * sum(zz)
+        max_zz = max(max_zz, max(zz))
+        max_yy = max(max_yy, max(_union_sizes(y_rows, xs)))
+    return count, max_zz, max_yy
 
 
 @dataclass(frozen=True)
 class FiberBoundReport:
     d: int
     bound: int
+    g_edges: int  # |G|
     max_zz_fiber: int
     max_yy_fiber: int
-    point_counts: tuple[PointCountCheck, ...]
     ok: bool
 
 
-def check_g_fiber_bounds(
-    rel: FiniteRelation3,
-    g: FiniteRelation2,
-    d: int,
-    samples: int = 8,
-    sample_seed: int = 0,
-) -> FiberBoundReport:
-    """Verify the d² fiber law on G and the d²|C| point-set counts.
+def check_g_fiber_bounds(rel: FiniteRelation3, d: int) -> FiberBoundReport:
+    """Verify the d² fiber law on every (y,y',z) and every (z,z',y) fiber of G.
 
-    Checks every (y,y',z) fiber and every (z,z',y) fiber against d², then
-    |G ∩ ({(y,y')} x C²)| <= d²|C| for C = Z and for seeded sampled C.
+    The summed point-set form |G ∩ ({(y,y')} x C²)| <= d²|C| needs no check
+    of its own: it is Σ_{z∈C} |fiber(y,y',z) ∩ C| <= d²|C| whenever the law
+    holds, so it can never fail when the fiber law passes.
     """
     if d < 1:
         raise ParameterError("fiber bound checks need the bounded degree d (>= 1)")
-    ny, nz = rel.y.size, rel.z.size
-    if g.u.size != ny * ny or g.v.size != nz * nz:
-        raise InputError("check_g_fiber_bounds: G does not match the pair universes of F")
     bound = d * d
-    zz_fibers: dict[tuple[int, int], int] = {}
-    yy_fibers: dict[tuple[int, int], int] = {}
-    for ypair, row in enumerate(g.rows):
-        bits = row
-        while bits:
-            low = bits & -bits
-            zpair = low.bit_length() - 1
-            bits ^= low
-            z1 = zpair // nz
-            y1 = ypair // ny
-            kz = (ypair, z1)
-            zz_fibers[kz] = zz_fibers.get(kz, 0) + 1
-            ky = (zpair, y1)
-            yy_fibers[ky] = yy_fibers.get(ky, 0) + 1
-    max_zz = max(zz_fibers.values(), default=0)
-    max_yy = max(yy_fibers.values(), default=0)
-
-    checks = []
-    full_max = max((row.bit_count() for row in g.rows), default=0)
-    checks.append(
-        PointCountCheck("full", nz, bound * nz, full_max, full_max <= bound * nz)
-    )
-    rng = random.Random(sample_seed)
-    for _ in range(samples):
-        size = rng.randint(1, nz)
-        chosen = rng.sample(range(nz), size)
-        mask = 0
-        for z1 in chosen:
-            for z2 in chosen:
-                mask |= 1 << (z1 * nz + z2)
-        observed = max(((row & mask).bit_count() for row in g.rows), default=0)
-        checks.append(
-            PointCountCheck("sample", size, bound * size, observed, observed <= bound * size)
-        )
-    ok = max_zz <= bound and max_yy <= bound and all(c.ok for c in checks)
+    g_edges, max_zz, max_yy = g_edge_count(rel)
     return FiberBoundReport(
         d=d,
         bound=bound,
+        g_edges=g_edges,
         max_zz_fiber=max_zz,
         max_yy_fiber=max_yy,
-        point_counts=tuple(checks),
-        ok=ok,
+        ok=max_zz <= bound and max_yy <= bound,
     )
 
 
@@ -295,22 +264,13 @@ def cauchy_schwarz_check(
         d = dd.d
     else:
         d = max(pairing_maxima(rel))
-    ny, nz = rel.y.size, rel.z.size
     abits, bbits, cbits = a.bits, b.bits, c.bits
-    per_x_restricted: dict[int, int] = {}
-    g_keys: set[int] = set()
-    for x, entries in rel.group_by_x().items():
-        kept = [(j, k) for j, k in entries if bbits >> j & 1 and cbits >> k & 1]
-        if not kept:
-            continue
-        if abits >> x & 1:
-            per_x_restricted[x] = len(kept)
-        for j, k in kept:
-            for j2, k2 in kept:
-                g_keys.add(((j * ny + j2) * nz + k) * nz + k2)
+    per_x_restricted = Counter(
+        i for i, j, k in rel.triples if abits >> i & 1 and bbits >> j & 1 and cbits >> k & 1
+    )
     f_count = sum(per_x_restricted.values())
     w_count = sum(v * v for v in per_x_restricted.values())
-    g_count = len(g_keys)
+    g_count = g_edge_count(rel, b, c)[0]
     a_size = a.cardinality()
     cs_ok = f_count * f_count <= a_size * w_count
     fiber_ok = w_count <= d * g_count
@@ -394,9 +354,6 @@ def large_subset_trim(
 
 
 # --- instance families -------------------------------------------------------------
-
-TwistDescriptor = object  # "identity" | ("seeded", seed) | ("perm", tuple)
-
 
 @dataclass(frozen=True)
 class FamilySpec:

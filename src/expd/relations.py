@@ -37,9 +37,13 @@ class Universe:
     labels: Optional[tuple[Label, ...]] = None
 
     def __post_init__(self):
-        if self.size < 0:
-            raise InputError(f"universe {self.name!r}: negative size {self.size}")
+        if not isinstance(self.name, str):
+            raise InputError(f"universe name must be a string, got {self.name!r}")
+        if type(self.size) is not int or self.size < 0:
+            raise InputError(f"universe {self.name!r}: size must be an integer >= 0, got {self.size!r}")
         if self.labels is not None:
+            if not all(isinstance(label, (int, str)) for label in self.labels):
+                raise InputError(f"universe {self.name!r}: labels must be integers or strings")
             if len(self.labels) != self.size:
                 raise InputError(
                     f"universe {self.name!r}: {len(self.labels)} labels for size {self.size}"
@@ -121,9 +125,6 @@ class Subset:
         self.universe.check_index(index)
         return bool(self.bits >> index & 1)
 
-    def complement(self) -> "Subset":
-        return Subset(self.universe, ~self.bits & (1 << self.universe.size) - 1)
-
     def __len__(self) -> int:
         return self.cardinality()
 
@@ -167,10 +168,6 @@ class FiniteRelation2:
             for j in _iter_bits(row):
                 yield (i, j)
 
-    def restrict_rows(self, a: Subset) -> Iterator[tuple[int, int]]:
-        for i in a.members():
-            yield i, self.rows[i]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteRelation2)
@@ -181,6 +178,13 @@ class FiniteRelation2:
 
     def __repr__(self) -> str:
         return f"FiniteRelation2({self.u.name}:{self.u.size} x {self.v.name}:{self.v.size}, {self.edge_count} edges)"
+
+
+def _fiber_map(entries: Iterable[tuple[tuple[int, int], int]]) -> dict:
+    built: dict = {}
+    for key, value in entries:
+        built.setdefault(key, []).append(value)
+    return built
 
 
 class FiniteRelation3:
@@ -211,31 +215,20 @@ class FiniteRelation3:
     def __len__(self) -> int:
         return len(self.triples)
 
-    def _pairing(self, which: str) -> dict:
-        cached = getattr(self, "_by_" + which)
-        if cached is not None:
-            return cached
-        built: dict = {}
-        if which == "xy":
-            for i, j, k in self.triples:
-                built.setdefault((i, j), []).append(k)
-        elif which == "xz":
-            for i, j, k in self.triples:
-                built.setdefault((i, k), []).append(j)
-        else:
-            for i, j, k in self.triples:
-                built.setdefault((j, k), []).append(i)
-        setattr(self, "_by_" + which, built)
-        return built
-
     def by_xy(self) -> dict:
-        return self._pairing("xy")
+        if self._by_xy is None:
+            self._by_xy = _fiber_map(((i, j), k) for i, j, k in self.triples)
+        return self._by_xy
 
     def by_xz(self) -> dict:
-        return self._pairing("xz")
+        if self._by_xz is None:
+            self._by_xz = _fiber_map(((i, k), j) for i, j, k in self.triples)
+        return self._by_xz
 
     def by_yz(self) -> dict:
-        return self._pairing("yz")
+        if self._by_yz is None:
+            self._by_yz = _fiber_map(((j, k), i) for i, j, k in self.triples)
+        return self._by_yz
 
     def group_by_x(self) -> dict[int, list[tuple[int, int]]]:
         groups: dict[int, list[tuple[int, int]]] = {}
@@ -259,11 +252,15 @@ class FiniteRelation3:
 
 def build_relation2(u: Universe, v: Universe, pairs: Iterable[tuple[int, int]]) -> FiniteRelation2:
     """Build E ⊆ U×V from index pairs; duplicates collapse, bad indices raise."""
-    rows = [0] * u.size
+    nu, nv = u.size, v.size
+    rows = [0] * nu
     for pair in pairs:
-        i, j = pair
-        if not 0 <= i < u.size or not 0 <= j < v.size:
-            raise InputError(f"pair {(i, j)} out of range for {u.size} x {v.size}")
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            raise InputError(f"pair {pair!r} is not a pair of indices") from None
+        if not (type(i) is type(j) is int and 0 <= i < nu and 0 <= j < nv):
+            raise InputError(f"pair {(i, j)} is not an index pair in range for {nu} x {nv}")
         rows[i] |= 1 << j
     return FiniteRelation2(u, v, rows)
 
@@ -272,11 +269,15 @@ def build_relation3(
     x: Universe, y: Universe, z: Universe, triples: Iterable[tuple[int, int, int]]
 ) -> FiniteRelation3:
     """Build F ⊆ X×Y×Z from index triples; duplicates collapse, bad indices raise."""
+    nx, ny, nz = x.size, y.size, z.size
     checked = []
     for t in triples:
-        i, j, k = t
-        if not 0 <= i < x.size or not 0 <= j < y.size or not 0 <= k < z.size:
-            raise InputError(f"triple {(i, j, k)} out of range for {x.size} x {y.size} x {z.size}")
+        try:
+            i, j, k = t
+        except (TypeError, ValueError):
+            raise InputError(f"triple {t!r} is not a triple of indices") from None
+        if not (type(i) is type(j) is type(k) is int and 0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+            raise InputError(f"triple {(i, j, k)} is not an index triple in range for {nx} x {ny} x {nz}")
         checked.append((i, j, k))
     return FiniteRelation3(x, y, z, checked)
 
@@ -335,12 +336,16 @@ def _universe_to_obj(u: Universe) -> dict:
 
 
 def _universe_from_obj(obj: dict) -> Universe:
+    if not isinstance(obj, dict):
+        raise InputError(f"universe must be a JSON object, got {obj!r}")
     try:
         name = obj["name"]
         size = obj["size"]
     except KeyError as exc:
         raise InputError(f"universe object missing field {exc}") from None
     labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise InputError(f"universe {name!r}: labels must be a list")
     return Universe(name=name, size=size, labels=tuple(labels) if labels is not None else None)
 
 
@@ -359,20 +364,22 @@ def relation_to_obj(rel: Union[FiniteRelation2, FiniteRelation3]) -> dict:
 
 
 def relation_from_obj(obj: dict) -> Union[FiniteRelation2, FiniteRelation3]:
+    if not isinstance(obj, dict):
+        raise InputError("a relation must be a JSON object")
     kind = obj.get("kind")
+    if kind not in ("rel2", "rel3"):
+        raise InputError(f"unknown relation kind {kind!r}")
+    arity, field = (2, "pairs") if kind == "rel2" else (3, "triples")
+    universes = obj.get("universes", [])
+    if not isinstance(universes, list) or len(universes) != arity:
+        raise InputError(f"{kind} file needs exactly {arity} universes")
+    entries = obj.get(field, [])
+    if not isinstance(entries, list):
+        raise InputError(f"{kind} file: {field!r} must be a list")
+    us = [_universe_from_obj(o) for o in universes]
     if kind == "rel2":
-        universes = obj.get("universes", [])
-        if len(universes) != 2:
-            raise InputError("rel2 file needs exactly 2 universes")
-        u, v = (_universe_from_obj(o) for o in universes)
-        return build_relation2(u, v, [tuple(p) for p in obj.get("pairs", [])])
-    if kind == "rel3":
-        universes = obj.get("universes", [])
-        if len(universes) != 3:
-            raise InputError("rel3 file needs exactly 3 universes")
-        x, y, z = (_universe_from_obj(o) for o in universes)
-        return build_relation3(x, y, z, [tuple(t) for t in obj.get("triples", [])])
-    raise InputError(f"unknown relation kind {kind!r}")
+        return build_relation2(*us, entries)
+    return build_relation3(*us, entries)
 
 
 def write_relation(path: str, rel: Union[FiniteRelation2, FiniteRelation3]) -> None:

@@ -83,6 +83,7 @@ def run_scaling(family: RelationFamily, sizes: Sequence[int]) -> ExponentFit:
     for n in sizes:
         inst = family.build(n)
         counts.append(count_grid3(inst.rel, inst.a, inst.b, inst.c))
+        del inst  # free it before the next build: peak memory is one instance
     return fit_loglog(tuple(sizes), tuple(counts))
 
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from .cuttings import CuttingCover, verify_cutting
 from .errors import InputError, ParameterError
-from .relations import FiniteRelation2, Subset, count_grid2
+from .relations import FiniteRelation2, Subset, _iter_bits
 
 # --- exponent arithmetic ----------------------------------------------------
 
@@ -113,12 +114,7 @@ class KstWitness:
 
 
 def _first_bits(bits: int, count: int) -> tuple[int, ...]:
-    out = []
-    while bits and len(out) < count:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(out)
+    return tuple(islice(_iter_bits(bits), count))
 
 
 def find_kst(rel: FiniteRelation2, s: int, t: int) -> Optional[KstWitness]:
@@ -193,7 +189,7 @@ def kst_free_decomposition(rel: FiniteRelation2, infinite_threshold: int) -> Dec
     color = [-1] * m
     n_colors = 0
     for i in range(m):
-        used = {color[j] for j in _iter_set_bits(adj[i]) if color[j] >= 0}
+        used = {color[j] for j in _iter_bits(adj[i]) if color[j] >= 0}
         c = 0
         while c in used:
             c += 1
@@ -207,13 +203,6 @@ def kst_free_decomposition(rel: FiniteRelation2, infinite_threshold: int) -> Dec
                 bits |= 1 << i
         classes.append(Subset(rel.u, bits))
     return DecompositionReport(classes=tuple(classes), r=r, t_cap=infinite_threshold)
-
-
-def _iter_set_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 # --- certified counting -------------------------------------------------------
@@ -300,7 +289,7 @@ def certified_count(
     rows = rel.rows
 
     def exact(a_bits: int, b_bits: int) -> int:
-        return sum((rows[i] & b_bits).bit_count() for i in _iter_set_bits(a_bits))
+        return sum((rows[i] & b_bits).bit_count() for i in _iter_bits(a_bits))
 
     def node(a_bits: int, b_bits: int) -> BoundCertificate:
         m = a_bits.bit_count()
@@ -326,7 +315,7 @@ def certified_count(
             if b_i == 0:
                 continue
             a_i = 0
-            for i in _iter_set_bits(a_bits):
+            for i in _iter_bits(a_bits):
                 fiber = rows[i]
                 if fiber & cell.bits and cell.bits & ~fiber:
                     a_i |= 1 << i
@@ -336,8 +325,3 @@ def certified_count(
         return BoundCertificate(CASE_RECURSE, m, n, r, local, tuple(children), total)
 
     return node(a.bits, b.bits)
-
-
-def certificate_is_sound(rel: FiniteRelation2, a: Subset, b: Subset, cert: BoundCertificate) -> bool:
-    """total >= the exact count on the certified grid."""
-    return cert.total >= count_grid2(rel, a, b)

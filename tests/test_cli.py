@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from expd import Universe, build_relation2, build_relation3, write_relation
 
 
@@ -173,6 +175,32 @@ class TestCutting:
         assert "failure" in res.stdout
 
 
+UNIVERSES3 = [{"name": n, "size": 2} for n in "XYZ"]
+
+MALFORMED_RELATIONS = {
+    "top-level-list": [],
+    "string-size": {"kind": "rel3", "universes": [{"name": "X", "size": "2"}] + UNIVERSES3[1:], "triples": []},
+    "float-size": {"kind": "rel3", "universes": [{"name": "X", "size": 2.0}] + UNIVERSES3[1:], "triples": []},
+    "one-element-pair": {"kind": "rel2", "universes": UNIVERSES3[:2], "pairs": [[0]]},
+    "string-triple-entry": {"kind": "rel3", "universes": UNIVERSES3, "triples": [[0, "1", 0]]},
+    "list-labels": {
+        "kind": "rel3",
+        "universes": [{"name": "X", "size": 2, "labels": [[0], [1]]}] + UNIVERSES3[1:],
+        "triples": [],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_RELATIONS))
+def test_malformed_relation_file_exit_3(tmp_path, name):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(MALFORMED_RELATIONS[name]))
+    res = run_cli("count", "--rel", str(src))
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "input error" in res.stderr
+
+
 class TestPipeline3:
     def test_modular_sum_bundle(self):
         res = run_cli(
@@ -196,19 +224,19 @@ class TestPipeline3:
         bundle = json.loads(res.stdout)
         assert bundle["cylindrical_witness"] is not None
 
-    def test_budget_fallback_streams(self):
-        # budget below the pair-matrix size but above |G|: streamed mode
-        res = run_cli(
+    def test_budget_cells_do_not_change_bundle(self):
+        # a budget below the pair-matrix size but above |G| gives the same bundle
+        args = (
             "pipeline3",
             "--expr", "x + y = z mod 11",
             "--grid-x", "fullmod", "--grid-y", "fullmod", "--grid-z", "fullmod",
             "--threshold", "2",
-            "--budget-cells", "5000",
         )
-        assert res.returncode == 0
-        bundle = json.loads(res.stdout)
-        assert bundle["fiber_report"]["mode"] == "streamed"
-        assert bundle["checks_ok"] is True
+        tight = run_cli(*args, "--budget-cells", "5000")
+        default = run_cli(*args)
+        assert tight.returncode == default.returncode == 0
+        assert tight.stdout == default.stdout
+        assert json.loads(tight.stdout)["checks_ok"] is True
 
     def test_hard_budget_exit_4(self):
         res = run_cli(

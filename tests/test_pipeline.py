@@ -263,34 +263,76 @@ class TestDeriveG:
             g = derive_g(rel)
             assert g_edges_as_quadruples(g, sizes[1], sizes[2]) == brute_g_quadruples(rel)
 
-    def test_streaming_agrees_with_materialized(self):
-        rng = random.Random(41)
-        for _ in range(10):
-            rel = random_delta_algebraic(rng, (6, 6, 6), 3)
-            g = derive_g(rel)
-            count, max_zz, max_yy = g_edge_count(rel)
-            assert count == g.edge_count
-            rep = check_g_fiber_bounds(rel, g, 3)
-            assert rep.max_zz_fiber == max_zz
-            assert rep.max_yy_fiber == max_yy
-
     def test_capacity_error(self):
         rel = mod_sum_relation(5)
         with pytest.raises(CapacityError):
             derive_g(rel, budget_cells=100)
 
 
+class TestGKernel:
+    @staticmethod
+    def oracle(rel, b, c):
+        """|G ∩ B²×C²| and its largest (y,y',z) and (z,z',y) fibers, from quadruples."""
+        quads = [
+            q for q in brute_g_quadruples(rel)
+            if b.contains(q[0]) and b.contains(q[1]) and c.contains(q[2]) and c.contains(q[3])
+        ]
+        by_yyz, by_zzy = {}, {}
+        for y1, y2, z1, z2 in quads:
+            by_yyz[(y1, y2, z1)] = by_yyz.get((y1, y2, z1), 0) + 1
+            by_zzy[(z1, z2, y1)] = by_zzy.get((z1, z2, y1), 0) + 1
+        return (
+            len(quads),
+            max(by_yyz.values(), default=0),
+            max(by_zzy.values(), default=0),
+        )
+
+    def test_matches_quadruple_oracle_fuzz(self):
+        rng = random.Random(41)
+        for trial in range(60):
+            sizes = tuple(rng.randint(1, 6) for _ in range(3))
+            if trial < 5:
+                rel = build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), [])
+            elif trial % 2:
+                # dense and unconstrained: usually not degree-bounded at small d
+                triples = {
+                    tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(1, 80))
+                }
+                rel = build_relation3(
+                    u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), sorted(triples)
+                )
+            else:
+                rel = random_delta_algebraic(rng, sizes, rng.randint(1, 3))
+            ny, nz = sizes[1], sizes[2]
+            if trial % 10 == 7:
+                b, c = Subset.empty(rel.y), Subset.full(rel.z)
+            elif trial % 10 == 8:
+                b, c = Subset.full(rel.y), Subset.empty(rel.z)
+            else:
+                b = Subset.from_indices(rel.y, [i for i in range(ny) if rng.random() < 0.7])
+                c = Subset.from_indices(rel.z, [i for i in range(nz) if rng.random() < 0.7])
+            assert g_edge_count(rel, b, c) == self.oracle(rel, b, c), trial
+            full = self.oracle(rel, Subset.full(rel.y), Subset.full(rel.z))
+            assert g_edge_count(rel) == full, trial
+
+    def test_universe_mismatch(self):
+        rel = mod_sum_relation(3)
+        with pytest.raises(InputError):
+            g_edge_count(rel, Subset.full(u(4, "Y")), None)
+
+
 class TestFiberBounds:
     def test_mod5(self):
         rel = mod_sum_relation(5)
-        rep = check_g_fiber_bounds(rel, derive_g(rel), 1)
+        rep = check_g_fiber_bounds(rel, 1)
         assert rep.ok
         assert rep.max_zz_fiber == 1 and rep.max_yy_fiber == 1
         assert rep.bound == 1
+        assert rep.g_edges == derive_g(rel).edge_count == 125
 
     def test_units_mod7(self):
         rel = units_product_relation(7)
-        rep = check_g_fiber_bounds(rel, derive_g(rel), 1)
+        rep = check_g_fiber_bounds(rel, 1)
         assert rep.ok
         assert rep.max_zz_fiber == 1 and rep.max_yy_fiber == 1
 
@@ -299,8 +341,7 @@ class TestFiberBounds:
         for _ in range(12):
             rel = random_delta_algebraic(rng, (6, 6, 6), rng.randint(1, 3))
             d = max(pairing_maxima(rel)) or 1
-            g = derive_g(rel)
-            rep = check_g_fiber_bounds(rel, g, d)
+            rep = check_g_fiber_bounds(rel, d)
             assert rep.ok, rep
             quads = brute_g_quadruples(rel)
             by_yyz = {}
@@ -310,16 +351,30 @@ class TestFiberBounds:
             assert worst == rep.max_zz_fiber <= d * d
 
     def test_point_count_checks(self):
-        rel = mod_sum_relation(7)
-        rep = check_g_fiber_bounds(rel, derive_g(rel), 1, samples=5, sample_seed=3)
-        kinds = [c.kind for c in rep.point_counts]
-        assert kinds.count("full") == 1 and kinds.count("sample") == 5
-        assert all(c.ok for c in rep.point_counts)
+        # the summed law |G ∩ {(y,y')}×C²| <= d²|C|, which the fiber law
+        # implies, on materialized G for C = Z and seeded random C
+        rng = random.Random(3)
+        rels = [mod_sum_relation(7)] + [
+            random_delta_algebraic(rng, (6, 6, 6), rng.randint(1, 3)) for _ in range(6)
+        ]
+        for rel in rels:
+            d = max(pairing_maxima(rel)) or 1
+            assert check_g_fiber_bounds(rel, d).ok
+            g = derive_g(rel)
+            nz = rel.z.size
+            choices = [list(range(nz))] + [
+                rng.sample(range(nz), rng.randint(1, nz)) for _ in range(8)
+            ]
+            for chosen in choices:
+                c = Subset.from_indices(rel.z, chosen)
+                csq = pair_subset(c, g.v).bits
+                worst = max((row & csq).bit_count() for row in g.rows)
+                assert worst <= d * d * len(chosen)
 
     def test_d_required(self):
         rel = mod_sum_relation(3)
         with pytest.raises(ParameterError):
-            check_g_fiber_bounds(rel, derive_g(rel), 0)
+            check_g_fiber_bounds(rel, 0)
 
 
 class TestCauchySchwarz:
