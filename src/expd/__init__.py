@@ -67,6 +67,7 @@ from .zarankiewicz import (
     DecompositionReport,
     ExponentParams,
     KstWitness,
+    NotKstFreeError,
     certified_count,
     distal_delta_bound,
     epsilon_sup,

@@ -188,14 +188,16 @@ def cmd_certify(args) -> int:
     a = Subset.full(rel.u)
     b = Subset.full(rel.v)
     params = zk.exponent_params(args.D, args.t, args.s, Fraction(args.epsilon))
-    witness = zk.find_kst(rel, params.s, params.t)
     n_col = max(rel.u.size, rel.v.size)
     instance = args.rel or args.family or (f"pg:{args.pg}" if args.pg else None) or (
         f"identity:{args.identity}" if args.identity else None
     ) or (f"interval:{args.interval}" if args.interval else f"box:{args.box}")
-    if witness is not None:
-        left = "+".join(map(str, witness.s_side))
-        right = "+".join(map(str, witness.t_side))
+    cutter = _pick_cutter(args, rel)
+    try:
+        cert = zk.certified_count(rel, a, b, params, cutter, args.r, args.leaf_size)
+    except zk.NotKstFreeError as exc:
+        left = "+".join(map(str, exc.witness.s_side))
+        right = "+".join(map(str, exc.witness.t_side))
         row = reports.ReportRow(
             instance=instance,
             n=n_col,
@@ -204,8 +206,6 @@ def cmd_certify(args) -> int:
         )
         _emit(args, [row])
         return EXIT_OK
-    cutter = _pick_cutter(args, rel)
-    cert = zk.certified_count(rel, a, b, params, cutter, args.r, args.leaf_size)
     exact = count_grid2(rel, a, b)
     if args.cert_out:
         with open(args.cert_out, "w", encoding="utf-8") as fh:

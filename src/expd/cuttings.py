@@ -22,11 +22,18 @@ total transition weight is at most 2|A|.  For rectangle fibers over planar
 points the same argument per axis (interior weight <= |A|/2r per column and
 per row) gives at most 4r columns x 4r rows; an adaptive equi-depth grid is
 tried first and usually verifies at far fewer cells.
+
+The rectangle cutter works in rank space.  It maps the points once to their
+x- and y-ranks and keeps, per axis, the prefix bitmasks "rank below q", so
+the point set of any rank box is the AND of two prefix differences.  A fiber
+lies inside its rank bounding box, found by one walk over its points, so it
+is a rectangle point-set iff it equals that box.  A grid attempt tests each
+fiber only against the cells its box spans, never against all of them.
 """
 
 from __future__ import annotations
 
-import bisect
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -217,125 +224,139 @@ def _planar_points(rel: FiniteRelation2) -> list[tuple[int, int]]:
     return points
 
 
-def _check_rectangular(rel: FiniteRelation2, a: Subset, points) -> None:
-    for i in a.members():
-        fiber = rel.rows[i]
-        if fiber == 0:
-            continue
-        xs = [points[j][0] for j in Subset(rel.v, fiber).members()]
-        ys = [points[j][1] for j in Subset(rel.v, fiber).members()]
-        x1, x2, y1, y2 = min(xs), max(xs), min(ys), max(ys)
-        for j, (px, py) in enumerate(points):
-            inside = x1 <= px <= x2 and y1 <= py <= y2
-            if inside != bool(fiber >> j & 1):
+def _rank(values: list[int]) -> tuple[list[int], int]:
+    """Each value's rank among the distinct values, and how many there are."""
+    distinct = sorted(set(values))
+    rank_of = {v: q for q, v in enumerate(distinct)}
+    return [rank_of[v] for v in values], len(distinct)
+
+
+def _prefix_masks(ranks: list[int], k: int) -> list[int]:
+    """masks[q] = the points whose rank is below q, as a bit vector over V."""
+    masks = [0] * (k + 1)
+    for j, q in enumerate(ranks):
+        masks[q + 1] |= 1 << j
+    for q in range(k):
+        masks[q + 1] |= masks[q]
+    return masks
+
+
+class _RankPlane:
+    """The points of V in x/y-rank space with per-axis prefix bitmasks.
+
+    box(x0, x1, y0, y1) is the set of points whose x-rank lies in [x0, x1)
+    and whose y-rank lies in [y0, y1): the AND of two prefix differences.
+    """
+
+    def __init__(self, points: list[tuple[int, int]]):
+        self.rx, self.kx = _rank([p[0] for p in points])
+        self.ry, self.ky = _rank([p[1] for p in points])
+        self.below_x = _prefix_masks(self.rx, self.kx)
+        self.below_y = _prefix_masks(self.ry, self.ky)
+
+    def box(self, x0: int, x1: int, y0: int, y1: int) -> int:
+        bx, by = self.below_x, self.below_y
+        return (bx[x1] ^ bx[x0]) & (by[y1] ^ by[y0])
+
+    def fiber_boxes(self, rel: FiniteRelation2, a: Subset) -> list[tuple[tuple[int, ...], int]]:
+        """(half-open rank bounding box, fiber) of every non-empty fiber of A.
+
+        A fiber lies inside its bounding box, so it is a rectangle point-set
+        iff it equals the box's point set.
+        """
+        boxes = []
+        for i in a.members():
+            fiber = rel.rows[i]
+            members = list(_iter_bits(fiber))
+            if not members:
+                continue
+            xs = [self.rx[j] for j in members]
+            ys = [self.ry[j] for j in members]
+            box = (min(xs), max(xs) + 1, min(ys), max(ys) + 1)
+            if self.box(*box) != fiber:
                 raise FamilyError(f"fiber {i} is not a rectangle point-set")
+            boxes.append((box, fiber))
+        return boxes
+
+    def grid_cover(
+        self, rel: FiniteRelation2, r: int, boxes, x_cuts: list[int], y_cuts: list[int], cap: int
+    ) -> Optional[CuttingCover]:
+        """The non-empty cells of the rank grid, or None once a crossing
+        count exceeds cap.
+
+        Column cx holds the x-ranks [x_cuts[cx], x_cuts[cx + 1]), row cy
+        likewise.  A fiber can cross only the cells its box's chunk range
+        spans, so only those are tested.
+        """
+        x_chunk = [c for c in range(len(x_cuts) - 1) for _ in range(x_cuts[c], x_cuts[c + 1])]
+        y_chunk = [c for c in range(len(y_cuts) - 1) for _ in range(y_cuts[c], y_cuts[c + 1])]
+        cells = [
+            [self.box(x_cuts[cx], x_cuts[cx + 1], y_cuts[cy], y_cuts[cy + 1])
+             for cy in range(len(y_cuts) - 1)]
+            for cx in range(len(x_cuts) - 1)
+        ]
+        counts = [[0] * len(column) for column in cells]
+        for (x0, x1, y0, y1), fiber in boxes:
+            for cx in range(x_chunk[x0], x_chunk[x1 - 1] + 1):
+                column, column_counts = cells[cx], counts[cx]
+                for cy in range(y_chunk[y0], y_chunk[y1 - 1] + 1):
+                    if crosses(fiber, column[cy]):
+                        column_counts[cy] += 1
+                        if column_counts[cy] > cap:
+                            return None
+        keys = [(cx, cy) for cx, column in enumerate(cells) for cy, bits in enumerate(column) if bits]
+        return CuttingCover(
+            cells=tuple(Subset(rel.v, cells[cx][cy]) for cx, cy in keys),
+            r=r,
+            claimed_exponent=2,
+            crossing_counts=tuple(counts[cx][cy] for cx, cy in keys),
+        )
 
 
-def _axis_blocks(values: list[int], groups: int) -> list[list[int]]:
-    """Split sorted distinct values into <= groups consecutive chunks of
-    near-equal size."""
-    k = len(values)
-    groups = max(1, min(groups, k)) if k else 1
-    if k == 0:
-        return [[]]
-    out = []
-    for g in range(groups):
-        lo = g * k // groups
-        hi = (g + 1) * k // groups
-        if hi > lo:
-            out.append(values[lo:hi])
-    return out
+def _equal_cuts(k: int, groups: int) -> list[int]:
+    """Boundaries of <= groups consecutive near-equal chunks of k ranks."""
+    groups = max(1, min(groups, k))
+    return [c * k // groups for c in range(groups + 1)]
 
 
-def _grid_cells(
-    rel: FiniteRelation2, points, x_chunks: list[list[int]], y_chunks: list[list[int]]
-) -> list[Subset]:
-    by_coord: dict[tuple[int, int], int] = {}
-    for xi, chunk in enumerate(x_chunks):
-        for v in chunk:
-            by_coord[(0, v)] = xi
-    for yi, chunk in enumerate(y_chunks):
-        for v in chunk:
-            by_coord[(1, v)] = yi
-    cell_bits: dict[tuple[int, int], int] = {}
-    for j, (px, py) in enumerate(points):
-        key = (by_coord[(0, px)], by_coord[(1, py)])
-        cell_bits[key] = cell_bits.get(key, 0) | 1 << j
-    return [Subset(rel.v, bits) for _, bits in sorted(cell_bits.items())]
-
-
-def _axis_transition_blocks(
-    values: list[int], extents: list[tuple[int, int]], n_fib: int, r_scaled: int
-) -> list[list[int]]:
-    """Greedy blocks of sorted distinct axis values with interior extent
-    transitions capped at n_fib / r_scaled; extents are (lo, hi) value pairs."""
-    k = len(values)
-    if k == 0:
-        return [[]]
+def _transition_cuts(k: int, spans, n_fib: int, r_scaled: int) -> list[int]:
+    """Boundaries of greedy rank blocks whose interior transition weight is
+    capped at n_fib / r_scaled; spans are the half-open rank extents."""
     weights = [0] * max(0, k - 1)
-    for lo, hi in extents:
-        # value-ranks covered by [lo, hi]
-        rlo = bisect.bisect_left(values, lo)
-        rhi = bisect.bisect_right(values, hi) - 1
-        if rlo > rhi:
-            continue
-        if rlo > 0:
-            weights[rlo - 1] += 1
-        if rhi < k - 1:
-            weights[rhi] += 1
+    for lo, hi in spans:
+        if lo > 0:
+            weights[lo - 1] += 1
+        if hi < k:
+            weights[hi - 1] += 1
     blocks = _blocks_by_transition_weight(k, weights, n_fib, r_scaled)
-    return [values[lo : hi + 1] for lo, hi in blocks]
+    return [lo for lo, _ in blocks] + [k]
 
 
 def box_grid_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
     """Cover for rectangle fibers: grid blocks in x/y-rank space, exponent 2.
 
     Tries equi-depth g x g grids for growing g and returns the first one
-    whose recomputed crossing counts meet the |A|/r cap; if none verifies up
-    to g = floor(sqrt(8) * r), falls back to per-axis transition-capped
-    blocks (interior weight <= |A|/2r per column and per row), which meet the
-    cap by construction at <= 4r x 4r cells.
+    whose crossing counts meet the |A|/r cap; if none does up to
+    g = floor(sqrt(8) * r), falls back to per-axis transition-capped blocks
+    (interior weight <= |A|/2r per column and per row), which meet the cap by
+    construction at <= 4r x 4r cells.
     """
     if a.universe != rel.u:
         raise InputError("box_grid_cutting: A must be a subset of the left universe")
     if r < 1:
         raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
-    points = _planar_points(rel)
-    _check_rectangular(rel, a, points)
+    plane = _RankPlane(_planar_points(rel))
+    boxes = plane.fiber_boxes(rel, a)
     n_fib = a.cardinality()
-    xs = sorted({p[0] for p in points})
-    ys = sorted({p[1] for p in points})
-
-    def attempt(x_chunks, y_chunks) -> Optional[CuttingCover]:
-        cells = _grid_cells(rel, points, x_chunks, y_chunks)
-        counts = [_crossing_count(rel, a, c.bits) for c in cells]
-        if all(c * r <= n_fib for c in counts):
-            return CuttingCover(
-                cells=tuple(cells), r=r, claimed_exponent=2, crossing_counts=tuple(counts)
-            )
-        return None
-
-    g_max = max(1, int((8**0.5) * r))
-    for g in range(1, g_max + 1):
-        cover = attempt(_axis_blocks(xs, g), _axis_blocks(ys, g))
+    for g in range(1, math.isqrt(8 * r * r) + 1):
+        x_cuts, y_cuts = _equal_cuts(plane.kx, g), _equal_cuts(plane.ky, g)
+        cover = plane.grid_cover(rel, r, boxes, x_cuts, y_cuts, n_fib // r)
         if cover is not None:
             return cover
-
-    extents_x = []
-    extents_y = []
-    for i in a.members():
-        fiber = rel.rows[i]
-        if fiber == 0:
-            continue
-        pxs = [points[j][0] for j in Subset(rel.v, fiber).members()]
-        pys = [points[j][1] for j in Subset(rel.v, fiber).members()]
-        extents_x.append((min(pxs), max(pxs)))
-        extents_y.append((min(pys), max(pys)))
-    x_chunks = _axis_transition_blocks(xs, extents_x, n_fib, 2 * r)
-    y_chunks = _axis_transition_blocks(ys, extents_y, n_fib, 2 * r)
-    cells = _grid_cells(rel, points, x_chunks, y_chunks)
-    counts = tuple(_crossing_count(rel, a, c.bits) for c in cells)
-    return CuttingCover(cells=tuple(cells), r=r, claimed_exponent=2, crossing_counts=counts)
+    x_cuts = _transition_cuts(plane.kx, [box[:2] for box, _ in boxes], n_fib, 2 * r)
+    y_cuts = _transition_cuts(plane.ky, [box[2:] for box, _ in boxes], n_fib, 2 * r)
+    # a fiber crosses a cell at most once, so no count can exceed n_fib
+    return plane.grid_cover(rel, r, boxes, x_cuts, y_cuts, n_fib)
 
 
 # --- generic best-effort provider -------------------------------------------

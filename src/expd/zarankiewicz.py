@@ -158,6 +158,17 @@ def find_kst(rel: FiniteRelation2, s: int, t: int) -> Optional[KstWitness]:
     return search(0, [], (1 << rel.v.size) - 1)
 
 
+class NotKstFreeError(ParameterError):
+    """The relation restricted to A x B contains the forbidden K_{s,t}."""
+
+    def __init__(self, witness: KstWitness):
+        super().__init__(
+            f"A x B contains K_{len(witness.s_side)},{len(witness.t_side)} at "
+            f"{list(witness.s_side)} x {list(witness.t_side)}"
+        )
+        self.witness = witness
+
+
 @dataclass(frozen=True)
 class DecompositionReport:
     """Greedy-colored classes of U; within a class all pairwise fiber
@@ -274,10 +285,11 @@ def certified_count(
 ) -> BoundCertificate:
     """Certificate tree whose total upper-bounds |E ∩ A×B|.
 
-    Caller guarantees the restriction of rel to A x B is K_{s,t}-free for
-    params' (s, t) (check with find_kst); only Case 2 nodes rely on that.
-    Cutter failures degrade the node to an exact count, which keeps the
-    certificate sound.
+    Case 2 nodes take the KST bound, which holds only on K_{s,t}-free grids
+    for params' (s, t).  Freeness passes to every sub-grid, so one find_kst
+    on the restriction to A x B covers them all; a relation that fails it
+    raises NotKstFreeError carrying the witness.  Cutter failures degrade the
+    node to an exact count, which keeps the certificate sound.
     """
     if rel.u != a.universe or rel.v != b.universe:
         raise InputError("certified_count: subsets do not match the relation's universes")
@@ -287,6 +299,12 @@ def certified_count(
         raise ParameterError(f"leaf_size must be >= 1, got {leaf_size}")
 
     rows = rel.rows
+    restricted = FiniteRelation2(
+        rel.u, rel.v, [row & b.bits if a.bits >> i & 1 else 0 for i, row in enumerate(rows)]
+    )
+    witness = find_kst(restricted, params.s, params.t)
+    if witness is not None:
+        raise NotKstFreeError(witness)
 
     def exact(a_bits: int, b_bits: int) -> int:
         return sum((rows[i] & b_bits).bit_count() for i in _iter_bits(a_bits))

@@ -153,7 +153,7 @@ def test_criterion_certificate_soundness():
 def _certify_and_check(rel, D, cutter):
     a, b = Subset.full(rel.u), Subset.full(rel.v)
     t = max(2, _max_pairwise_intersection(rel) + 1)
-    assert find_kst(rel, 2, t) is None  # caller-checked precondition
+    assert find_kst(rel, 2, t) is None  # certified_count raises otherwise
     params = exponent_params(D, t, 2, epsilon_sup(D, t) / 2)
     cert = certified_count(rel, a, b, params, cutter, r=4, leaf_size=8)
     exact = count_grid2(rel, a, b)

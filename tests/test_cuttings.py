@@ -23,7 +23,8 @@ from expd.instances import (
     random_rectangle_incidence,
     rectangle_incidence,
 )
-from expd.relations import FiniteRelation2, Universe, build_relation2
+from expd.cuttings import _blocks_by_transition_weight, _planar_points
+from expd.relations import FiniteRelation2, Universe, _iter_bits, build_relation2
 
 
 def cover_from_cells(rel, cells, r, D=1):
@@ -178,7 +179,117 @@ class TestIntervalCutting:
                 assert report.fitted_c <= 2.0
 
 
+def oracle_box_grid_cutting(rel, a, r):
+    """The value-space box cutter, kept as the reference: rectangularity by a
+    scan of every point of V per fiber, and a bit-by-bit crossing recount of
+    every cell on every grid attempt.  Returns (cover, "grid" | "fallback")."""
+    points = _planar_points(rel)
+    for i in a.members():
+        fiber = rel.rows[i]
+        if fiber == 0:
+            continue
+        xs = [points[j][0] for j in _iter_bits(fiber)]
+        ys = [points[j][1] for j in _iter_bits(fiber)]
+        x1, x2, y1, y2 = min(xs), max(xs), min(ys), max(ys)
+        for j, (px, py) in enumerate(points):
+            if (x1 <= px <= x2 and y1 <= py <= y2) != bool(fiber >> j & 1):
+                raise FamilyError(f"fiber {i} is not a rectangle point-set")
+    n_fib = a.cardinality()
+    xs = sorted({p[0] for p in points})
+    ys = sorted({p[1] for p in points})
+
+    def grid(x_chunks, y_chunks):
+        x_of = {v: c for c, chunk in enumerate(x_chunks) for v in chunk}
+        y_of = {v: c for c, chunk in enumerate(y_chunks) for v in chunk}
+        cells = {}
+        for j, (px, py) in enumerate(points):
+            key = (x_of[px], y_of[py])
+            cells[key] = cells.get(key, 0) | 1 << j
+        bits = [cells[key] for key in sorted(cells)]
+        counts = [sum(crosses(rel.rows[i], c) for i in a.members()) for c in bits]
+        return CuttingCover(tuple(Subset(rel.v, c) for c in bits), r, 2, tuple(counts))
+
+    def equal_chunks(values, g):
+        g = max(1, min(g, len(values)))
+        return [values[c * len(values) // g : (c + 1) * len(values) // g] for c in range(g)]
+
+    for g in range(1, max(1, int((8**0.5) * r)) + 1):
+        cover = grid(equal_chunks(xs, g), equal_chunks(ys, g))
+        if all(c * r <= n_fib for c in cover.crossing_counts):
+            return cover, "grid"
+
+    def transition_chunks(values, axis):
+        weights = [0] * max(0, len(values) - 1)
+        for i in a.members():
+            coords = [points[j][axis] for j in _iter_bits(rel.rows[i])]
+            if coords:
+                lo, hi = values.index(min(coords)), values.index(max(coords))
+                if lo > 0:
+                    weights[lo - 1] += 1
+                if hi < len(values) - 1:
+                    weights[hi] += 1
+        blocks = _blocks_by_transition_weight(len(values), weights, n_fib, 2 * r)
+        return [values[lo : hi + 1] for lo, hi in blocks] or [[]]
+
+    return grid(transition_chunks(xs, 0), transition_chunks(ys, 1)), "fallback"
+
+
+def random_planar_family(rng):
+    """Sparse points with duplicate coordinates under distinct labels ("3,4",
+    "03,4", ...); fibers are boxes (often empty), and in some instances a few
+    are boxes minus a point or random point sets."""
+    side = rng.randint(1, 10)
+    coords = [(rng.randrange(side), rng.randrange(side)) for _ in range(rng.randint(0, 50))]
+    labels = []
+    for x, y in coords:
+        label = f"{x},{y}"
+        while label in labels:
+            label = "0" + label
+        labels.append(label)
+    p_bad = rng.choice([0.0, 0.0, 0.04])
+    rows = []
+    for _ in range(rng.randint(0, 40)):
+        x1, x2 = sorted(rng.randrange(side) for _ in range(2))
+        y1, y2 = sorted(rng.randrange(side) for _ in range(2))
+        row = sum(
+            1 << j for j, (x, y) in enumerate(coords) if x1 <= x <= x2 and y1 <= y <= y2
+        )
+        roll = rng.random()
+        if roll < p_bad:
+            row &= row - 1
+        elif roll < 2 * p_bad:
+            row = rng.getrandbits(len(coords))
+        rows.append(row)
+    u = Universe("rects", len(rows))
+    return FiniteRelation2(u, Universe("points", len(coords), tuple(labels)), rows)
+
+
 class TestBoxGridCutting:
+    def test_matches_value_space_oracle_fuzz(self):
+        rng = random.Random(79)
+        outcomes = {"grid": 0, "fallback": 0, "rejected": 0}
+        for trial in range(400):
+            if trial % 5 == 0:
+                # few rects on a wide grid leave no g <= sqrt(8) r grid within the cap
+                n_rects = rng.choice([rng.randint(1, 6), rng.randint(0, 80)])
+                rel = random_rectangle_incidence(trial, n_rects, rng.randint(1, 28))
+            else:
+                rel = random_planar_family(rng)
+            full = (1 << rel.u.size) - 1
+            a = Subset(rel.u, rng.choice([full, rng.getrandbits(rel.u.size)]))
+            r = rng.choice([2, 3, 5, 8])
+            try:
+                expected, path = oracle_box_grid_cutting(rel, a, r)
+            except FamilyError as exc:
+                outcomes["rejected"] += 1
+                with pytest.raises(FamilyError) as raised:
+                    box_grid_cutting(rel, a, r)
+                assert str(raised.value) == str(exc), trial
+                continue
+            outcomes[path] += 1
+            assert box_grid_cutting(rel, a, r).to_obj() == expected.to_obj(), trial
+        assert min(outcomes.values()) > 0, outcomes
+
     def test_one_rect_covering_everything(self):
         points = [(x, y) for x in range(5) for y in range(5)]
         rel = rectangle_incidence([Rect(0, 4, 0, 4)], points)

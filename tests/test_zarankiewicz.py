@@ -10,6 +10,8 @@ import pytest
 
 from expd import (
     BoundCertificate,
+    KstWitness,
+    NotKstFreeError,
     ParameterError,
     Subset,
     build_relation2,
@@ -327,6 +329,29 @@ class TestCertifiedCount:
         assert BoundCertificate.from_obj(json.loads(blob)) == cert
         obj = cert.to_obj()
         assert set(obj) >= {"case", "m", "n", "r", "contribution", "children", "total"}
+
+    def test_relation_with_kst_rejected_with_witness(self):
+        # without the check this returned 23,683 against an exact count of 43,996
+        rel = random_interval_incidence(7, 256, 1024)
+        a, b = Subset.full(rel.u), Subset.full(rel.v)
+        params = exponent_params(1, 2, 2, Fraction(1, 8))
+        with pytest.raises(NotKstFreeError) as raised:
+            certified_count(rel, a, b, params, interval_cutting, 8)
+        assert isinstance(raised.value, ParameterError)
+        assert raised.value.witness == KstWitness((0, 3), (154, 155))
+        # the check sees only A x B: dropping row 3 moves the witness, and a
+        # single row cannot hold a K_{2,2}
+        a_no3 = Subset(rel.u, a.bits & ~(1 << 3))
+        with pytest.raises(NotKstFreeError) as raised:
+            certified_count(rel, a_no3, b, params, interval_cutting, 8)
+        assert 3 not in raised.value.witness.s_side
+        b_odd = Subset.from_indices(rel.v, range(1, rel.v.size, 2))
+        with pytest.raises(NotKstFreeError) as raised:
+            certified_count(rel, a, b_odd, params, interval_cutting, 8)
+        assert all(j % 2 for j in raised.value.witness.t_side)
+        one_row = Subset.from_indices(rel.u, [0])
+        cert = certified_count(rel, one_row, b, params, interval_cutting, 8)
+        assert cert.total >= count_grid2(rel, one_row, b)
 
     def test_parameter_validation(self):
         rel = identity_matching(4)
