@@ -159,11 +159,10 @@ def cmd_count(args) -> int:
         _emit(args, [row])
         return EXIT_OK
     rel = _rel3_from_args(args)
-    count = len(rel.triples)
     row = reports.ReportRow(
         instance=args.family or args.expr or args.rel or "rel3",
         n=max(rel.x.size, rel.y.size, rel.z.size),
-        count=count,
+        count=len(rel),
     )
     _emit(args, [row])
     return EXIT_OK

@@ -43,11 +43,18 @@ def pg_incidence(q: int) -> FiniteRelation2:
     labels = tuple(":".join(map(str, r)) for r in reps)
     points = Universe("points", n, labels)
     lines = Universe("lines", n, labels)
+    # Each line l lists its q+1 points p (p·l ≡ 0 mod q) from its equation.
+    index = {r: i for i, r in enumerate(reps)}
+    xy_line = [(1, a) for a in range(q)] + [(0, 1)]  # the points (x:y) of P^1
     pairs = []
-    for i, pt in enumerate(reps):
-        for j, ln in enumerate(reps):
-            if (pt[0] * ln[0] + pt[1] * ln[1] + pt[2] * ln[2]) % q == 0:
-                pairs.append((i, j))
+    for j, (l0, l1, l2) in enumerate(reps):
+        if l2:  # one z = -(l0·x + l1·y)/l2 for each (x:y)
+            c = -pow(l2, -1, q)
+            on_line = [(x, y, (l0 * x + l1 * y) * c % q) for x, y in xy_line]
+        else:  # (x:y) = (l1:-l0) with any z, plus (0:0:1)
+            x, y = (1, -l0 * pow(l1, -1, q) % q) if l1 else (0, 1)
+            on_line = [(x, y, z) for z in range(q)] + [(0, 0, 1)]
+        pairs.extend((index[pt], j) for pt in on_line)
     return build_relation2(points, lines, pairs)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 from .dsl import GridSpec, instantiate3, parse, parse_grid
@@ -38,6 +39,7 @@ from .relations import (
     FiniteRelation3,
     Subset,
     Universe,
+    _grid_counts_by_x,
     _iter_bits,
     build_relation3,
     count_grid2,
@@ -88,18 +90,18 @@ class CylindricalWitness:
 
 def _axis_flatten(rel: FiniteRelation3, axis: int) -> FiniteRelation2:
     nx, ny, nz = rel.x.size, rel.y.size, rel.z.size
+    nyz = ny * nz
     if axis == 1:
-        left, rn, rs = rel.x, "Y*Z", ny * nz
-        key = lambda i, j, k: (i, j * nz + k)
+        left, rn, rs = rel.x, "Y*Z", nyz
+        edges = map(divmod, rel.keys, repeat(nyz))
     elif axis == 2:
         left, rn, rs = rel.y, "X*Z", nx * nz
-        key = lambda i, j, k: (j, i * nz + k)
+        edges = ((key // nz % ny, key // nyz * nz + key % nz) for key in rel.keys)
     else:
         left, rn, rs = rel.z, "X*Y", nx * ny
-        key = lambda i, j, k: (k, i * ny + j)
+        edges = ((key % nz, key // nz) for key in rel.keys)
     rows = [0] * left.size
-    for i, j, k in rel.triples:
-        a, b = key(i, j, k)
+    for a, b in edges:
         rows[a] |= 1 << b
     return FiniteRelation2(Universe(left.name, left.size), Universe(rn, rs), rows)
 
@@ -173,13 +175,14 @@ def g_edge_count(
     z_rows: dict[int, dict[int, int]] = {}  # x -> {y': F_{x,y'} as a Z mask}
     y_rows: dict[int, dict[int, int]] = {}  # x -> {z': F_{x,·,z'} as a Y mask}
     x_sets: dict[tuple[int, int], int] = {}  # (y, z) -> X_yz as an X mask
-    for i, j, k in rel.triples:
-        if bbits >> j & 1 and cbits >> k & 1:
-            by_y = z_rows.setdefault(i, {})
-            by_y[j] = by_y.get(j, 0) | 1 << k
-            by_z = y_rows.setdefault(i, {})
-            by_z[k] = by_z.get(k, 0) | 1 << j
-            x_sets[(j, k)] = x_sets.get((j, k), 0) | 1 << i
+    for i, entries in rel.group_by_x().items():
+        for j, k in entries:
+            if bbits >> j & 1 and cbits >> k & 1:
+                by_y = z_rows.setdefault(i, {})
+                by_y[j] = by_y.get(j, 0) | 1 << k
+                by_z = y_rows.setdefault(i, {})
+                by_z[k] = by_z.get(k, 0) | 1 << j
+                x_sets[(j, k)] = x_sets.get((j, k), 0) | 1 << i
     count = max_zz = max_yy = 0
     for xs, times in Counter(x_sets.values()).items():
         zz = _union_sizes(z_rows, xs)
@@ -264,12 +267,9 @@ def cauchy_schwarz_check(
         d = dd.d
     else:
         d = max(pairing_maxima(rel))
-    abits, bbits, cbits = a.bits, b.bits, c.bits
-    per_x_restricted = Counter(
-        i for i, j, k in rel.triples if abits >> i & 1 and bbits >> j & 1 and cbits >> k & 1
-    )
-    f_count = sum(per_x_restricted.values())
-    w_count = sum(v * v for v in per_x_restricted.values())
+    per_x = list(_grid_counts_by_x(rel, a.bits, b.bits, c.bits))
+    f_count = sum(per_x)
+    w_count = sum(v * v for v in per_x)
     g_count = g_edge_count(rel, b, c)[0]
     a_size = a.cardinality()
     cs_ok = f_count * f_count <= a_size * w_count
@@ -433,12 +433,11 @@ def _group_like_instance(spec: FamilySpec, n: int) -> FamilyInstance:
     # indices through the twist to group elements
     elem_of = [[elements[m] for m in mp] for mp in maps]
     inv3 = {elements[mp]: idx for idx, mp in enumerate(maps[2])}
-    triples = []
-    for i in range(size):
-        e1 = elem_of[0][i]
-        for j in range(size):
-            k = inv3[third(e1, elem_of[1][j])]
-            triples.append((i, j, k))
+    triples = (
+        (i, j, inv3[third(e1, e2)])
+        for i, e1 in enumerate(elem_of[0])
+        for j, e2 in enumerate(elem_of[1])
+    )
     ux = Universe("X", size, tuple(elem_of[0]) if gkind == "unit_group_mod" else None)
     uy = Universe("Y", size, tuple(elem_of[1]) if gkind == "unit_group_mod" else None)
     uz = Universe("Z", size, tuple(elem_of[2]) if gkind == "unit_group_mod" else None)

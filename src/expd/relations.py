@@ -2,9 +2,10 @@
 
 A Universe is an indexed finite set 0..size-1, optionally carrying element
 labels.  Binary relations are stored as dense bit matrices (one Python int
-per left element, bit j set iff (i, j) is an edge); ternary relations as a
-deduplicated sorted tuple of index triples with per-pairing fiber maps built
-lazily.  All counting here is pure integer arithmetic.
+per left element, bit j set iff (i, j) is an edge); ternary relations as one
+sorted, duplicate-free array('q') of packed keys (i·|Y| + j)·|Z| + k, read by
+key arithmetic, with per-pairing fiber maps built lazily.  All counting here
+is pure integer arithmetic.
 
 Subsets of a universe are bit vectors.  Grid counts |E ∩ A×B| and
 |F ∩ A×B×C| are exact and deterministic.
@@ -17,7 +18,11 @@ dict is atomic, so concurrent readers see either nothing or the final map).
 from __future__ import annotations
 
 import json
+import operator
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CapacityError, InputError
@@ -26,6 +31,13 @@ Label = Union[int, str]
 
 # Pair universes index (i, j) as i*size + j; cap keeps those indices sane.
 MAX_PAIR_BASE = 1 << 20
+
+# Ternary keys (i*|Y| + j)*|Z| + k are signed 64-bit integers, so |X|·|Y|·|Z|
+# must stay below this.
+MAX_KEYS = 1 << 63
+
+# A relation file may not ask for a bit matrix of more cells than this.
+MAX_FILE_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -180,73 +192,99 @@ class FiniteRelation2:
         return f"FiniteRelation2({self.u.name}:{self.u.size} x {self.v.name}:{self.v.size}, {self.edge_count} edges)"
 
 
-def _fiber_map(entries: Iterable[tuple[tuple[int, int], int]]) -> dict:
+def _fiber_map(entries: Iterable[tuple[int, int]], base: int) -> dict:
+    """{divmod(p, base): [v, ...]} in first-seen order, from (p, v) entries
+    whose p packs a coordinate pair."""
     built: dict = {}
-    for key, value in entries:
-        built.setdefault(key, []).append(value)
-    return built
+    for p, v in entries:
+        built.setdefault(p, []).append(v)
+    return {divmod(p, base): fiber for p, fiber in built.items()}
 
 
 class FiniteRelation3:
-    """A ternary relation F ⊆ X×Y×Z as a deduplicated sorted triple list.
+    """A ternary relation F ⊆ X×Y×Z as one sorted, duplicate-free array of
+    packed keys (i·|Y| + j)·|Z| + k.
 
-    Fiber maps for the three coordinate pairings are built on first use:
-    xy -> sorted z list, xz -> sorted y list, yz -> sorted x list.
+    Key order is lexicographic triple order, so the triples of one x form a
+    contiguous run.  Fiber maps for the three coordinate pairings are built on
+    first use: xy -> sorted z list, xz -> sorted y list, yz -> sorted x list.
+    Build relations with build_relation3, which checks every triple and the
+    key range; the constructor trusts its keys.
     """
 
-    __slots__ = ("x", "y", "z", "triples", "_by_xy", "_by_xz", "_by_yz")
+    __slots__ = ("x", "y", "z", "keys", "_by_xy", "_by_xz", "_by_yz")
 
-    def __init__(self, x: Universe, y: Universe, z: Universe, triples: Iterable[tuple[int, int, int]]):
-        dedup = set()
-        for t in triples:
-            i, j, k = t
-            x.check_index(i)
-            y.check_index(j)
-            z.check_index(k)
-            dedup.add((i, j, k))
+    def __init__(self, x: Universe, y: Universe, z: Universe, keys: Iterable[int]):
+        keys = sorted(keys)  # linear when the keys arrive sorted
+        if any(map(operator.eq, keys, islice(keys, 1, None))):
+            keys = sorted(set(keys))
         self.x = x
         self.y = y
         self.z = z
-        self.triples = tuple(sorted(dedup))
+        self.keys = array("q", keys)
         self._by_xy = None
         self._by_xz = None
         self._by_yz = None
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.keys)
+
+    @property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The sorted triples, decoded from the keys on every access."""
+        nyz, nz = self.y.size * self.z.size, self.z.size
+        return tuple((i, *divmod(jk, nz)) for i, jk in map(divmod, self.keys, repeat(nyz)))
+
+    def x_runs(self) -> Iterator[tuple[int, int, int]]:
+        """(i, lo, hi) for each x = i present in F: keys[lo:hi] are its keys."""
+        keys, nyz = self.keys, self.y.size * self.z.size
+        lo, end = 0, len(keys)
+        while lo < end:
+            i = keys[lo] // nyz
+            hi = bisect_left(keys, (i + 1) * nyz, lo)
+            yield i, lo, hi
+            lo = hi
 
     def by_xy(self) -> dict:
         if self._by_xy is None:
-            self._by_xy = _fiber_map(((i, j), k) for i, j, k in self.triples)
+            self._by_xy = _fiber_map(map(divmod, self.keys, repeat(self.z.size)), self.y.size)
         return self._by_xy
 
     def by_xz(self) -> dict:
         if self._by_xz is None:
-            self._by_xz = _fiber_map(((i, k), j) for i, j, k in self.triples)
+            ny, nz = self.y.size, self.z.size
+            nyz = ny * nz
+            self._by_xz = _fiber_map(
+                ((key // nyz * nz + key % nz, key // nz % ny) for key in self.keys), nz
+            )
         return self._by_xz
 
     def by_yz(self) -> dict:
         if self._by_yz is None:
-            self._by_yz = _fiber_map(((j, k), i) for i, j, k in self.triples)
+            nyz = self.y.size * self.z.size
+            self._by_yz = _fiber_map(
+                ((jk, i) for i, jk in map(divmod, self.keys, repeat(nyz))), self.z.size
+            )
         return self._by_yz
 
     def group_by_x(self) -> dict[int, list[tuple[int, int]]]:
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i, j, k in self.triples:
-            groups.setdefault(i, []).append((j, k))
-        return groups
+        keys, nyz, nz = self.keys, self.y.size * self.z.size, self.z.size
+        return {
+            i: [divmod(key % nyz, nz) for key in keys[lo:hi]]
+            for i, lo, hi in self.x_runs()
+        }
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteRelation3)
             and (self.x, self.y, self.z) == (other.x, other.y, other.z)
-            and self.triples == other.triples
+            and self.keys == other.keys
         )
 
     def __repr__(self) -> str:
         return (
             f"FiniteRelation3({self.x.name}:{self.x.size} x {self.y.name}:{self.y.size}"
-            f" x {self.z.name}:{self.z.size}, {len(self.triples)} triples)"
+            f" x {self.z.name}:{self.z.size}, {len(self.keys)} triples)"
         )
 
 
@@ -268,9 +306,18 @@ def build_relation2(u: Universe, v: Universe, pairs: Iterable[tuple[int, int]]) 
 def build_relation3(
     x: Universe, y: Universe, z: Universe, triples: Iterable[tuple[int, int, int]]
 ) -> FiniteRelation3:
-    """Build F ⊆ X×Y×Z from index triples; duplicates collapse, bad indices raise."""
+    """Build F ⊆ X×Y×Z from index triples; duplicates collapse, bad indices raise.
+
+    Raises CapacityError, before reading any triple, when |X|·|Y|·|Z| keys do
+    not fit in a signed 64-bit integer.
+    """
     nx, ny, nz = x.size, y.size, z.size
-    checked = []
+    if nx * ny * nz >= MAX_KEYS:
+        raise CapacityError(
+            f"{nx} x {ny} x {nz} = {nx * ny * nz} triple keys exceed the 64-bit key range"
+        )
+    keys = []
+    append = keys.append
     for t in triples:
         try:
             i, j, k = t
@@ -278,8 +325,8 @@ def build_relation3(
             raise InputError(f"triple {t!r} is not a triple of indices") from None
         if not (type(i) is type(j) is type(k) is int and 0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
             raise InputError(f"triple {(i, j, k)} is not an index triple in range for {nx} x {ny} x {nz}")
-        checked.append((i, j, k))
-    return FiniteRelation3(x, y, z, checked)
+        append((i * ny + j) * nz + k)
+    return FiniteRelation3(x, y, z, keys)
 
 
 def fiber2(rel: FiniteRelation2, side: str, index: int) -> Subset:
@@ -311,12 +358,21 @@ def count_grid3(rel: FiniteRelation3, a: Subset, b: Subset, c: Subset) -> int:
     _check_universe(a, rel.x, "count_grid3")
     _check_universe(b, rel.y, "count_grid3")
     _check_universe(c, rel.z, "count_grid3")
-    abits, bbits, cbits = a.bits, b.bits, c.bits
-    return sum(
-        1
-        for i, j, k in rel.triples
-        if abits >> i & 1 and bbits >> j & 1 and cbits >> k & 1
-    )
+    return sum(_grid_counts_by_x(rel, a.bits, b.bits, c.bits))
+
+
+def _grid_counts_by_x(rel: FiniteRelation3, abits: int, bbits: int, cbits: int) -> Iterator[int]:
+    """|F ∩ {x}×B×C| for each x in A that F touches, in x order."""
+    keys, ny, nz = rel.keys, rel.y.size, rel.z.size
+    full_bc = bbits == (1 << ny) - 1 and cbits == (1 << nz) - 1
+    for i, lo, hi in rel.x_runs():
+        if abits >> i & 1:
+            if full_bc:
+                yield hi - lo
+            else:
+                yield sum(
+                    1 for key in keys[lo:hi] if cbits >> key % nz & 1 and bbits >> key // nz % ny & 1
+                )
 
 
 # --- relation file format -------------------------------------------------
@@ -378,6 +434,11 @@ def relation_from_obj(obj: dict) -> Union[FiniteRelation2, FiniteRelation3]:
         raise InputError(f"{kind} file: {field!r} must be a list")
     us = [_universe_from_obj(o) for o in universes]
     if kind == "rel2":
+        cells = us[0].size * us[1].size
+        if cells > MAX_FILE_CELLS:
+            raise CapacityError(
+                f"rel2 file asks for {us[0].size} x {us[1].size} = {cells} cells; cap is {MAX_FILE_CELLS}"
+            )
         return build_relation2(*us, entries)
     return build_relation3(*us, entries)
 

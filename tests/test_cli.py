@@ -191,14 +191,41 @@ MALFORMED_RELATIONS = {
 }
 
 
+# Universes too large to allocate: refused before any allocation.
+OVERSIZED_RELATIONS = {
+    "rel2-3e9-cells": {
+        "kind": "rel2",
+        "universes": [{"name": "U", "size": 3_000_000_000}, {"name": "V", "size": 1}],
+        "pairs": [],
+    },
+    "rel3-2^63-keys": {
+        "kind": "rel3",
+        "universes": [{"name": n, "size": 1 << 21} for n in "XYZ"],
+        "triples": [[0, 0, 0]],
+    },
+}
+
+
+def run_on_file(tmp_path, obj):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(obj))
+    return run_cli("count", "--rel", str(src))
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_RELATIONS))
 def test_malformed_relation_file_exit_3(tmp_path, name):
-    src = tmp_path / "bad.json"
-    src.write_text(json.dumps(MALFORMED_RELATIONS[name]))
-    res = run_cli("count", "--rel", str(src))
+    res = run_on_file(tmp_path, MALFORMED_RELATIONS[name])
     assert res.returncode == 3, res.stderr
     assert "Traceback" not in res.stderr
     assert "input error" in res.stderr
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_RELATIONS))
+def test_oversized_relation_file_exit_4(tmp_path, name):
+    res = run_on_file(tmp_path, OVERSIZED_RELATIONS[name])
+    assert res.returncode == 4, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "capacity" in res.stderr
 
 
 class TestPipeline3:

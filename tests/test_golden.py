@@ -1,0 +1,60 @@
+"""Byte-for-byte report reruns against committed golden files.
+
+Each case runs one CLI command (or one library write) and compares the bytes
+it produces with a file in tests/golden/, written by an earlier version of
+expd.  Reports must not change when the internals do.
+"""
+
+import os
+
+import pytest
+
+from expd import cli, write_relation
+from expd.pipeline import FamilySpec, make_family
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+TWISTED = ("--family", "cyclic", "--twists", "seeded", "--seed", "3")
+
+# golden file -> the argv whose stdout it holds ("{out}" is a temp path)
+STDOUT_CASES = {
+    "scan-cyclic.csv": ("scan", "--family", "cyclic", "--sizes", "16,32,48,64"),
+    "scan-cyclic.json": ("scan", "--family", "cyclic", "--sizes", "16,32,48,64", "--format", "json"),
+    "scan-cyclic-twisted.csv": ("scan", *TWISTED, "--sizes", "8,16,24,32"),
+    "scan-cyclic-twisted.json": ("scan", *TWISTED, "--sizes", "8,16,24,32", "--format", "json"),
+    "pipeline3-twisted-32.json": ("pipeline3", *TWISTED, "--n", "32"),
+    "derive-g-twisted-16.stdout": ("derive-g", *TWISTED, "--n", "16", "--out", "{out}"),
+}
+# golden file -> the case above whose --out file it holds
+FILE_CASES = {"derive-g-twisted-16.json": "derive-g-twisted-16.stdout"}
+
+
+def golden(name: str) -> bytes:
+    with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
+        return fh.read()
+
+
+def run_case(name: str, out_path: str, capsys) -> bytes:
+    argv = [arg.format(out=out_path) for arg in STDOUT_CASES[name]]
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_stdout_matches_golden(tmp_path, capsys, name):
+    assert run_case(name, str(tmp_path / "out.json"), capsys) == golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(FILE_CASES))
+def test_output_file_matches_golden(tmp_path, capsys, name):
+    out = tmp_path / "out.json"
+    run_case(FILE_CASES[name], str(out), capsys)
+    assert out.read_bytes() == golden(name)
+
+
+def test_written_rel3_matches_golden(tmp_path):
+    # a cylindrical block plus seeded noise: the builder sees unsorted triples
+    inst = make_family(FamilySpec(kind="cylindrical", block=4, seed=5)).build(12)
+    out = tmp_path / "rel3.json"
+    write_relation(str(out), inst.rel)
+    assert out.read_bytes() == golden("cylindrical-4-n12-seed5.rel3.json")

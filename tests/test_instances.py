@@ -37,6 +37,23 @@ class TestProjectivePlane:
         assert pg.u.size == 13
         assert pg.edge_count == 13 * 4
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_matches_all_pairs_oracle(self, q):
+        # oracle: test every point-line pair for p·l ≡ 0 (mod q)
+        reps = (
+            [(1, a, b) for a in range(q) for b in range(q)]
+            + [(0, 1, a) for a in range(q)]
+            + [(0, 0, 1)]
+        )
+        rows = [0] * len(reps)
+        for i, pt in enumerate(reps):
+            for j, ln in enumerate(reps):
+                if (pt[0] * ln[0] + pt[1] * ln[1] + pt[2] * ln[2]) % q == 0:
+                    rows[i] |= 1 << j
+        pg = pg_incidence(q)
+        assert pg.rows == tuple(rows)
+        assert pg.u.labels == pg.v.labels == tuple(":".join(map(str, r)) for r in reps)
+
     def test_non_prime_rejected(self):
         with pytest.raises(InputError):
             pg_incidence(6)

@@ -89,6 +89,15 @@ class TestBuildRelation3:
         with pytest.raises(InputError):
             build_relation3(u(2), u(2, "Y"), u(2, "Z"), [(0, 0, 2)])
 
+    def test_key_range_is_64_bits(self):
+        top = (1 << 63) - 1
+        rel = build_relation3(u(top), u(1, "Y"), u(1, "Z"), [(top - 1, 0, 0)])
+        assert rel.triples == ((top - 1, 0, 0),)
+        with pytest.raises(CapacityError):
+            build_relation3(u(1 << 63), u(1, "Y"), u(1, "Z"), [])
+        with pytest.raises(CapacityError):
+            build_relation3(u(1 << 21), u(1 << 21, "Y"), u(1 << 21, "Z"), [(0, 0, 0)])
+
 
 class TestFiber2:
     def test_identity_left_fiber(self):
@@ -236,6 +245,118 @@ class TestCountGrid3:
                 Subset.from_indices(moved.z, [perms[2][i] for i in subs[2]]),
             )
             assert lhs == rhs
+
+
+class TupleRelation3:
+    """The tuple-based ternary core that the packed one replaced: the oracle."""
+
+    def __init__(self, x, y, z, triples):
+        dedup = set()
+        for i, j, k in triples:
+            x.check_index(i)
+            y.check_index(j)
+            z.check_index(k)
+            dedup.add((i, j, k))
+        self.x, self.y, self.z = x, y, z
+        self.triples = tuple(sorted(dedup))
+
+    def fiber_map(self, pick):
+        built = {}
+        for t in self.triples:
+            key, value = pick(*t)
+            built.setdefault(key, []).append(value)
+        return built
+
+    def by_xy(self):
+        return self.fiber_map(lambda i, j, k: ((i, j), k))
+
+    def by_xz(self):
+        return self.fiber_map(lambda i, j, k: ((i, k), j))
+
+    def by_yz(self):
+        return self.fiber_map(lambda i, j, k: ((j, k), i))
+
+    def group_by_x(self):
+        return self.fiber_map(lambda i, j, k: (i, (j, k)))
+
+    def x_counts(self, abits, bbits, cbits):
+        counts = {}
+        for i, j, k in self.triples:
+            if abits >> i & 1 and bbits >> j & 1 and cbits >> k & 1:
+                counts[i] = counts.get(i, 0) + 1
+        return counts
+
+    def flatten_rows(self, axis):
+        ny, nz = self.y.size, self.z.size
+        left = (self.x, self.y, self.z)[axis - 1].size
+        rows = [0] * left
+        for i, j, k in self.triples:
+            a, b = {1: (i, j * nz + k), 2: (j, i * nz + k), 3: (k, i * ny + j)}[axis]
+            rows[a] |= 1 << b
+        return tuple(rows)
+
+    def to_obj(self):
+        return {
+            "kind": "rel3",
+            "universes": [{"name": w.name, "size": w.size} for w in (self.x, self.y, self.z)],
+            "triples": [list(t) for t in self.triples],
+        }
+
+
+class TestPackedCore:
+    @staticmethod
+    def random_input(rng):
+        sizes = [rng.choice([1, 1, 2, 3, 5, 8, 13]) for _ in range(3)]
+        boundary = [(0, s - 1) for s in sizes]
+        triples = []
+        for _ in range(rng.choice([0, 1, 2, 5, 20, 60])):
+            triples.append(tuple(
+                rng.choice(boundary[a]) if rng.random() < 0.3 else rng.randrange(sizes[a])
+                for a in range(3)
+            ))
+        triples += rng.sample(triples, min(len(triples), rng.randint(0, 5)))  # duplicates
+        if rng.random() < 0.7:
+            rng.shuffle(triples)
+        else:
+            triples.sort()
+        return [u(s, name) for s, name in zip(sizes, "XYZ")], triples
+
+    def test_matches_tuple_oracle_fuzz(self):
+        from expd.pipeline import _axis_flatten
+        from expd.relations import _grid_counts_by_x
+
+        seen_empty = seen_dupes = seen_unit = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            (x, y, z), triples = self.random_input(rng)
+            seen_empty += not triples
+            seen_dupes += len(set(triples)) < len(triples)
+            seen_unit += 1 in (x.size, y.size, z.size)
+            rel = build_relation3(x, y, z, triples)
+            oracle = TupleRelation3(x, y, z, triples)
+            assert rel.triples == oracle.triples
+            assert len(rel) == len(oracle.triples)
+            assert rel.by_xy() == oracle.by_xy()
+            assert rel.by_xz() == oracle.by_xz()
+            assert rel.by_yz() == oracle.by_yz()
+            assert rel.group_by_x() == oracle.group_by_x()
+            for axis in (1, 2, 3):
+                assert _axis_flatten(rel, axis).rows == oracle.flatten_rows(axis)
+            for _ in range(4):
+                a, b, c = (
+                    Subset(w, rng.getrandbits(w.size) if rng.random() < 0.7 else (1 << w.size) - 1)
+                    for w in (x, y, z)
+                )
+                expected = oracle.x_counts(a.bits, b.bits, c.bits)
+                assert count_grid3(rel, a, b, c) == sum(expected.values())
+                got = [n for n in _grid_counts_by_x(rel, a.bits, b.bits, c.bits) if n]
+                assert got == list(expected.values())
+            assert relation_to_obj(rel) == oracle.to_obj()
+            assert rel == build_relation3(x, y, z, sorted(set(triples)))
+            if triples:
+                assert rel != build_relation3(x, y, z, oracle.triples[1:])
+                assert rel != build_relation3(u(x.size + 1, "X"), y, z, triples)
+        assert seen_empty and seen_dupes and seen_unit
 
 
 class TestPairUniverse:
