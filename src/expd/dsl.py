@@ -8,10 +8,13 @@ Grammar (whitespace-insensitive):
     factor := atom ["^" uint]
     atom   := var | int | "(" poly ")"
 
-Ternary definitions use variables {x, y, z}; binary ones use {y, z}.
-Evaluation is exact arbitrary-precision integer arithmetic, reduced mod m
-when a modulus is declared.  Instantiation on grids produces FiniteRelation3
-or FiniteRelation2 instances with grid values as element labels.
+Ternary definitions use variables {x, y, z}; binary ones use {y, z}.  A
+definition has at most MAX_TOKENS tokens.  Instantiation compiles it once to a
+Python function in exact integer arithmetic, with powers and the result
+reduced mod m when a modulus is declared; without one, values that may exceed
+MAX_VALUE_BITS on the grids are refused (BudgetError) before evaluation.  It
+produces FiniteRelation3 or FiniteRelation2 instances with grid values as
+element labels.
 
 Grid mini-syntax (CLI):  range:lo:hi:step (half-open, like Python range),
 geom:base:count, list:v1,v2,..., rand:count:lo:hi (distinct, seeded),
@@ -22,9 +25,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import product, starmap
+from operator import itemgetter
+from typing import Callable, Optional, Union
 
-from .errors import InputError, SyntaxError_
+from .errors import BudgetError, InputError, SyntaxError_
 from .relations import FiniteRelation2, FiniteRelation3, Universe, build_relation2, build_relation3
 
 # --- AST -------------------------------------------------------------------
@@ -64,28 +69,6 @@ class RelationExpr:
     rhs: Node
     modulus: Optional[int]
     variables: tuple[str, ...]
-
-    def holds(self, env: dict[str, int]) -> bool:
-        diff = eval_node(self.lhs, env) - eval_node(self.rhs, env)
-        if self.modulus is not None:
-            return diff % self.modulus == 0
-        return diff == 0
-
-
-def eval_node(node: Node, env: dict[str, int]) -> int:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Pow):
-        return eval_node(node.base, env) ** node.exponent
-    a = eval_node(node.left, env)
-    b = eval_node(node.right, env)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    return a * b
 
 
 def variables_in(node: Node) -> set[str]:
@@ -179,6 +162,13 @@ class _Parser:
             self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
+    def integer(self) -> tuple[int, _Token]:
+        tok = self.expect("int")
+        try:
+            return int(tok.text), tok
+        except ValueError:  # over Python's int-string digit limit, or a digit like "²"
+            raise SyntaxError_(f"unreadable integer of {len(tok.text)} digits", tok.line, tok.col) from None
+
     def parse_expr(self) -> RelationExpr:
         lhs = self.parse_poly()
         self.expect("=")
@@ -187,8 +177,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "name" and tok.text == "mod":
             self.advance()
-            m_tok = self.expect("int")
-            modulus = int(m_tok.text)
+            modulus, m_tok = self.integer()
             if modulus < 2:
                 raise SyntaxError_(f"modulus must be >= 2, got {modulus}", m_tok.line, m_tok.col)
         if self.peek().kind != "end":
@@ -216,15 +205,13 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "-":
                 raise SyntaxError_("exponent must be a nonnegative integer", tok.line, tok.col)
-            exp_tok = self.expect("int")
-            return Pow(atom, int(exp_tok.text))
+            return Pow(atom, self.integer()[0])
         return atom
 
     def parse_atom(self) -> Node:
         tok = self.peek()
         if tok.kind == "int":
-            self.advance()
-            return Const(int(tok.text))
+            return Const(self.integer()[0])
         if tok.kind == "name":
             if tok.text in self.variables:
                 self.advance()
@@ -242,9 +229,20 @@ class _Parser:
         self.fail(f"expected a variable, integer or '(', found {tok.text or 'end of input'!r}")
 
 
+# Longest accepted definition: 256 tokens nest at most 126 parentheses (4 parser
+# frames each, half of Python's 1000-frame recursion limit) and 128 tree levels
+# (one frame each in the printer and the compiler), and the compiled source
+# nests at most 128 parentheses, below the 200 that Python's parser allows.
+MAX_TOKENS = 256
+
+
 def parse(expr_text: str, variables: tuple[str, ...] = TERNARY_VARS) -> RelationExpr:
     """Parse a relation definition; errors carry line and column."""
-    return _Parser(_tokenize(expr_text), tuple(variables)).parse_expr()
+    tokens = _tokenize(expr_text)
+    if len(tokens) > MAX_TOKENS + 1:  # the end token is not counted
+        tok = tokens[MAX_TOKENS]
+        raise SyntaxError_(f"definition is longer than {MAX_TOKENS} tokens", tok.line, tok.col)
+    return _Parser(tokens, tuple(variables)).parse_expr()
 
 
 # --- canonical printer -----------------------------------------------------
@@ -252,20 +250,24 @@ def parse(expr_text: str, variables: tuple[str, ...] = TERNARY_VARS) -> Relation
 _PREC = {"+": 1, "-": 1, "*": 2}
 
 
-def _print_node(node: Node, parent_prec: int) -> str:
+def _print_node(node: Node, parent_prec: int, modulus: Optional[int] = None) -> str:
+    """Canonical text of node; with a modulus, powers print as pow(b, e, m).
+    The ":d" formats let only ints into the compiled source."""
     if isinstance(node, Const):
-        return str(node.value)
+        return f"{node.value:d}"
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Pow):
-        if isinstance(node.base, (Var, Const)):
-            return f"{_print_node(node.base, 0)}^{node.exponent}"
-        return f"({_print_node(node.base, 0)})^{node.exponent}"
+        if modulus is not None:
+            return f"pow({_print_node(node.base, 0, modulus)}, {node.exponent:d}, {modulus:d})"
+        # a base that is itself a sum, product or power keeps its parentheses
+        text = f"{_print_node(node.base, 4)}^{node.exponent:d}"
+        return f"({text})" if parent_prec > 3 else text
     prec = _PREC[node.op]
     # chains associate left; a right child of equal precedence keeps parens
     # so the reparse reproduces the tree
-    left = _print_node(node.left, prec)
-    right = _print_node(node.right, prec + 1)
+    left = _print_node(node.left, prec, modulus)
+    right = _print_node(node.right, prec + 1, modulus)
     sep = f" {node.op} " if node.op in "+-" else node.op
     text = f"{left}{sep}{right}"
     return f"({text})" if prec < parent_prec else text
@@ -372,84 +374,92 @@ def parse_grid(text: str, seed: Optional[int] = None) -> GridSpec:
 # --- instantiation -----------------------------------------------------------
 
 
-def _solved_variable(expr: RelationExpr) -> Optional[str]:
-    """Name of a variable isolated on one side and absent from the other."""
-    for side, other in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs)):
-        if isinstance(side, Var) and side.name not in variables_in(other):
-            return side.name
-    return None
+# Largest value, in bits, that a definition without a modulus may compute on its
+# grids; x^99999999 would otherwise build a 10^8-bit integer at every point.
+MAX_VALUE_BITS = 1 << 16
 
 
-def _value_index(values: list[int], modulus: Optional[int]) -> dict[int, list[int]]:
-    index: dict[int, list[int]] = {}
-    for i, v in enumerate(values):
-        key = v % modulus if modulus is not None else v
-        index.setdefault(key, []).append(i)
-    return index
+def _solved(expr: RelationExpr) -> tuple[Optional[str], Node]:
+    """(v, s) when one side is a variable v absent from the other side s, else
+    (None, lhs - rhs); when both sides qualify, z before y before x."""
+    isolated = [
+        (side.name, other)
+        for side, other in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs))
+        if isinstance(side, Var) and side.name not in variables_in(other)
+    ]
+    return max(isolated, key=lambda pair: pair[0], default=(None, BinOp("-", expr.lhs, expr.rhs)))
 
 
-def _check_grids(expr: RelationExpr, names: tuple[str, ...], grids) -> list[list[int]]:
-    resolved = []
+def _bit_bound(node: Node, bits: dict[str, int]) -> int:
+    """A bound on the bit length of each value computed for node."""
+    if isinstance(node, Const):
+        return node.value.bit_length()
+    if isinstance(node, Var):
+        return bits[node.name]
+    if isinstance(node, Pow):
+        base = _bit_bound(node.base, bits)
+        return node.exponent * base if node.exponent else max(base, 1)
+    left, right = _bit_bound(node.left, bits), _bit_bound(node.right, bits)
+    return left + right if node.op == "*" else max(left, right) + 1
+
+
+def _compile(
+    node: Node, names: tuple[str, ...], modulus: Optional[int], grids: dict[str, list[int]]
+) -> Callable[..., int]:
+    """node as a Python function of the variables names, reduced mod modulus
+    (powers too, which keeps each residue class).  Without a modulus, refuses
+    values on the grids that may exceed MAX_VALUE_BITS."""
+    if not variables_in(node) <= set(names):
+        raise InputError(f"expression uses variables outside {', '.join(names)}")
+    if modulus is None:
+        bits = {name: max((abs(v).bit_length() for v in grids[name]), default=0) for name in names}
+        if _bit_bound(node, bits) > MAX_VALUE_BITS:
+            raise BudgetError(f"values may exceed {MAX_VALUE_BITS} bits on these grids; declare a modulus")
+        body = _print_node(node, 0).replace("^", "**")
+    else:
+        body = f"({_print_node(node, 0, modulus)}) % {modulus:d}"
+    return eval(f"lambda {', '.join(names)}: {body}", {"__builtins__": {}, "pow": pow})
+
+
+def _instantiate(expr: RelationExpr, names: tuple[str, ...], grids) -> tuple[dict, list[Universe], list]:
+    """Each variable's grid values and universe, and the index tuples (in names
+    order) of the points where the definition holds: the side opposite the
+    solved variable, evaluated on the other grids, is looked up among the
+    solved variable's values; with none solved, lhs - rhs is looked up as 0."""
+    if tuple(expr.variables) != names:
+        raise InputError(f"instantiate{len(names)} needs an expression over variables {', '.join(names)}")
+    values: dict[str, list[int]] = {}
     for name, grid in zip(names, grids):
-        values = grid.resolve(expr.modulus)
-        if not values:
+        values[name] = grid.resolve(expr.modulus)
+        if not values[name]:
             raise InputError(f"grid for {name} is empty")
-        resolved.append(values)
-    return resolved
+    solved, side = _solved(expr)
+    free = tuple(name for name in names if name != solved)
+    evaluate = _compile(side, free, expr.modulus, values)
+    index: dict[int, list[int]] = {}
+    for k, v in enumerate(values[solved] if solved else [0]):
+        index.setdefault(v if expr.modulus is None else v % expr.modulus, []).append(k)
+    # a point is (free indices..., solved index); pick puts it in names order
+    pick = itemgetter(*(free.index(name) if name in free else len(free) for name in names))
+    free_values = [values[name] for name in free]
+    found = map(index.get, starmap(evaluate, product(*free_values)))
+    points = []
+    for point, ks in zip(product(*(range(len(v)) for v in free_values)), found):
+        if ks:
+            points.extend(pick((*point, k)) for k in ks)
+    universes = [Universe(name.upper(), len(values[name]), tuple(values[name])) for name in names]
+    return values, universes, points
 
 
 def instantiate3(
     expr: RelationExpr, gx: GridSpec, gy: GridSpec, gz: GridSpec
 ) -> tuple[FiniteRelation3, dict[str, list[int]]]:
     """All (i,j,k) with the definition true at the labeled grid values."""
-    if tuple(expr.variables) != TERNARY_VARS:
-        raise InputError("instantiate3 needs an expression over variables x, y, z")
-    vx, vy, vz = _check_grids(expr, TERNARY_VARS, (gx, gy, gz))
-    ux = Universe("X", len(vx), tuple(vx))
-    uy = Universe("Y", len(vy), tuple(vy))
-    uz = Universe("Z", len(vz), tuple(vz))
-    solved = _solved_variable(expr)
-    triples: list[tuple[int, int, int]] = []
-    if solved is not None:
-        # One side is a bare variable: evaluate the other side on the
-        # remaining grid square and look the value up.
-        order = {"x": (vy, vz, "y", "z"), "y": (vx, vz, "x", "z"), "z": (vx, vy, "x", "y")}
-        g1, g2, n1, n2 = order[solved]
-        target = {"x": vx, "y": vy, "z": vz}[solved]
-        lookup = _value_index(target, expr.modulus)
-        other = expr.rhs if isinstance(expr.lhs, Var) and expr.lhs.name == solved else expr.lhs
-        env: dict[str, int] = {}
-        for i1, a in enumerate(g1):
-            env[n1] = a
-            for i2, b in enumerate(g2):
-                env[n2] = b
-                value = eval_node(other, env)
-                key = value % expr.modulus if expr.modulus is not None else value
-                for i3 in lookup.get(key, ()):
-                    idx = {n1: i1, n2: i2, solved: i3}
-                    triples.append((idx["x"], idx["y"], idx["z"]))
-    else:
-        holds = expr.holds
-        for i, a in enumerate(vx):
-            for j, b in enumerate(vy):
-                for k, c in enumerate(vz):
-                    if holds({"x": a, "y": b, "z": c}):
-                        triples.append((i, j, k))
-    rel = build_relation3(ux, uy, uz, triples)
-    return rel, {"x": vx, "y": vy, "z": vz}
+    values, universes, triples = _instantiate(expr, TERNARY_VARS, (gx, gy, gz))
+    return build_relation3(*universes, triples), values
 
 
 def instantiate2(expr: RelationExpr, gy: GridSpec, gz: GridSpec) -> FiniteRelation2:
     """All (j,k) with the binary definition true at the labeled grid values."""
-    if tuple(expr.variables) != BINARY_VARS:
-        raise InputError("instantiate2 needs an expression over variables y, z")
-    vy, vz = _check_grids(expr, BINARY_VARS, (gy, gz))
-    uy = Universe("Y", len(vy), tuple(vy))
-    uz = Universe("Z", len(vz), tuple(vz))
-    pairs = []
-    holds = expr.holds
-    for j, b in enumerate(vy):
-        for k, c in enumerate(vz):
-            if holds({"y": b, "z": c}):
-                pairs.append((j, k))
-    return build_relation2(uy, uz, pairs)
+    _, universes, pairs = _instantiate(expr, BINARY_VARS, (gy, gz))
+    return build_relation2(*universes, pairs)

@@ -29,10 +29,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat, starmap
 from typing import Callable, Optional
 
-from .dsl import GridSpec, instantiate3, parse, parse_grid
+from .dsl import GridSpec, _compile, _solved, instantiate3, parse, parse_grid
 from .errors import CapacityError, InputError, ParameterError
 from .relations import (
     FiniteRelation2,
@@ -491,25 +491,14 @@ def top_frequent_family(expr_text: str) -> RelationFamily:
     break by value, so instances are deterministic.
     """
     expr = parse(expr_text)
-    from .dsl import Var, variables_in
-
-    solved_side = None
-    for side, other in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs)):
-        if isinstance(side, Var) and side.name == "z" and "z" not in variables_in(other):
-            solved_side = other
-    if solved_side is None:
+    solved, side = _solved(expr)
+    if solved != "z":
         raise InputError("top-frequent family needs an expression solved for z")
 
     def build(n: int) -> FamilyInstance:
-        from .dsl import eval_node
-
-        counts: dict[int, int] = {}
-        for xv in range(n):
-            for yv in range(n):
-                v = eval_node(solved_side, {"x": xv, "y": yv})
-                if expr.modulus is not None:
-                    v %= expr.modulus
-                counts[v] = counts.get(v, 0) + 1
+        grid = list(range(n))
+        value = _compile(side, ("x", "y"), expr.modulus, {"x": grid, "y": grid})
+        counts = Counter(starmap(value, product(grid, repeat=2)))
         top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
         c_values = sorted(v for v, _ in top)
         rel, _ = instantiate3(

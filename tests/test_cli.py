@@ -4,10 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from expd import Universe, build_relation2, build_relation3, write_relation
+from expd import Universe, build_relation2, build_relation3, cli, write_relation
 
 
 def run_cli(*argv, env_extra=None):
@@ -226,6 +227,53 @@ def test_oversized_relation_file_exit_4(tmp_path, name):
     assert res.returncode == 4, res.stderr
     assert "Traceback" not in res.stderr
     assert "capacity" in res.stderr
+
+
+HUGE = "1" * 5000  # over Python's 4300-digit limit for int("...")
+SMALL_GRIDS = ("--grid-x", "range:2:6:1", "--grid-y", "range:2:6:1", "--grid-z", "range:2:6:1")
+# definitions that overflow a Python limit if parsed or evaluated naively
+UNREADABLE_DEFINITIONS = {
+    "5000-digit-literal": f"x + {HUGE} = z",
+    "5000-digit-modulus": f"x + y = z mod {HUGE}",
+    "5000-digit-exponent": f"x^{HUGE} = z",
+    "1500-term-sum": " + ".join(["x"] * 1500) + " = z",
+    "260-nested-parens": "(" * 260 + "x" + ")" * 260 + " = z",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_DEFINITIONS))
+def test_unreadable_definition_exit_3(name):
+    res = run_cli("count", "--expr", UNREADABLE_DEFINITIONS[name], *SMALL_GRIDS)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "(line 1, column" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--expr", "x^9999999 = z", *SMALL_GRIDS),
+        ("count", "--expr", "x^99999999 = z", "--grid-x", "list:2,3", "--grid-y", "list:2,3",
+         "--grid-z", "list:2,3"),
+        ("count", "--expr", "y^99999999 = z", "--grid-y", "list:2,3", "--grid-z", "list:2,3"),
+        ("scan", "--family", "topz", "--expr", "x^99999999 = z", "--sizes", "2,3"),
+        ("count", "--expr", "(x^99999999)^0 = z", *SMALL_GRIDS),  # x^e is still computed
+    ],
+)
+def test_unbounded_power_exit_4_before_evaluating(capsys, argv):
+    start = time.perf_counter()
+    assert cli.main(list(argv)) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_huge_power_mod_m_runs():
+    res = run_cli("count", "--expr", "x^99999999 = z mod 7", *SMALL_GRIDS[:4], "--grid-z", "fullmod")
+    assert res.returncode == 0, res.stderr
+    # y is free: each (x, z) with x^e = z mod 7 counts once per y value
+    expected = 4 * sum(1 for a in range(2, 6) for c in range(7) if pow(a, 99999999, 7) == c)
+    assert expected == 16
+    assert res.stdout.splitlines()[-1].split(",")[2] == str(expected)
 
 
 class TestPipeline3:

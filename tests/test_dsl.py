@@ -5,8 +5,8 @@ import random
 import pytest
 
 from expd import GridSpec, InputError, instantiate2, instantiate3, parse, parse_grid, to_text
-from expd.dsl import BINARY_VARS, BinOp, Const, Pow, Var
-from expd.errors import SyntaxError_
+from expd.dsl import BINARY_VARS, MAX_TOKENS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _solved, _tokenize
+from expd.errors import BudgetError, SyntaxError_
 
 
 class TestParse:
@@ -65,6 +65,36 @@ class TestParse:
         assert exc.value.col == 3
 
 
+class TestTokenCap:
+    # the deepest shapes a definition of MAX_TOKENS tokens can take, by nesting depth k
+    SHAPES = {
+        "parens": lambda k: "(" * k + "x" + ")" * k + " = z mod 7",
+        "powers": lambda k: "(" * k + "x" + ")^1" * k + " = z mod 7",  # ^1: the oracle is exact
+        "right-minus": lambda k: "x" + " - (y" * k + ")" * k + " = z + x mod 7",  # nothing solved
+        "product-of-sums": lambda k: "x" + "*(y + x" * k + ")" * k + " = z",
+        "sum": lambda k: " + ".join(["x"] * k) + " = z",
+    }
+
+    @staticmethod
+    def deepest(shape):
+        k = 1
+        while len(_tokenize(shape(k + 1))) - 1 <= MAX_TOKENS:
+            k += 1
+        return k
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_longest_definition_round_trips_and_evaluates(self, name):
+        shape = self.SHAPES[name]
+        k = self.deepest(shape)
+        expr = parse(shape(k))
+        assert parse(to_text(expr)) == expr
+        grid = [-1, 0, 1, 2, 3]
+        rel, _ = instantiate3(expr, *[GridSpec.explicit(grid)] * 3)
+        assert rel.triples == tuple(brute_force_triples(expr, grid, grid, grid))
+        with pytest.raises(SyntaxError_, match="longer than"):
+            parse(shape(k + 1))
+
+
 class TestCanonicalPrinter:
     CASES = [
         "x + y = z",
@@ -82,6 +112,10 @@ class TestCanonicalPrinter:
     def test_print_parse_fixpoint(self, text):
         ast = parse(text)
         assert parse(to_text(ast)) == ast
+
+    def test_canonical_text(self):
+        text = "2*x^2 - y*(z^2)^3*(x - y)^2 = (x + 1)^2 + 0^0 mod 5"
+        assert to_text(parse(text)) == text
 
     def test_idempotent_canonical_form(self):
         for text in self.CASES:
@@ -128,12 +162,36 @@ class TestGrids:
             parse_grid("rand:4:0:50")  # no seed
 
 
+def eval_node(node, env):
+    """The reference evaluator: a plain recursive walk in exact integers."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Pow):
+        return eval_node(node.base, env) ** node.exponent
+    a = eval_node(node.left, env)
+    b = eval_node(node.right, env)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    return a * b
+
+
+def holds(expr, env):
+    diff = eval_node(expr.lhs, env) - eval_node(expr.rhs, env)
+    if expr.modulus is not None:
+        return diff % expr.modulus == 0
+    return diff == 0
+
+
 def brute_force_triples(expr, vx, vy, vz):
     out = []
     for i, a in enumerate(vx):
         for j, b in enumerate(vy):
             for k, c in enumerate(vz):
-                if expr.holds({"x": a, "y": b, "z": c}):
+                if holds(expr, {"x": a, "y": b, "z": c}):
                     out.append((i, j, k))
     return out
 
@@ -205,6 +263,89 @@ class TestInstantiate3:
         )
         # 2^i * 2^j = 2^200 with i, j <= 100 forces i = j = 100
         assert set(rel.triples) == {(100, 100, 0)}
+
+
+def random_node(rng, names, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return Var(rng.choice(names)) if rng.random() < 0.7 else Const(rng.randrange(7))
+    if rng.random() < 0.2:
+        return Pow(random_node(rng, names, depth - 1), rng.randrange(4))
+    return BinOp(rng.choice("+-*"), random_node(rng, names, depth - 1), random_node(rng, names, depth - 1))
+
+
+def random_grid(rng, modulus):
+    values = rng.sample(range(-15, 16), 4)
+    if modulus is not None:
+        values.append(max(values) + modulus)  # a second value in the same residue class
+    return values
+
+
+class TestCompiledEvaluatorFuzz:
+    """The compiled evaluator against eval_node on seeded random definitions."""
+
+    def random_expr(self, rng, names):
+        # a solved variable v reads v = s with v not in s; None leaves both sides free
+        solved = rng.choice(names + (None,))
+        modulus = rng.choice([None, 2, 7, 12, 101])
+        if solved is None:
+            lhs, rhs = random_node(rng, names, 5), random_node(rng, names, 5)
+        else:
+            rest = tuple(v for v in names if v != solved)
+            lhs, rhs = Var(solved), random_node(rng, rest, 5)
+            if rng.random() < 0.5:
+                lhs, rhs = rhs, lhs
+        return RelationExpr(lhs, rhs, modulus, names)
+
+    def test_ternary_matches_oracle(self):
+        rng = random.Random(20)
+        seen = set()
+        for _ in range(200):
+            expr = self.random_expr(rng, TERNARY_VARS)
+            seen.add(_solved(expr)[0])
+            vals = [random_grid(rng, expr.modulus) for _ in range(3)]
+            rel, maps = instantiate3(expr, *[GridSpec.explicit(v) for v in vals])
+            assert maps == dict(zip(TERNARY_VARS, vals))
+            assert rel.triples == tuple(brute_force_triples(expr, *vals)), to_text(expr)
+        assert seen == {"x", "y", "z", None}
+
+    def test_binary_matches_oracle(self):
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(100):
+            expr = self.random_expr(rng, BINARY_VARS)
+            seen.add(_solved(expr)[0])
+            vy, vz = random_grid(rng, expr.modulus), random_grid(rng, expr.modulus)
+            rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
+            rows = [0] * len(vy)
+            for j, b in enumerate(vy):
+                for k, c in enumerate(vz):
+                    if holds(expr, {"y": b, "z": c}):
+                        rows[j] |= 1 << k
+            assert rel.rows == tuple(rows), to_text(expr)
+        assert seen == {"y", "z", None}
+
+
+class TestPowerBudget:
+    # grids of 3-bit values; the budget is MAX_VALUE_BITS = 2^16 bits
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            ("x^21845 = z", False),  # 3 * 21845 = 65535 bits
+            ("x^21846 = z", True),
+            ("x^21845 + y^21845 = z", False),  # a sum adds one bit
+            ("x^21845 + y^21845 + 1 = z", True),
+            ("x^11000 * y^11000 = z", True),  # a product adds the bits of its sides
+            ("(x^30000)^0 = z", True),  # the base is computed even for exponent 0
+        ],
+    )
+    def test_bit_bound(self, text, refused):
+        grid = GridSpec.range_(0, 8)
+        if refused:
+            with pytest.raises(BudgetError, match="declare a modulus"):
+                instantiate3(parse(text), grid, grid, grid)
+        else:
+            rel, _ = instantiate3(parse(text), grid, grid, grid)
+            assert rel.triples == tuple(brute_force_triples(parse(text), *[range(8)] * 3))
 
 
 class TestInstantiate2:

@@ -15,6 +15,7 @@ from expd.pipeline import FamilySpec, make_family
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 TWISTED = ("--family", "cyclic", "--twists", "seeded", "--seed", "3")
+FULLMOD = ("--grid-x", "fullmod", "--grid-y", "fullmod", "--grid-z", "fullmod")
 
 # golden file -> the argv whose stdout it holds ("{out}" is a temp path)
 STDOUT_CASES = {
@@ -24,6 +25,14 @@ STDOUT_CASES = {
     "scan-cyclic-twisted.json": ("scan", *TWISTED, "--sizes", "8,16,24,32", "--format", "json"),
     "pipeline3-twisted-32.json": ("pipeline3", *TWISTED, "--n", "32"),
     "derive-g-twisted-16.stdout": ("derive-g", *TWISTED, "--n", "16", "--out", "{out}"),
+    # DSL relations: no solved variable, solved z, binary, topz, and a G pipeline
+    "count-xyz-mod89.csv": ("count", "--expr", "x*y*z = 1 mod 89", *FULLMOD),
+    "count-pow200-mod211.csv": ("count", "--expr", "x^200 + y^3 = z mod 211", *FULLMOD),
+    "count-curve-mod401.csv": (
+        "count", "--expr", "y^2 = z^3 + 7 mod 401", "--grid-y", "fullmod", "--grid-z", "fullmod"
+    ),
+    "scan-topz.csv": ("scan", "--family", "topz", "--expr", "x^2 + y^3 = z", "--sizes", "8,16,32"),
+    "pipeline3-squares-mod61.json": ("pipeline3", "--expr", "x^2 + y^2 = z mod 61", *FULLMOD),
 }
 # golden file -> the case above whose --out file it holds
 FILE_CASES = {"derive-g-twisted-16.json": "derive-g-twisted-16.stdout"}

@@ -597,6 +597,11 @@ class TestFamilies:
         with pytest.raises(InputError):
             top_frequent_family("x + y + z = 0")
 
+    @pytest.mark.parametrize("text", ["x = z", "z = x"])
+    def test_top_frequent_solves_z_when_both_sides_are_variables(self, text):
+        # every x in 0..3 appears 4 times, so C = {0..3} and each (x, y) has one z
+        assert len(top_frequent_family(text).build(4).rel) == 16
+
     def test_family_size_validation(self):
         fam = make_family(FamilySpec(kind="group_like", group=("cyclic", None)))
         with pytest.raises(InputError):
