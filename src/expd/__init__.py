@@ -33,16 +33,13 @@ from .pipeline import (
     FamilySpec,
     FiberBoundReport,
     RelationFamily,
-    TrimReport,
     cauchy_schwarz_check,
     check_g_fiber_bounds,
     cylindrical_witness,
     delta_degree,
     derive_g,
     g_edge_count,
-    large_subset_trim,
     make_family,
-    pair_subset,
     top_frequent_family,
 )
 from .relations import (
@@ -54,7 +51,6 @@ from .relations import (
     build_relation3,
     count_grid2,
     count_grid3,
-    fiber2,
     pair_decode,
     pair_encode,
     pair_universe,
@@ -64,7 +60,6 @@ from .relations import (
 from .reports import ExponentFit, ReportRow, emit_report, fit_loglog, run_scaling
 from .zarankiewicz import (
     BoundCertificate,
-    DecompositionReport,
     ExponentParams,
     KstWitness,
     NotKstFreeError,
@@ -75,7 +70,6 @@ from .zarankiewicz import (
     exponent_triple,
     find_kst,
     kst_bound,
-    kst_free_decomposition,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import cuttings, dsl, instances, pipeline, reports, zarankiewicz as zk
@@ -70,14 +69,18 @@ def _load_rel2(args) -> FiniteRelation2:
     raise InputError("no instance given (use --rel, --pg, --identity, --interval or --box)")
 
 
+def _int(text: str, usage: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"expected {usage}, got {text!r}") from None
+
+
 def _two_ints(text: str, usage: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise InputError(f"expected {usage}, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"expected {usage}, got {text!r}") from None
+    return _int(parts[0], usage), _int(parts[1], usage)
 
 
 def _family_from_args(args) -> pipeline.RelationFamily:
@@ -91,14 +94,14 @@ def _family_from_args(args) -> pipeline.RelationFamily:
             pipeline.FamilySpec(kind="group_like", group=("cyclic", None), twists=twists)
         )
     if spec_text.startswith("unitmod:"):
-        p = int(spec_text.split(":", 1)[1])
+        p = _int(spec_text.split(":", 1)[1], "--family unitmod:P")
         return pipeline.make_family(
             pipeline.FamilySpec(kind="group_like", group=("unit_group_mod", p), twists=twists)
         )
     if spec_text == "cylindrical" or spec_text.startswith("cylindrical:"):
         block = None
         if ":" in spec_text:
-            block = int(spec_text.split(":", 1)[1])
+            block = _int(spec_text.split(":", 1)[1], "--family cylindrical:K")
         return pipeline.make_family(
             pipeline.FamilySpec(kind="cylindrical", block=block, seed=args.seed or 0)
         )
@@ -186,12 +189,12 @@ def cmd_certify(args) -> int:
     rel = _load_rel2(args)
     a = Subset.full(rel.u)
     b = Subset.full(rel.v)
-    params = zk.exponent_params(args.D, args.t, args.s, Fraction(args.epsilon))
+    params = zk.exponent_params(args.D, args.t, args.s, args.epsilon)
     n_col = max(rel.u.size, rel.v.size)
     instance = args.rel or args.family or (f"pg:{args.pg}" if args.pg else None) or (
         f"identity:{args.identity}" if args.identity else None
     ) or (f"interval:{args.interval}" if args.interval else f"box:{args.box}")
-    cutter = _pick_cutter(args, rel)
+    _, cutter = _pick_cutter(args)
     try:
         cert = zk.certified_count(rel, a, b, params, cutter, args.r, args.leaf_size)
     except zk.NotKstFreeError as exc:
@@ -223,32 +226,24 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.total >= exact else EXIT_CHECK_FAILED
 
 
-def _pick_cutter(args, rel: FiniteRelation2):
+def _pick_cutter(args) -> tuple[str, Optional[zk.CutterFn]]:
+    """(name, constructor) of the cutter --cutter names; auto picks by instance kind."""
     kind = args.cutter
     if kind == "auto":
-        if args.interval:
-            kind = "interval"
-        elif args.box:
-            kind = "box"
-        else:
-            kind = "greedy"
-    if kind == "interval":
-        return cuttings.interval_cutting
-    if kind == "box":
-        return cuttings.box_grid_cutting
-    if kind == "greedy":
-        return lambda r, a, rr: cuttings.greedy_cutting(r, a, rr)
-    if kind == "none":
-        return None
-    raise InputError(f"unknown cutter {kind!r}")
+        kind = "interval" if args.interval else ("box" if args.box else "greedy")
+    cutters = {
+        "interval": cuttings.interval_cutting,
+        "box": cuttings.box_grid_cutting,
+        "greedy": cuttings.greedy_cutting,
+        "none": None,
+    }
+    return kind, cutters[kind]
 
 
 def cmd_cutting(args) -> int:
     rel = _load_rel2(args)
     a = Subset.full(rel.u)
-    if args.cutter == "auto":
-        args.cutter = "interval" if args.interval else ("box" if args.box else "greedy")
-    cutter = _pick_cutter(args, rel)
+    kind, cutter = _pick_cutter(args)
     if cutter is None:
         raise InputError("cutting needs a constructor, not --cutter none")
     cover = cutter(rel, a, args.r)
@@ -257,7 +252,7 @@ def cmd_cutting(args) -> int:
         return EXIT_CHECK_FAILED
     report = cuttings.verify_cutting(rel, a, args.r, cover)
     row = reports.ReportRow(
-        instance=args.rel or f"{args.cutter}:{args.interval or args.box or ''}",
+        instance=args.rel or f"{kind}:{args.interval or args.box or ''}",
         n=rel.v.size,
         count=report.cell_count,
         slope=report.fitted_c,
@@ -328,7 +323,7 @@ def cmd_pipeline3(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = [_int(s, "--sizes N,N,...") for s in args.sizes.split(",")]
     family = _family_from_args(args)
     fit = reports.run_scaling(family, sizes)
     rows = [

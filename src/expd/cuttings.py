@@ -6,8 +6,11 @@ is crossed by at most |A|/r of the fibers {E_a : a ∈ A}.  A family admits
 cuttings with exponent D when covers of <= c * r^D cells exist for every r;
 the constant c is family-dependent and reported empirically (fitted_c).
 
-Constructors never self-certify: every cover they return passes
-verify_cutting, which recomputes all crossing counts from scratch.
+A cover carries only its cells, r and the claimed exponent; constructors
+never self-certify.  verify_cutting is the one place crossings are counted:
+it returns, per cell, the set of fibers of A that cross it, and reads the
+maximum crossing, validity and the first failure from those sets.  The
+certified counter recurses on the same sets.
 
 Two structural facts do the heavy lifting here:
   * singleton cells are never crossed (E_a ∩ {v} != ∅ forces {v} ⊆ E_a);
@@ -58,81 +61,65 @@ def crosses(fiber_bits: int, cell_bits: int) -> bool:
 
 @dataclass(frozen=True)
 class CuttingCover:
+    """Cells over V in a fixed order: a certificate assigns each point of B
+    to the first cell that holds it."""
+
     cells: tuple[Subset, ...]
     r: int
     claimed_exponent: int
-    crossing_counts: tuple[int, ...]
-
-    def to_obj(self) -> dict:
-        return {
-            "r": self.r,
-            "D": self.claimed_exponent,
-            "cells": [sorted(c.members()) for c in self.cells],
-            "crossing_counts": list(self.crossing_counts),
-        }
-
-    @staticmethod
-    def from_obj(obj: dict, universe) -> "CuttingCover":
-        cells = tuple(Subset.from_indices(universe, c) for c in obj["cells"])
-        return CuttingCover(
-            cells=cells,
-            r=obj["r"],
-            claimed_exponent=obj["D"],
-            crossing_counts=tuple(obj["crossing_counts"]),
-        )
 
 
 @dataclass(frozen=True)
 class CuttingReport:
+    """crossing_sets[i] is the set of fibers of A that cross cell i, as a bit
+    vector over U; max_crossing, valid and failure are read from them."""
+
     valid: bool
     max_crossing: int
     cell_count: int
     fitted_c: float
+    crossing_sets: tuple[int, ...]
     failure: Optional[str] = None
-    counts_match: bool = True
-
-
-def _crossing_count(rel: FiniteRelation2, a: Subset, cell_bits: int) -> int:
-    return sum(1 for i in a.members() if crosses(rel.rows[i], cell_bits))
 
 
 def verify_cutting(
     rel: FiniteRelation2, a: Subset, r: int, cover: CuttingCover
 ) -> CuttingReport:
-    """Recompute coverage and all crossing counts; valid iff both caps hold."""
+    """Recompute coverage and every cell's crossing set; valid iff both caps hold."""
     if a.universe != rel.u:
         raise InputError("verify_cutting: A must be a subset of the relation's left universe")
     if r < 1:
         raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
-    n_fib = a.cardinality()
+    fibers = [(1 << i, rel.rows[i]) for i in a.members()]
+    n_fib = len(fibers)
     union = 0
     max_crossing = 0
     failure = None
-    valid = True
-    counts_match = len(cover.crossing_counts) == len(cover.cells)
+    crossing_sets = []
     for idx, cell in enumerate(cover.cells):
         if cell.universe != rel.v:
             raise InputError(f"verify_cutting: cell {idx} is not a subset of V")
         union |= cell.bits
-        crossing = _crossing_count(rel, a, cell.bits)
-        if counts_match and cover.crossing_counts[idx] != crossing:
-            counts_match = False
+        crossing_set = 0
+        for bit, fiber in fibers:
+            if crosses(fiber, cell.bits):
+                crossing_set |= bit
+        crossing_sets.append(crossing_set)
+        crossing = crossing_set.bit_count()
         max_crossing = max(max_crossing, crossing)
-        if valid and crossing * r > n_fib:
-            valid = False
+        if failure is None and crossing * r > n_fib:
             failure = f"cell {idx}: crossing {crossing} exceeds {n_fib}/{r}"
     full = (1 << rel.v.size) - 1
     if union != full:
-        valid = False
         failure = failure or "cells do not cover V"
     fitted_c = len(cover.cells) / float(r**cover.claimed_exponent)
     return CuttingReport(
-        valid=valid,
+        valid=failure is None,
         max_crossing=max_crossing,
         cell_count=len(cover.cells),
         fitted_c=fitted_c,
+        crossing_sets=tuple(crossing_sets),
         failure=failure,
-        counts_match=counts_match,
     )
 
 
@@ -203,8 +190,7 @@ def interval_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
     cells = tuple(
         Subset(rel.v, ((1 << (hi - lo + 1)) - 1) << lo) for lo, hi in blocks
     )
-    counts = tuple(_crossing_count(rel, a, c.bits) for c in cells)
-    return CuttingCover(cells=cells, r=r, claimed_exponent=1, crossing_counts=counts)
+    return CuttingCover(cells=cells, r=r, claimed_exponent=1)
 
 
 # --- rectangle fibers over planar points (exponent 2) -----------------------
@@ -281,8 +267,9 @@ class _RankPlane:
     def grid_cover(
         self, rel: FiniteRelation2, r: int, boxes, x_cuts: list[int], y_cuts: list[int], cap: int
     ) -> Optional[CuttingCover]:
-        """The non-empty cells of the rank grid, or None once a crossing
-        count exceeds cap.
+        """The non-empty cells of the rank grid, column by column, or None
+        once a crossing count exceeds cap.  The counts serve only this early
+        exit; verify_cutting counts the crossings of the returned cover.
 
         Column cx holds the x-ranks [x_cuts[cx], x_cuts[cx + 1]), row cy
         likewise.  A fiber can cross only the cells its box's chunk range
@@ -304,12 +291,10 @@ class _RankPlane:
                         column_counts[cy] += 1
                         if column_counts[cy] > cap:
                             return None
-        keys = [(cx, cy) for cx, column in enumerate(cells) for cy, bits in enumerate(column) if bits]
         return CuttingCover(
-            cells=tuple(Subset(rel.v, cells[cx][cy]) for cx, cy in keys),
+            cells=tuple(Subset(rel.v, bits) for column in cells for bits in column if bits),
             r=r,
             claimed_exponent=2,
-            crossing_counts=tuple(counts[cx][cy] for cx, cy in keys),
         )
 
 
@@ -362,29 +347,22 @@ def box_grid_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
 # --- generic best-effort provider -------------------------------------------
 
 
-def greedy_cutting(
-    rel: FiniteRelation2,
-    a: Subset,
-    r: int,
-    claimed_exponent: int = 1,
-    max_cells: Optional[int] = None,
-) -> Optional[CuttingCover]:
+def greedy_cutting(rel: FiniteRelation2, a: Subset, r: int) -> Optional[CuttingCover]:
     """Merge fiber-trace classes greedily under the crossing cap.
 
     Trace classes (points with identical fiber membership over A) are never
     crossed, so they are safe atoms and are returned as-is whenever they
-    already fit max_cells.  Otherwise classes are merged in order; merging
-    only ever grows the set of fibers that split across a cell, so a cell is
-    closed as soon as the next class would push its crossing count over
-    |A|/r.  Returns None when more than max_cells cells would still be
-    needed (default 4 * r^claimed_exponent).
+    already fit the 4r cell cap.  Otherwise classes are merged in order;
+    merging only ever grows the set of fibers that split across a cell, so a
+    cell is closed as soon as the next class would push its crossing count
+    over |A|/r.  Returns None when more than 4r cells would still be needed.
+    The claimed exponent is 1.
     """
     if a.universe != rel.u:
         raise InputError("greedy_cutting: A must be a subset of the left universe")
     if r < 1:
         raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
-    if max_cells is None:
-        max_cells = 4 * r**claimed_exponent
+    max_cells = 4 * r
     n_points = rel.v.size
     a_list = sorted(a.members())
     n_fib = len(a_list)
@@ -402,13 +380,8 @@ def greedy_cutting(
     full_mask = (1 << n_fib) - 1
 
     if len(ordered) <= max_cells:
-        subsets = tuple(Subset(rel.v, bits) for _, bits in ordered)
-        return CuttingCover(
-            cells=subsets,
-            r=r,
-            claimed_exponent=claimed_exponent,
-            crossing_counts=(0,) * len(subsets),
-        )
+        atoms = tuple(Subset(rel.v, bits) for _, bits in ordered)
+        return CuttingCover(cells=atoms, r=r, claimed_exponent=1)
 
     cells: list[int] = []
     cur_bits = 0
@@ -428,6 +401,4 @@ def greedy_cutting(
         cells.append(cur_bits)
     if len(cells) > max_cells:
         return None
-    subsets = tuple(Subset(rel.v, bits) for bits in cells)
-    counts = tuple(_crossing_count(rel, a, bits) for bits in cells)
-    return CuttingCover(cells=subsets, r=r, claimed_exponent=claimed_exponent, crossing_counts=counts)
+    return CuttingCover(cells=tuple(Subset(rel.v, bits) for bits in cells), r=r, claimed_exponent=1)

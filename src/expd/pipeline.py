@@ -42,7 +42,6 @@ from .relations import (
     _grid_counts_by_x,
     _iter_bits,
     build_relation3,
-    count_grid2,
     pair_universe,
 )
 from .zarankiewicz import KstWitness, find_kst
@@ -287,69 +286,6 @@ def cauchy_schwarz_check(
         cs_ok=cs_ok,
         fiber_ok=fiber_ok,
         composed_ok=composed_ok,
-    )
-
-
-# --- exceptional-set trimming ----------------------------------------------------
-
-
-def pair_subset(base: Subset, pair_u: Universe) -> Subset:
-    """B ⊆ Y lifted to B² ⊆ Y² (row-major pair indices)."""
-    n = base.universe.size
-    if pair_u.size != n * n:
-        raise InputError("pair_subset: pair universe does not match the base universe")
-    bits = 0
-    for i in base.members():
-        for j in base.members():
-            bits |= 1 << (i * n + j)
-    return Subset(pair_u, bits)
-
-
-@dataclass(frozen=True)
-class TrimReport:
-    count_full: int  # |G ∩ B²×C²|
-    count_core: int  # |G ∩ (B²∖Y0)×(C²∖Z0)|
-    boundary: int
-    boundary_bound: int  # d²(|B²∩Y0||C| + |C²∩Z0||B|)
-    y0_rows: int  # |B² ∩ Y0|
-    z0_cols: int  # |C² ∩ Z0|
-    decomposition_exact: bool
-    ok: bool
-
-
-def large_subset_trim(
-    g: FiniteRelation2,
-    b: Subset,
-    c: Subset,
-    y0: Subset,
-    z0: Subset,
-    d: int,
-) -> TrimReport:
-    """Split |G ∩ B²×C²| into a trimmed core plus boundary terms and verify the
-    boundary obeys the d²-per-row law: boundary <= d²(|B²∩Y0||C| + |C²∩Z0||B|)."""
-    if y0.universe != g.u or z0.universe != g.v:
-        raise InputError("large_subset_trim: Y0/Z0 must live on G's pair universes")
-    bsq = pair_subset(b, g.u)
-    csq = pair_subset(c, g.v)
-    bprime = Subset(g.u, bsq.bits & ~y0.bits)
-    cprime = Subset(g.v, csq.bits & ~z0.bits)
-    count_full = count_grid2(g, bsq, csq)
-    count_core = count_grid2(g, bprime, cprime)
-    boundary = count_full - count_core
-    in_y0 = Subset(g.u, bsq.bits & y0.bits)
-    in_z0 = Subset(g.v, csq.bits & z0.bits)
-    part_y = count_grid2(g, in_y0, csq)
-    part_z = count_grid2(g, bprime, in_z0)
-    bound = d * d * (in_y0.cardinality() * c.cardinality() + in_z0.cardinality() * b.cardinality())
-    return TrimReport(
-        count_full=count_full,
-        count_core=count_core,
-        boundary=boundary,
-        boundary_bound=bound,
-        y0_rows=in_y0.cardinality(),
-        z0_cols=in_z0.cardinality(),
-        decomposition_exact=count_full == count_core + part_y + part_z,
-        ok=boundary <= bound,
     )
 
 

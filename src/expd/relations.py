@@ -144,11 +144,10 @@ class Subset:
 class FiniteRelation2:
     """A bipartite relation E ⊆ U×V backed by a dense bit matrix.
 
-    rows[i] is the fiber E_i as a bit vector over V.  Column fibers are
-    derived on demand and cached.
+    rows[i] is the fiber E_i as a bit vector over V.
     """
 
-    __slots__ = ("u", "v", "rows", "edge_count", "_cols")
+    __slots__ = ("u", "v", "rows", "edge_count")
 
     def __init__(self, u: Universe, v: Universe, rows: Sequence[int]):
         if len(rows) != u.size:
@@ -161,19 +160,6 @@ class FiniteRelation2:
         self.v = v
         self.rows = tuple(rows)
         self.edge_count = sum(row.bit_count() for row in self.rows)
-        self._cols: Optional[tuple[int, ...]] = None
-
-    def columns(self) -> tuple[int, ...]:
-        cols = self._cols
-        if cols is None:
-            built = [0] * self.v.size
-            for i, row in enumerate(self.rows):
-                bit = 1 << i
-                for j in _iter_bits(row):
-                    built[j] |= bit
-            cols = tuple(built)
-            self._cols = cols
-        return cols
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for i, row in enumerate(self.rows):
@@ -327,17 +313,6 @@ def build_relation3(
             raise InputError(f"triple {(i, j, k)} is not an index triple in range for {nx} x {ny} x {nz}")
         append((i * ny + j) * nz + k)
     return FiniteRelation3(x, y, z, keys)
-
-
-def fiber2(rel: FiniteRelation2, side: str, index: int) -> Subset:
-    """The fiber E_a = {b : (a,b) ∈ E} (side='left') or E_b (side='right')."""
-    if side == "left":
-        rel.u.check_index(index)
-        return Subset(rel.v, rel.rows[index])
-    if side == "right":
-        rel.v.check_index(index)
-        return Subset(rel.u, rel.columns()[index])
-    raise InputError(f"side must be 'left' or 'right', not {side!r}")
 
 
 def _check_universe(sub: Subset, universe: Universe, what: str) -> None:

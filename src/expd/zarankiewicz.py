@@ -16,8 +16,10 @@ certified_count() runs the three-case recursion behind those exponents and
 returns a certificate tree whose total is, by construction, an upper bound
 for the exact grid count: small first sides and failed cuttings are counted
 exactly, balanced-enough nodes take the (valid, since K_{s,t}-free) KST
-bound, and the remaining nodes recurse through a verified cutting cover,
-counting the non-crossing edge blocks exactly.
+bound, and the remaining nodes recurse through a verified cutting cover.
+Each point of B goes to the first cell that holds it; the cell's child takes
+the fibers that cross the cell (verify_cutting's crossing set, the only place
+crossings are counted), and the non-crossing edge block is counted exactly.
 """
 
 from __future__ import annotations
@@ -67,14 +69,18 @@ class ExponentParams:
 
 
 def exponent_params(D: int, t: int, s: int, epsilon) -> ExponentParams:
-    """Validated exponent parameters; epsilon must lie in the open interval."""
+    """Validated exponent parameters; epsilon (a rational or its text, such as
+    "1/12") must lie in the open interval."""
     if D < 1:
         raise ParameterError(f"cutting exponent D must be >= 1, got {D}")
     if t < 2:
         raise ParameterError(f"t must be >= 2, got {t}")
     if s < 1:
         raise ParameterError(f"s must be >= 1, got {s}")
-    epsilon = Fraction(epsilon)
+    try:
+        epsilon = Fraction(epsilon)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ParameterError(f"epsilon must be a rational number, got {epsilon!r}") from None
     sup = epsilon_sup(D, t)
     if not 0 < epsilon < sup:
         raise ParameterError(
@@ -167,53 +173,6 @@ class NotKstFreeError(ParameterError):
             f"{list(witness.s_side)} x {list(witness.t_side)}"
         )
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Greedy-colored classes of U; within a class all pairwise fiber
-    intersections have size < t_cap, so each class x V is K_{2,t_cap}-free."""
-
-    classes: tuple[Subset, ...]
-    r: int
-    t_cap: int
-
-
-def kst_free_decomposition(rel: FiniteRelation2, infinite_threshold: int) -> DecompositionReport:
-    """Color U so same-class fibers pairwise intersect in < threshold points.
-
-    Vertices u, u' are adjacent when |E_u ∩ E_u'| >= threshold; the resulting
-    graph has some max degree r and first-fit coloring uses <= r+1 classes.
-    """
-    if infinite_threshold < 1:
-        raise ParameterError(f"threshold must be >= 1, got {infinite_threshold}")
-    m = rel.u.size
-    rows = rel.rows
-    adj = [0] * m
-    for i in range(m - 1):
-        ri = rows[i]
-        for j in range(i + 1, m):
-            if (ri & rows[j]).bit_count() >= infinite_threshold:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    r = max((a.bit_count() for a in adj), default=0)
-    color = [-1] * m
-    n_colors = 0
-    for i in range(m):
-        used = {color[j] for j in _iter_bits(adj[i]) if color[j] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        color[i] = c
-        n_colors = max(n_colors, c + 1)
-    classes = []
-    for c in range(n_colors):
-        bits = 0
-        for i in range(m):
-            if color[i] == c:
-                bits |= 1 << i
-        classes.append(Subset(rel.u, bits))
-    return DecompositionReport(classes=tuple(classes), r=r, t_cap=infinite_threshold)
 
 
 # --- certified counting -------------------------------------------------------
@@ -327,16 +286,11 @@ def certified_count(
         children = []
         local = 0
         assigned = 0
-        for cell in cover.cells:
+        for cell, a_i in zip(cover.cells, report.crossing_sets):
             b_i = cell.bits & b_bits & ~assigned
             assigned |= b_i
             if b_i == 0:
                 continue
-            a_i = 0
-            for i in _iter_bits(a_bits):
-                fiber = rows[i]
-                if fiber & cell.bits and cell.bits & ~fiber:
-                    a_i |= 1 << i
             children.append(node(a_i, b_i))
             local += exact(a_bits & ~a_i, b_i)
         total = local + sum(child.total for child in children)

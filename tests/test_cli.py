@@ -229,6 +229,25 @@ def test_oversized_relation_file_exit_4(tmp_path, name):
     assert "capacity" in res.stderr
 
 
+# malformed numbers and generator sizes on the command line
+MALFORMED_ARGUMENTS = {
+    "unitmod-not-int": ("scan", "--family", "unitmod:abc"),
+    "cylindrical-not-int": ("scan", "--family", "cylindrical:x"),
+    "size-not-int": ("scan", "--family", "cyclic", "--sizes", "8,a,16"),
+    "interval-no-points": ("certify", "--interval", "10:0", "--seed", "1"),
+    "box-no-side": ("certify", "--box", "5:0", "--seed", "1"),
+    "epsilon-not-rational": ("certify", "--identity", "5", "--epsilon", "abc"),
+    "epsilon-zero-denominator": ("certify", "--identity", "5", "--epsilon", "1/0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ARGUMENTS))
+def test_malformed_argument_exit_3(name):
+    res = run_cli(*MALFORMED_ARGUMENTS[name])
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+
+
 HUGE = "1" * 5000  # over Python's 4300-digit limit for int("...")
 SMALL_GRIDS = ("--grid-x", "range:2:6:1", "--grid-y", "range:2:6:1", "--grid-z", "range:2:6:1")
 # definitions that overflow a Python limit if parsed or evaluated naively

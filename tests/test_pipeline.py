@@ -20,10 +20,8 @@ from expd import (
     delta_degree,
     derive_g,
     g_edge_count,
-    large_subset_trim,
     make_family,
     pair_encode,
-    pair_subset,
     top_frequent_family,
 )
 from expd.pipeline import pairing_maxima
@@ -366,8 +364,7 @@ class TestFiberBounds:
                 rng.sample(range(nz), rng.randint(1, nz)) for _ in range(8)
             ]
             for chosen in choices:
-                c = Subset.from_indices(rel.z, chosen)
-                csq = pair_subset(c, g.v).bits
+                csq = sum(1 << pair_encode(nz, i, j) for i in chosen for j in chosen)
                 worst = max((row & csq).bit_count() for row in g.rows)
                 assert worst <= d * d * len(chosen)
 
@@ -437,63 +434,6 @@ class TestCauchySchwarz:
         with pytest.raises(ParameterError, match="not degree-bounded"):
             cauchy_schwarz_check(
                 rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z), threshold=1
-            )
-
-
-class TestLargeSubsetTrim:
-    def mod5_g(self):
-        rel = mod_sum_relation(5)
-        return rel, derive_g(rel)
-
-    def test_empty_exceptional_sets(self):
-        rel, g = self.mod5_g()
-        rep = large_subset_trim(
-            g,
-            Subset.full(rel.y),
-            Subset.full(rel.z),
-            Subset.empty(g.u),
-            Subset.empty(g.v),
-            d=1,
-        )
-        assert rep.boundary == 0
-        assert rep.count_full == rep.count_core == 125
-        assert rep.decomposition_exact
-        assert rep.ok
-
-    def test_diagonal_y0(self):
-        rel, g = self.mod5_g()
-        diag = Subset.from_indices(g.u, [pair_encode(5, i, i) for i in range(5)])
-        rep = large_subset_trim(
-            g, Subset.full(rel.y), Subset.full(rel.z), diag, Subset.empty(g.v), d=1
-        )
-        assert rep.y0_rows == 5
-        assert rep.boundary <= 1 * 5 * 5 == 25
-        assert rep.decomposition_exact
-        assert rep.ok
-
-    def test_random_y0_bound_fuzz(self):
-        rng = random.Random(61)
-        rel = mod_sum_relation(5)
-        g = derive_g(rel)
-        for _ in range(15):
-            b = Subset.from_indices(rel.y, [i for i in range(5) if rng.random() < 0.8])
-            c = Subset.from_indices(rel.z, [i for i in range(5) if rng.random() < 0.8])
-            y0 = Subset.from_indices(g.u, rng.sample(range(25), rng.randint(0, 10)))
-            z0 = Subset.from_indices(g.v, rng.sample(range(25), rng.randint(0, 10)))
-            rep = large_subset_trim(g, b, c, y0, z0, d=1)
-            assert rep.decomposition_exact
-            assert rep.ok
-
-    def test_universe_mismatch(self):
-        rel, g = self.mod5_g()
-        with pytest.raises(InputError):
-            large_subset_trim(
-                g,
-                Subset.full(rel.y),
-                Subset.full(rel.z),
-                Subset.empty(Universe("wrong", 4)),
-                Subset.empty(g.v),
-                d=1,
             )
 
 
@@ -606,10 +546,3 @@ class TestFamilies:
         fam = make_family(FamilySpec(kind="group_like", group=("cyclic", None)))
         with pytest.raises(InputError):
             fam.build(0)
-
-    def test_pair_subset(self):
-        rel = mod_sum_relation(3)
-        g = derive_g(rel)
-        b = Subset.from_indices(rel.y, [0, 2])
-        lifted = pair_subset(b, g.u)
-        assert sorted(lifted.members()) == [0, 2, 6, 8]

@@ -14,7 +14,6 @@ from expd import (
     build_relation3,
     count_grid2,
     count_grid3,
-    fiber2,
     pair_decode,
     pair_encode,
     pair_universe,
@@ -99,32 +98,6 @@ class TestBuildRelation3:
             build_relation3(u(1 << 21), u(1 << 21, "Y"), u(1 << 21, "Z"), [(0, 0, 0)])
 
 
-class TestFiber2:
-    def test_identity_left_fiber(self):
-        rel = build_relation2(u(3), u(3, "V"), [(0, 0), (1, 1), (2, 2)])
-        assert sorted(fiber2(rel, "left", 1).members()) == [1]
-
-    def test_k22_left_fiber(self):
-        rel = build_relation2(u(2), u(2, "V"), [(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert sorted(fiber2(rel, "left", 0).members()) == [0, 1]
-
-    def test_empty_relation_fibers(self):
-        rel = build_relation2(u(2), u(3, "V"), [])
-        assert list(fiber2(rel, "left", 0).members()) == []
-        assert list(fiber2(rel, "right", 2).members()) == []
-
-    def test_right_fiber(self):
-        rel = build_relation2(u(3), u(2, "V"), [(0, 1), (2, 1)])
-        assert sorted(fiber2(rel, "right", 1).members()) == [0, 2]
-
-    def test_out_of_range(self):
-        rel = build_relation2(u(2), u(2, "V"), [])
-        with pytest.raises(InputError):
-            fiber2(rel, "left", 5)
-        with pytest.raises(InputError):
-            fiber2(rel, "sideways", 0)
-
-
 class TestCountGrid2:
     def test_k22_full(self):
         rel = build_relation2(u(2), u(2, "V"), [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -157,7 +130,7 @@ class TestCountGrid2:
             a = Subset.from_indices(rel.u, [i for i in range(m) if rng.random() < 0.5])
             b = Subset.from_indices(rel.v, [j for j in range(n) if rng.random() < 0.5])
             total = sum(
-                len([j for j in fiber2(rel, "left", i).members() if b.contains(j)])
+                len([j for j in Subset(rel.v, rel.rows[i]).members() if b.contains(j)])
                 for i in a.members()
             )
             assert count_grid2(rel, a, b) == total

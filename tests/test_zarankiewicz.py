@@ -1,4 +1,4 @@
-"""Exponent arithmetic, KST bound, K_{s,t} search, decomposition, certificates."""
+"""Exponent arithmetic, KST bound, K_{s,t} search, certificates."""
 
 import itertools
 import json
@@ -25,7 +25,6 @@ from expd import (
     greedy_cutting,
     interval_cutting,
     kst_bound,
-    kst_free_decomposition,
 )
 from expd.instances import (
     identity_matching,
@@ -174,71 +173,6 @@ class TestFindKst:
         w = find_kst(rel, 2, 2)
         assert w.s_side == (0, 3)
         assert w.t_side == (0, 1)
-
-
-class TestKstFreeDecomposition:
-    def test_identity_matching_one_class(self):
-        rel = identity_matching(5)
-        rep = kst_free_decomposition(rel, 1)
-        assert rep.r == 0
-        assert len(rep.classes) == 1
-        assert rep.t_cap == 1
-
-    def test_two_equal_fibers_split(self):
-        # 3 x 4 hand instance: rows 0 and 1 share a 3-point fiber
-        rel = build_relation2(
-            Universe("U", 3),
-            Universe("V", 4),
-            [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 3)],
-        )
-        rep = kst_free_decomposition(rel, 2)
-        assert rep.r >= 1
-        cls_of = {}
-        for idx, cls in enumerate(rep.classes):
-            for i in cls.members():
-                cls_of[i] = idx
-        assert cls_of[0] != cls_of[1]
-
-    def test_pg7_threshold2_single_class(self):
-        rep = kst_free_decomposition(pg_incidence(7), 2)
-        assert rep.r == 0
-        assert len(rep.classes) == 1
-
-    def test_classes_partition_and_internal_cap(self):
-        rng = random.Random(31)
-        for _ in range(15):
-            m, n = rng.randint(2, 16), rng.randint(2, 16)
-            pairs = {(rng.randrange(m), rng.randrange(n)) for _ in range(rng.randint(0, 2 * m))}
-            rel = build_relation2(Universe("U", m), Universe("V", n), sorted(pairs))
-            threshold = rng.randint(1, 3)
-            rep = kst_free_decomposition(rel, threshold)
-            assert len(rep.classes) <= rep.r + 1
-            union = 0
-            for cls in rep.classes:
-                assert union & cls.bits == 0
-                union |= cls.bits
-                members = sorted(cls.members())
-                for a, b in itertools.combinations(members, 2):
-                    assert (rel.rows[a] & rel.rows[b]).bit_count() < threshold
-                # each class x V is K_{2,threshold}-free
-                sub = build_relation2(
-                    Universe("U", len(members)), rel.v, [
-                        (pos, j)
-                        for pos, i in enumerate(members)
-                        for j in Subset(rel.v, rel.rows[i]).members()
-                    ],
-                )
-                assert find_kst(sub, 2, threshold) is None
-            assert union == (1 << m) - 1
-
-    def test_per_class_bound_sum_pattern(self):
-        # sum of per-class KST bounds stays within (r+1) * the global bound
-        rel = random_bipartite(41, 20, 20, 60)
-        rep = kst_free_decomposition(rel, 2)
-        total = sum(
-            kst_bound(2, rep.t_cap, cls.cardinality(), rel.v.size) for cls in rep.classes
-        )
-        assert total <= (rep.r + 1) * kst_bound(2, rep.t_cap, rel.u.size, rel.v.size) + 1e-9
 
 
 def max_pairwise_intersection(rel):
