@@ -30,6 +30,8 @@ STDOUT_CASES = {
     "scan-cyclic-twisted.json": ("scan", *TWISTED, "--sizes", "8,16,24,32", "--format", "json"),
     "pipeline3-twisted-32.json": ("pipeline3", *TWISTED, "--n", "32"),
     "derive-g-twisted-16.stdout": ("derive-g", *TWISTED, "--n", "16", "--out", "{out}"),
+    # no --out: the pair relation goes to stdout with the default separators
+    "derive-g-twisted-8.stdout": ("derive-g", *TWISTED, "--n", "8"),
     # DSL relations: no solved variable, solved z, binary, topz, and a G pipeline
     "count-xyz-mod89.csv": ("count", "--expr", "x*y*z = 1 mod 89", *FULLMOD),
     "count-pow200-mod211.csv": ("count", "--expr", "x^200 + y^3 = z mod 211", *FULLMOD),
