@@ -22,8 +22,8 @@ from .relations import (
     FiniteRelation3,
     Subset,
     count_grid2,
+    _write_relation,
     read_relation,
-    relation_to_obj,
     write_relation,
 )
 
@@ -56,14 +56,14 @@ def _load_rel2(args) -> FiniteRelation2:
         if not isinstance(rel, FiniteRelation2):
             raise InputError(f"{args.rel} does not hold a binary relation")
         return rel
-    if args.pg:
+    if args.pg is not None:
         return instances.pg_incidence(args.pg)
-    if args.identity:
+    if args.identity is not None:
         return instances.identity_matching(args.identity)
-    if args.interval:
+    if args.interval is not None:
         count, points = _two_ints(args.interval, "--interval COUNT:POINTS")
         return instances.random_interval_incidence(_require_seed(args), count, points)
-    if args.box:
+    if args.box is not None:
         count, side = _two_ints(args.box, "--box COUNT:GRIDSIDE")
         return instances.random_rectangle_incidence(_require_seed(args), count, side)
     raise InputError("no instance given (use --rel, --pg, --identity, --interval or --box)")
@@ -114,7 +114,9 @@ def _family_from_args(args) -> pipeline.RelationFamily:
             args.grid_z or "range:0:{n}:1",
         )
         return pipeline.make_family(
-            pipeline.FamilySpec(kind="dsl", expr=args.expr, grids=grids, seed=args.seed or 0)
+            pipeline.FamilySpec(
+                kind="dsl", expr=args.expr, grids=grids, seed=args.seed or 0, budget_cells=args.budget_cells
+            )
         )
     if spec_text == "topz":
         if not args.expr:
@@ -140,7 +142,7 @@ def _rel3_from_args(args) -> FiniteRelation3:
         gz = dsl.parse_grid(args.grid_z, seed=args.seed) if args.grid_z else None
         if not (gx and gy and gz):
             raise InputError("ternary --expr needs --grid-x, --grid-y and --grid-z")
-        rel, _ = dsl.instantiate3(expr, gx, gy, gz)
+        rel, _ = dsl.instantiate3(expr, gx, gy, gz, budget_cells=args.budget_cells)
         return rel
     raise InputError("no instance given (use --rel, --family or --expr with grids)")
 
@@ -155,6 +157,7 @@ def cmd_count(args) -> int:
             expr,
             dsl.parse_grid(args.grid_y, seed=args.seed),
             dsl.parse_grid(args.grid_z, seed=args.seed),
+            budget_cells=args.budget_cells,
         )
         row = reports.ReportRow(
             instance=f"expr2:{args.expr}", n=max(rel2.u.size, rel2.v.size), count=rel2.edge_count
@@ -177,7 +180,7 @@ def cmd_derive_g(args) -> int:
     if args.out and args.out != "-":
         write_relation(args.out, g)
     else:
-        sys.stdout.write(json.dumps(relation_to_obj(g), sort_keys=True) + "\n")
+        _write_relation(sys.stdout, g, (", ", ": "))
     _, max_zz, max_yy = pipeline.g_edge_count(rel)
     sys.stdout.write(
         f"g_edges={g.edge_count} max_zz_fiber={max_zz} max_yy_fiber={max_yy}\n"
@@ -191,9 +194,8 @@ def cmd_certify(args) -> int:
     b = Subset.full(rel.v)
     params = zk.exponent_params(args.D, args.t, args.s, args.epsilon)
     n_col = max(rel.u.size, rel.v.size)
-    instance = args.rel or args.family or (f"pg:{args.pg}" if args.pg else None) or (
-        f"identity:{args.identity}" if args.identity else None
-    ) or (f"interval:{args.interval}" if args.interval else f"box:{args.box}")
+    given = (("pg", args.pg), ("identity", args.identity), ("interval", args.interval), ("box", args.box))
+    instance = args.rel or args.family or next(f"{flag}:{value}" for flag, value in given if value is not None)
     _, cutter = _pick_cutter(args)
     try:
         cert = zk.certified_count(rel, a, b, params, cutter, args.r, args.leaf_size)

@@ -12,7 +12,8 @@ Ternary definitions use variables {x, y, z}; binary ones use {y, z}.  A
 definition has at most MAX_TOKENS tokens.  Instantiation compiles it once to a
 Python function in exact integer arithmetic, with powers and the result
 reduced mod m when a modulus is declared; without one, values that may exceed
-MAX_VALUE_BITS on the grids are refused (BudgetError) before evaluation.  It
+MAX_VALUE_BITS on the grids are refused (BudgetError) before evaluation, as are
+grids of more values or points than the cell budget, before any is built.  It
 produces FiniteRelation3 or FiniteRelation2 instances with grid values as
 element labels.
 
@@ -30,7 +31,14 @@ from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from .errors import BudgetError, InputError, SyntaxError_
-from .relations import FiniteRelation2, FiniteRelation3, Universe, build_relation2, build_relation3
+from .relations import (
+    DEFAULT_BUDGET_CELLS,
+    FiniteRelation2,
+    FiniteRelation3,
+    Universe,
+    build_relation2,
+    build_relation3,
+)
 
 # --- AST -------------------------------------------------------------------
 
@@ -317,16 +325,31 @@ class GridSpec:
     def full_mod() -> "GridSpec":
         return GridSpec(kind="full_mod")
 
-    def resolve(self, modulus: Optional[int] = None) -> list[int]:
-        """Materialize the grid values; always pairwise distinct."""
+    def size(self, modulus: Optional[int] = None) -> int:
+        """The number of values resolve would give, computed without building them."""
         if self.kind == "range":
             if self.step == 0:
                 raise InputError("grid range step must be nonzero")
+            return max(0, -((self.lo - self.hi) // self.step))
+        if self.kind in ("geometric", "random"):
+            return max(0, self.count)
+        if self.kind == "explicit":
+            return len(self.values)
+        if self.kind == "full_mod":
+            if modulus is None:
+                raise InputError("full_mod grid requires an expression with a declared modulus")
+            return modulus
+        raise InputError(f"unknown grid kind {self.kind!r}")
+
+    def resolve(self, modulus: Optional[int] = None) -> list[int]:
+        """Materialize the grid values; always pairwise distinct."""
+        size = self.size(modulus)  # checks the step, the modulus and the kind
+        if self.kind == "range":
             return list(range(self.lo, self.hi, self.step))
         if self.kind == "geometric":
             if self.base < 2:
                 raise InputError(f"geometric grid base must be >= 2, got {self.base}")
-            return [self.base**i for i in range(self.count)]
+            return [self.base**i for i in range(size)]
         if self.kind == "explicit":
             values = list(self.values)
             if len(set(values)) != len(values):
@@ -336,17 +359,13 @@ class GridSpec:
             if self.seed is None:
                 raise InputError("random grid needs a seed")
             span = self.hi - self.lo + 1
-            if span < self.count:
+            if not 0 <= self.count <= span:
                 raise InputError(
                     f"cannot draw {self.count} distinct values from [{self.lo}, {self.hi}]"
                 )
             rng = random.Random(self.seed)
             return rng.sample(range(self.lo, self.hi + 1), self.count)
-        if self.kind == "full_mod":
-            if modulus is None:
-                raise InputError("full_mod grid requires an expression with a declared modulus")
-            return list(range(modulus))
-        raise InputError(f"unknown grid kind {self.kind!r}")
+        return list(range(size))  # full_mod
 
 
 def parse_grid(text: str, seed: Optional[int] = None) -> GridSpec:
@@ -421,20 +440,33 @@ def _compile(
     return eval(f"lambda {', '.join(names)}: {body}", {"__builtins__": {}, "pow": pow})
 
 
-def _instantiate(expr: RelationExpr, names: tuple[str, ...], grids) -> tuple[dict, list[Universe], list]:
+def _instantiate(
+    expr: RelationExpr, names: tuple[str, ...], grids, budget_cells: int
+) -> tuple[dict, list[Universe], list]:
     """Each variable's grid values and universe, and the index tuples (in names
     order) of the points where the definition holds: the side opposite the
     solved variable, evaluated on the other grids, is looked up among the
-    solved variable's values; with none solved, lhs - rhs is looked up as 0."""
+    solved variable's values; with none solved, lhs - rhs is looked up as 0.
+
+    Raises BudgetError, before any grid is built, when a grid has more values
+    than budget_cells or the free grids have more points than that together."""
     if tuple(expr.variables) != names:
         raise InputError(f"instantiate{len(names)} needs an expression over variables {', '.join(names)}")
+    solved, side = _solved(expr)
+    free = tuple(name for name in names if name != solved)
+    points = 1
+    for name, grid in zip(names, grids):
+        size = grid.size(expr.modulus)
+        if size > budget_cells:
+            raise BudgetError(f"grid for {name} has {size} values; budget is {budget_cells}")
+        points *= size if name in free else 1
+    if points > budget_cells:
+        raise BudgetError(f"grids give {points} points to evaluate; budget is {budget_cells}")
     values: dict[str, list[int]] = {}
     for name, grid in zip(names, grids):
         values[name] = grid.resolve(expr.modulus)
         if not values[name]:
             raise InputError(f"grid for {name} is empty")
-    solved, side = _solved(expr)
-    free = tuple(name for name in names if name != solved)
     evaluate = _compile(side, free, expr.modulus, values)
     index: dict[int, list[int]] = {}
     for k, v in enumerate(values[solved] if solved else [0]):
@@ -452,14 +484,16 @@ def _instantiate(expr: RelationExpr, names: tuple[str, ...], grids) -> tuple[dic
 
 
 def instantiate3(
-    expr: RelationExpr, gx: GridSpec, gy: GridSpec, gz: GridSpec
+    expr: RelationExpr, gx: GridSpec, gy: GridSpec, gz: GridSpec, budget_cells: int = DEFAULT_BUDGET_CELLS
 ) -> tuple[FiniteRelation3, dict[str, list[int]]]:
     """All (i,j,k) with the definition true at the labeled grid values."""
-    values, universes, triples = _instantiate(expr, TERNARY_VARS, (gx, gy, gz))
+    values, universes, triples = _instantiate(expr, TERNARY_VARS, (gx, gy, gz), budget_cells)
     return build_relation3(*universes, triples), values
 
 
-def instantiate2(expr: RelationExpr, gy: GridSpec, gz: GridSpec) -> FiniteRelation2:
+def instantiate2(
+    expr: RelationExpr, gy: GridSpec, gz: GridSpec, budget_cells: int = DEFAULT_BUDGET_CELLS
+) -> FiniteRelation2:
     """All (j,k) with the binary definition true at the labeled grid values."""
-    _, universes, pairs = _instantiate(expr, BINARY_VARS, (gy, gz))
+    _, universes, pairs = _instantiate(expr, BINARY_VARS, (gy, gz), budget_cells)
     return build_relation2(*universes, pairs)

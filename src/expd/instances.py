@@ -149,6 +149,8 @@ def random_bipartite(seed: int, m: int, n: int, edges: int) -> FiniteRelation2:
 
 
 def identity_matching(n: int) -> FiniteRelation2:
+    if n < 1:
+        raise InputError(f"identity matching needs a size >= 1, got {n}")
     u = Universe("U", n)
     v = Universe("V", n)
     return build_relation2(u, v, [(i, i) for i in range(n)])

@@ -35,6 +35,7 @@ from typing import Callable, Optional
 from .dsl import GridSpec, _compile, _solved, instantiate3, parse, parse_grid
 from .errors import CapacityError, InputError, ParameterError
 from .relations import (
+    DEFAULT_BUDGET_CELLS,
     FiniteRelation2,
     FiniteRelation3,
     Subset,
@@ -45,8 +46,6 @@ from .relations import (
     pair_universe,
 )
 from .zarankiewicz import KstWitness, find_kst
-
-DEFAULT_BUDGET_CELLS = 10**8
 
 
 # --- bounded fibering ---------------------------------------------------------
@@ -303,6 +302,7 @@ class FamilySpec:
     seed: int = 0
     expr: Optional[str] = None
     grids: tuple[str, str, str] = ("range:0:{n}:1", "range:0:{n}:1", "range:0:{n}:1")
+    budget_cells: int = DEFAULT_BUDGET_CELLS  # cap on a dsl grid and its points
 
 
 @dataclass(frozen=True)
@@ -395,7 +395,7 @@ def _cylindrical_instance(spec: FamilySpec, n: int) -> FamilyInstance:
 def _dsl_instance(spec: FamilySpec, n: int) -> FamilyInstance:
     expr = parse(spec.expr)
     grids = [parse_grid(g.format(n=n), seed=spec.seed) for g in spec.grids]
-    rel, _ = instantiate3(expr, *grids)
+    rel, _ = instantiate3(expr, *grids, budget_cells=spec.budget_cells)
     return FamilyInstance(
         rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z)
     )
@@ -411,6 +411,8 @@ def make_family(spec: FamilySpec) -> RelationFamily:
         name = f"group_like_{spec.group[0]}"
         return RelationFamily(name, lambda n: _group_like_instance(spec, n))
     if spec.kind == "cylindrical":
+        if spec.block is not None and spec.block < 1:
+            raise InputError(f"cylindrical block side must be >= 1, got {spec.block}")
         return RelationFamily("cylindrical", lambda n: _cylindrical_instance(spec, n))
     if spec.kind == "dsl":
         if spec.expr is None:

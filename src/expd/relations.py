@@ -39,6 +39,10 @@ MAX_KEYS = 1 << 63
 # A relation file may not ask for a bit matrix of more cells than this.
 MAX_FILE_CELLS = 10**8
 
+# Default cap on the cells or points one operation may build or evaluate
+# (--budget-cells): pair matrices, flattened axes and DSL grid points.
+DEFAULT_BUDGET_CELLS = 10**8
+
 
 @dataclass(frozen=True)
 class Universe:
@@ -178,6 +182,11 @@ class FiniteRelation2:
         return f"FiniteRelation2({self.u.name}:{self.u.size} x {self.v.name}:{self.v.size}, {self.edge_count} edges)"
 
 
+def _decode_keys(keys: Iterable[int], ny: int, nz: int) -> Iterator[tuple[int, int, int]]:
+    """The triples (i, j, k) packed as (i·ny + j)·nz + k, in key order."""
+    return ((i, *divmod(jk, nz)) for i, jk in map(divmod, keys, repeat(ny * nz)))
+
+
 def _fiber_map(entries: Iterable[tuple[int, int]], base: int) -> dict:
     """{divmod(p, base): [v, ...]} in first-seen order, from (p, v) entries
     whose p packs a coordinate pair."""
@@ -218,8 +227,7 @@ class FiniteRelation3:
     @property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         """The sorted triples, decoded from the keys on every access."""
-        nyz, nz = self.y.size * self.z.size, self.z.size
-        return tuple((i, *divmod(jk, nz)) for i, jk in map(divmod, self.keys, repeat(nyz)))
+        return tuple(_decode_keys(self.keys, self.y.size, self.z.size))
 
     def x_runs(self) -> Iterator[tuple[int, int, int]]:
         """(i, lo, hi) for each x = i present in F: keys[lo:hi] are its keys."""
@@ -356,7 +364,8 @@ def _grid_counts_by_x(rel: FiniteRelation3, abits: int, bbits: int, cbits: int) 
 #   {"kind": "rel2"|"rel3",
 #    "universes": [{"name":..., "size":..., "labels": [...]?}, ...],
 #    "pairs": [[i,j],...]  or  "triples": [[i,j,k],...]}
-# Indices, never labels.  Readers reject out-of-range indices.
+# Indices, never labels.  Readers reject out-of-range indices.  Writers stream
+# the entries in chunks; the bytes are those of one sort_keys json.dumps.
 
 
 def _universe_to_obj(u: Universe) -> dict:
@@ -378,20 +387,6 @@ def _universe_from_obj(obj: dict) -> Universe:
     if labels is not None and not isinstance(labels, list):
         raise InputError(f"universe {name!r}: labels must be a list")
     return Universe(name=name, size=size, labels=tuple(labels) if labels is not None else None)
-
-
-def relation_to_obj(rel: Union[FiniteRelation2, FiniteRelation3]) -> dict:
-    if isinstance(rel, FiniteRelation2):
-        return {
-            "kind": "rel2",
-            "universes": [_universe_to_obj(rel.u), _universe_to_obj(rel.v)],
-            "pairs": [[i, j] for i, j in rel.edges()],
-        }
-    return {
-        "kind": "rel3",
-        "universes": [_universe_to_obj(rel.x), _universe_to_obj(rel.y), _universe_to_obj(rel.z)],
-        "triples": [list(t) for t in rel.triples],
-    }
 
 
 def relation_from_obj(obj: dict) -> Union[FiniteRelation2, FiniteRelation3]:
@@ -418,10 +413,38 @@ def relation_from_obj(obj: dict) -> Union[FiniteRelation2, FiniteRelation3]:
     return build_relation3(*us, entries)
 
 
+# Entries per encoder call: each chunk goes through the C encoder in one call,
+# and no more than one chunk of entries is held at a time.
+_CHUNK = 8192
+
+
+def _write_relation(
+    fh, rel: Union[FiniteRelation2, FiniteRelation3], separators: tuple[str, str]
+) -> None:
+    """Write rel as one JSON line, the bytes of json.dumps(obj, sort_keys=True,
+    separators=separators) for the file object, but streamed chunk by chunk."""
+    item, key = separators
+    encode = json.JSONEncoder(separators=separators, sort_keys=True).encode
+    if isinstance(rel, FiniteRelation2):
+        kind, field, universes, entries = "rel2", "pairs", (rel.u, rel.v), rel.edges()
+    else:
+        entries = _decode_keys(rel.keys, rel.y.size, rel.z.size)
+        kind, field, universes = "rel3", "triples", (rel.x, rel.y, rel.z)
+    # sorted keys: "kind" < "pairs" | "triples" < "universes"
+    fh.write(f'{{"kind"{key}"{kind}"{item}"{field}"{key}[')
+    sep = ""
+    while chunk := list(islice(entries, _CHUNK)):
+        fh.write(sep)
+        fh.write(encode(chunk)[1:-1])
+        sep = item
+    fh.write(f']{item}"universes"{key}')
+    fh.write(encode([_universe_to_obj(w) for w in universes]))
+    fh.write("}\n")
+
+
 def write_relation(path: str, rel: Union[FiniteRelation2, FiniteRelation3]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(relation_to_obj(rel), fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+        _write_relation(fh, rel, (",", ":"))
 
 
 def read_relation(path: str) -> Union[FiniteRelation2, FiniteRelation3]:

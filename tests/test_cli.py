@@ -131,6 +131,15 @@ class TestCertify:
         assert row[2] == "64"
         assert int(row[3]) >= 64
 
+    @pytest.mark.parametrize(
+        "flag, fault", [("--pg", "needs a prime order, got 0"), ("--identity", "needs a size >= 1, got 0")]
+    )
+    def test_zero_instance_names_its_fault(self, flag, fault):
+        res = run_cli("certify", flag, "0")
+        assert res.returncode == 3
+        assert fault in res.stderr
+        assert "no instance given" not in res.stderr
+
     def test_k22_instance_inapplicable(self, tmp_path):
         rel = build_relation2(
             Universe("U", 2), Universe("V", 2), [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -233,6 +242,12 @@ def test_oversized_relation_file_exit_4(tmp_path, name):
 MALFORMED_ARGUMENTS = {
     "unitmod-not-int": ("scan", "--family", "unitmod:abc"),
     "cylindrical-not-int": ("scan", "--family", "cylindrical:x"),
+    "cylindrical-zero-block": ("scan", "--family", "cylindrical:0", "--sizes", "8,16,32"),
+    "cylindrical-negative-block": ("count", "--family", "cylindrical:-3", "--n", "8"),
+    "rand-negative-count": (
+        "count", "--expr", "x + y = z", "--grid-x", "rand:-1:0:5", "--grid-y", "list:1", "--grid-z", "list:1",
+        "--seed", "1",
+    ),
     "size-not-int": ("scan", "--family", "cyclic", "--sizes", "8,a,16"),
     "interval-no-points": ("certify", "--interval", "10:0", "--seed", "1"),
     "box-no-side": ("certify", "--box", "5:0", "--seed", "1"),
@@ -280,6 +295,29 @@ def test_unreadable_definition_exit_3(name):
     ],
 )
 def test_unbounded_power_exit_4_before_evaluating(capsys, argv):
+    start = time.perf_counter()
+    assert cli.main(list(argv)) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+RANGE_2000 = "range:0:2000:1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # nothing solved: 2000^3 = 8*10^9 points to evaluate
+        ("count", "--expr", "x*y*z = 1 mod 89", "--grid-x", RANGE_2000, "--grid-y", RANGE_2000,
+         "--grid-z", RANGE_2000),
+        # z solved, 4 free points, but a grid of 10^12 values
+        ("count", "--expr", "x + y = z", "--grid-x", "list:1,2", "--grid-y", "list:1,2",
+         "--grid-z", f"range:0:{10**12}:1"),
+        ("count", "--expr", "y^2 = z mod 7", "--grid-y", "fullmod", "--grid-z", "fullmod",
+         "--budget-cells", "6"),
+    ],
+)
+def test_oversized_grid_exit_4_before_building(capsys, argv):
     start = time.perf_counter()
     assert cli.main(list(argv)) == 4
     assert time.perf_counter() - start < 1.0

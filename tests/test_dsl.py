@@ -162,6 +162,44 @@ class TestGrids:
             parse_grid("rand:4:0:50")  # no seed
 
 
+class TestGridBudget:
+    def test_size_matches_resolve(self):
+        rng = random.Random(4)
+        for _ in range(400):
+            lo, hi, step = rng.randint(-9, 9), rng.randint(-9, 9), rng.choice([-4, -3, -1, 1, 2, 5])
+            assert GridSpec.range_(lo, hi, step).size() == len(range(lo, hi, step))
+        for grid in (
+            GridSpec.geometric(3, 6),
+            GridSpec.geometric(3, 0),
+            GridSpec.explicit([4, 1, 7]),
+            GridSpec.random_(5, 10, 0, 100),
+        ):
+            assert grid.size() == len(grid.resolve())
+        assert GridSpec.full_mod().size(13) == len(GridSpec.full_mod().resolve(13)) == 13
+        assert GridSpec.range_(0, 10**30).size() == 10**30  # no OverflowError
+
+    def test_refused_before_any_grid_is_built(self):
+        small = GridSpec.range_(0, 10)
+        huge = GridSpec.range_(0, 10**30)  # resolving it would never finish
+        expr = parse("x*y*z = 1 mod 89")  # nothing solved: 10^3 free points
+        with pytest.raises(BudgetError, match="points to evaluate"):
+            instantiate3(expr, small, small, small, budget_cells=999)
+        rel, _ = instantiate3(expr, small, small, small, budget_cells=1000)
+        assert rel.triples == tuple(brute_force_triples(expr, *[range(10)] * 3))
+        with pytest.raises(BudgetError, match="grid for z"):
+            instantiate3(parse("x + y = z"), small, small, huge)  # z is solved, not free
+        with pytest.raises(BudgetError, match="grid for y"):
+            instantiate2(parse("y = z", variables=BINARY_VARS), huge, small)
+
+    def test_family_spec_carries_the_budget(self):
+        from expd.pipeline import FamilySpec, make_family
+
+        spec = FamilySpec(kind="dsl", expr="x + y = z", budget_cells=24)
+        assert len(make_family(spec).build(4).rel) == 10  # 16 free points
+        with pytest.raises(BudgetError):
+            make_family(spec).build(5)  # 25 free points
+
+
 def eval_node(node, env):
     """The reference evaluator: a plain recursive walk in exact integers."""
     if isinstance(node, Const):

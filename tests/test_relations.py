@@ -1,6 +1,7 @@
 """Relation core: builders, fibers, exact grid counts, pair universes, file IO."""
 
 import json
+import math
 import random
 
 import pytest
@@ -20,11 +21,30 @@ from expd import (
     read_relation,
     write_relation,
 )
-from expd.relations import MAX_PAIR_BASE, relation_from_obj, relation_to_obj
+from expd.relations import MAX_PAIR_BASE, _write_relation, relation_from_obj
 
 
 def u(n, name="U"):
     return Universe(name, n)
+
+
+def relation_to_obj(rel):
+    """The file object of rel, built whole from rows and keys: the writer's oracle."""
+    universes = (rel.u, rel.v) if hasattr(rel, "rows") else (rel.x, rel.y, rel.z)
+    obj = {
+        "universes": [
+            {"name": w.name, "size": w.size, **({} if w.labels is None else {"labels": list(w.labels)})}
+            for w in universes
+        ]
+    }
+    if hasattr(rel, "rows"):
+        obj["kind"] = "rel2"
+        obj["pairs"] = [[i, j] for i, row in enumerate(rel.rows) for j in range(rel.v.size) if row >> j & 1]
+    else:
+        ny, nz = rel.y.size, rel.z.size
+        obj["kind"] = "rel3"
+        obj["triples"] = [[key // (ny * nz), key // nz % ny, key % nz] for key in rel.keys]
+    return obj
 
 
 class TestUniverse:
@@ -380,9 +400,71 @@ class TestRelationFiles:
         with pytest.raises(InputError):
             relation_from_obj({"kind": "rel7", "universes": []})
 
-    def test_format_shape(self):
+    def test_format_shape(self, tmp_path):
         rel = build_relation3(u(2, "X"), u(2, "Y"), u(2, "Z"), [(0, 0, 1)])
-        obj = relation_to_obj(rel)
+        path = tmp_path / "rel3.json"
+        write_relation(str(path), rel)
+        obj = json.loads(path.read_text(encoding="utf-8"))
         assert obj["kind"] == "rel3"
         assert obj["triples"] == [[0, 0, 1]]
-        assert json.dumps(obj)  # JSON-serializable
+        assert obj == relation_to_obj(rel)
+
+
+class TestStreamedWriter:
+    """write_relation streams chunks of entries through the C encoder; its
+    bytes must equal one json.dumps of the whole file object."""
+
+    LABELS = ("é", "雪", "😀", '"', "\\", 'a"b\\c', "\n\t", " ", "", "x y", -7, 0, 2**70)
+    SIZES = (0, 0, 1, 2, 3, 7)
+
+    @classmethod
+    def universe(cls, rng, name, size):
+        if rng.random() < 0.5:
+            return Universe(name, size)
+        pool = list(cls.LABELS) + [f"v{i}" for i in range(size)]
+        return Universe(name, size, labels=tuple(rng.sample(pool, size)))
+
+    @classmethod
+    def random_relation(cls, rng, arity, count=None):
+        """A seeded rel2 or rel3; with count, one of exactly count entries."""
+        if count is None:
+            sizes = [rng.choice(cls.SIZES) for _ in range(arity)]
+        else:
+            sizes = [128, 128] if arity == 2 else [32, 32, 16]
+        us = [cls.universe(rng, name, s) for name, s in zip(rng.choice(("UVW", "XYZ", 'é"\\')), sizes)]
+        cells = math.prod(sizes)
+        chosen = rng.sample(range(cells), count if count is not None else rng.randint(0, cells))
+        if arity == 2:
+            return build_relation2(*us, (divmod(c, sizes[1]) for c in chosen))
+        ny, nz = sizes[1], sizes[2]
+        return build_relation3(*us, ((c // (ny * nz), c // nz % ny, c % nz) for c in chosen))
+
+    def relations(self):
+        rng = random.Random(20260)
+        for count in (0, 1, 8191, 8192, 8193, 16384):
+            for arity in (2, 3):
+                yield self.random_relation(rng, arity, count)
+        for _ in range(188):
+            yield self.random_relation(rng, rng.choice((2, 3)))
+
+    def test_bytes_match_one_shot_dumps(self, tmp_path):
+        import io
+
+        path = tmp_path / "rel.json"
+        seen = {"empty": 0, "zero_size": 0, "labels": 0, "big": set()}
+        for rel in self.relations():
+            obj = relation_to_obj(rel)
+            write_relation(str(path), rel)
+            expected = json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
+            assert path.read_bytes() == expected.encode("utf-8")
+            text = io.StringIO()
+            _write_relation(text, rel, (", ", ": "))
+            assert text.getvalue() == json.dumps(obj, sort_keys=True) + "\n"
+            assert read_relation(str(path)) == rel
+            entries = len(obj.get("pairs", obj.get("triples")))
+            seen["empty"] += entries == 0
+            seen["zero_size"] += any(w["size"] == 0 for w in obj["universes"])
+            seen["labels"] += any(set(w.get("labels", ())) & set(self.LABELS[:6]) for w in obj["universes"])
+            seen["big"].add(entries)
+        assert seen["empty"] and seen["zero_size"] and seen["labels"]
+        assert {1, 8191, 8192, 8193, 16384} <= seen["big"]
