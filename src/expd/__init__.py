@@ -31,10 +31,8 @@ from .pipeline import (
     DeltaDegree,
     FamilyInstance,
     FamilySpec,
-    FiberBoundReport,
     RelationFamily,
     cauchy_schwarz_check,
-    check_g_fiber_bounds,
     cylindrical_witness,
     delta_degree,
     derive_g,

@@ -288,22 +288,20 @@ def cmd_pipeline3(args) -> int:
         bundle["fiber_report"] = {"status": "skipped:d-absent"}
         bundle["cauchy_schwarz"] = {"status": "skipped:d-absent"}
     else:
-        fiber = pipeline.check_g_fiber_bounds(rel, dd.d)
-        if fiber.g_edges > args.budget_cells:
-            raise BudgetError(
-                f"|G| = {fiber.g_edges} exceeds the cell budget {args.budget_cells}"
-            )
-        bundle["g_edges"] = fiber.g_edges
-        bundle["fiber_report"] = {
-            "bound": fiber.bound,
-            "max_zz_fiber": fiber.max_zz_fiber,
-            "max_yy_fiber": fiber.max_yy_fiber,
-            "ok": fiber.ok,
-        }
-        checks_ok &= fiber.ok
         cs = pipeline.cauchy_schwarz_check(
-            rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z)
+            rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z), dd.d
         )
+        if cs.g_count > args.budget_cells:
+            raise BudgetError(
+                f"|G| = {cs.g_count} exceeds the cell budget {args.budget_cells}"
+            )
+        bundle["g_edges"] = cs.g_count
+        bundle["fiber_report"] = {
+            "bound": cs.bound,
+            "max_zz_fiber": cs.max_zz_fiber,
+            "max_yy_fiber": cs.max_yy_fiber,
+            "ok": cs.fiber_law_ok,
+        }
         bundle["cauchy_schwarz"] = {
             "f_count": cs.f_count,
             "w_count": cs.w_count,
@@ -314,7 +312,7 @@ def cmd_pipeline3(args) -> int:
             "fiber_ok": cs.fiber_ok,
             "composed_ok": cs.composed_ok,
         }
-        checks_ok &= cs.ok
+        checks_ok = cs.ok
     bundle["checks_ok"] = bool(checks_ok)
     text = json.dumps(bundle, sort_keys=True, indent=2) + "\n"
     if args.out and args.out != "-":

@@ -13,7 +13,8 @@ definition has at most MAX_TOKENS tokens.  Instantiation compiles it once to a
 Python function in exact integer arithmetic, with powers and the result
 reduced mod m when a modulus is declared; without one, values that may exceed
 MAX_VALUE_BITS on the grids are refused (BudgetError) before evaluation, as are
-grids of more values or points than the cell budget, before any is built.  It
+grids of more values or points than the cell budget and geom: grids whose
+largest value exceeds MAX_VALUE_BITS, before any is built.  It
 produces FiniteRelation3 or FiniteRelation2 instances with grid values as
 element labels.
 
@@ -292,6 +293,12 @@ def to_text(expr: RelationExpr) -> str:
 # --- grids -------------------------------------------------------------------
 
 
+# Largest value, in bits, that a definition without a modulus may compute on its
+# grids, and that a geom: grid may hold; x^99999999 would otherwise build a
+# 10^8-bit integer at every point, and geom:2:1000000 about 60 GB of grid.
+MAX_VALUE_BITS = 1 << 16
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """One coordinate grid: range / geometric / explicit / random / full_mod."""
@@ -326,11 +333,20 @@ class GridSpec:
         return GridSpec(kind="full_mod")
 
     def size(self, modulus: Optional[int] = None) -> int:
-        """The number of values resolve would give, computed without building them."""
+        """The number of values resolve would give, computed without building them;
+        a geometric grid whose largest value exceeds MAX_VALUE_BITS raises BudgetError."""
         if self.kind == "range":
             if self.step == 0:
                 raise InputError("grid range step must be nonzero")
             return max(0, -((self.lo - self.hi) // self.step))
+        if self.kind == "geometric" and self.base >= 2 and self.count > 1:
+            # base^(count-1) has at least (count-1)(bits(base)-1) + 1 bits, and
+            # below that bound it has fewer than 2·MAX_VALUE_BITS, cheap to build
+            low = (self.count - 1) * (self.base.bit_length() - 1)
+            if low >= MAX_VALUE_BITS or (self.base ** (self.count - 1)).bit_length() > MAX_VALUE_BITS:
+                raise BudgetError(
+                    f"geometric grid {self.base}^{self.count - 1} exceeds {MAX_VALUE_BITS} bits"
+                )
         if self.kind in ("geometric", "random"):
             return max(0, self.count)
         if self.kind == "explicit":
@@ -343,7 +359,7 @@ class GridSpec:
 
     def resolve(self, modulus: Optional[int] = None) -> list[int]:
         """Materialize the grid values; always pairwise distinct."""
-        size = self.size(modulus)  # checks the step, the modulus and the kind
+        size = self.size(modulus)  # checks the step, the modulus, the kind and the bit cap
         if self.kind == "range":
             return list(range(self.lo, self.hi, self.step))
         if self.kind == "geometric":
@@ -391,11 +407,6 @@ def parse_grid(text: str, seed: Optional[int] = None) -> GridSpec:
 
 
 # --- instantiation -----------------------------------------------------------
-
-
-# Largest value, in bits, that a definition without a modulus may compute on its
-# grids; x^99999999 would otherwise build a 10^8-bit integer at every point.
-MAX_VALUE_BITS = 1 << 16
 
 
 def _solved(expr: RelationExpr) -> tuple[Optional[str], Node]:

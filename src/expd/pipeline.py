@@ -3,16 +3,18 @@ pair relation.
 
 For F ⊆ X×Y×Z the operations here compute, exactly:
 
-  * the per-pairing fiber maxima and the bounded degree d (every pair of
-    coordinates determines the third up to at most d values);
+  * the per-pairing fiber maxima, counted from the packed keys, and the
+    bounded degree d (every pair of coordinates determines the third up to at
+    most d values);
   * complete k x k blocks after flattening one axis against the product of
     the other two (the finite test for cylindricality);
   * the derived relation on ordered pairs,
       G = {(y,y',z,z') : ∃x (x,y,z) ∈ F and (x,y',z') ∈ F},
     viewed as a bipartite relation over Y² x Z²;
   * |G ∩ B²×C²| and its largest fibers, without enumerating G;
-  * the fiber law |{z' : (y,y',z,z') ∈ G}| <= d² (and symmetrically), which
-    implies its summed form |G ∩ ({(y,y')} x C²)| <= d²|C|, and the count transfer
+  * in one check, from one such count, the fiber law
+    |{z' : (y,y',z,z') ∈ G}| <= d² (and symmetrically), which implies its
+    summed form |G ∩ ({(y,y')} x C²)| <= d²|C|, and the count transfer
       |F ∩ A×B×C|  <=  d · |A|^(1/2) · |G ∩ (B²×C²)|^(1/2),
     which goes through the 5-ary intermediary
       W = {(x,y,y',z,z') : (x,y,z) ∈ F and (x,y',z') ∈ F}
@@ -62,10 +64,16 @@ class DeltaDegree:
 
 
 def pairing_maxima(rel: FiniteRelation3) -> tuple[int, int, int]:
-    m_z = max((len(v) for v in rel.by_xy().values()), default=0)
-    m_y = max((len(v) for v in rel.by_xz().values()), default=0)
-    m_x = max((len(v) for v in rel.by_yz().values()), default=0)
-    return (m_z, m_y, m_x)
+    """The most triples of F sharing an (x,y), an (x,z) and a (y,z) pair,
+    counted straight from the packed keys (i·|Y| + j)·|Z| + k."""
+    keys, nz = rel.keys, rel.z.size
+    nyz = rel.y.size * nz
+    pairs = (
+        (key // nz for key in keys),
+        (key // nyz * nz + key % nz for key in keys),
+        (key % nyz for key in keys),
+    )
+    return tuple(max(Counter(p).values(), default=0) for p in pairs)
 
 
 def delta_degree(rel: FiniteRelation3, threshold: int) -> DeltaDegree:
@@ -190,38 +198,7 @@ def g_edge_count(
     return count, max_zz, max_yy
 
 
-@dataclass(frozen=True)
-class FiberBoundReport:
-    d: int
-    bound: int
-    g_edges: int  # |G|
-    max_zz_fiber: int
-    max_yy_fiber: int
-    ok: bool
-
-
-def check_g_fiber_bounds(rel: FiniteRelation3, d: int) -> FiberBoundReport:
-    """Verify the d² fiber law on every (y,y',z) and every (z,z',y) fiber of G.
-
-    The summed point-set form |G ∩ ({(y,y')} x C²)| <= d²|C| needs no check
-    of its own: it is Σ_{z∈C} |fiber(y,y',z) ∩ C| <= d²|C| whenever the law
-    holds, so it can never fail when the fiber law passes.
-    """
-    if d < 1:
-        raise ParameterError("fiber bound checks need the bounded degree d (>= 1)")
-    bound = d * d
-    g_edges, max_zz, max_yy = g_edge_count(rel)
-    return FiberBoundReport(
-        d=d,
-        bound=bound,
-        g_edges=g_edges,
-        max_zz_fiber=max_zz,
-        max_yy_fiber=max_yy,
-        ok=max_zz <= bound and max_yy <= bound,
-    )
-
-
-# --- the count transfer ---------------------------------------------------------
+# --- the fiber law and the count transfer -------------------------------------
 
 
 @dataclass(frozen=True)
@@ -230,61 +207,57 @@ class CauchySchwarzReport:
     w_count: int  # |W ∩ A×B²×C²|
     g_count: int  # |G ∩ B²×C²|
     d: int
+    bound: int  # d²
+    max_zz_fiber: int  # largest (y,y',z) fiber of G ∩ B²×C²
+    max_yy_fiber: int  # largest (z,z',y) fiber of G ∩ B²×C²
     a_size: int
     rhs: float  # d * |A|^(1/2) * |G'|^(1/2)
-    slack: float
+    fiber_law_ok: bool  # both fiber maxima <= d²
     cs_ok: bool  # |F'|² <= |A| · |W'|
     fiber_ok: bool  # |W'| <= d · |G'|
     composed_ok: bool  # |F'|² <= d² · |A| · |G'|
 
     @property
     def ok(self) -> bool:
-        return self.cs_ok and self.fiber_ok and self.composed_ok
+        return self.fiber_law_ok and self.cs_ok and self.fiber_ok and self.composed_ok
 
 
 def cauchy_schwarz_check(
-    rel: FiniteRelation3,
-    a: Subset,
-    b: Subset,
-    c: Subset,
-    threshold: Optional[int] = None,
+    rel: FiniteRelation3, a: Subset, b: Subset, c: Subset, d: int
 ) -> CauchySchwarzReport:
-    """Exact check of the two-step count transfer on a concrete grid.
+    """Exact check, on a concrete grid, of the d² fiber law on G ∩ B²×C² and of
+    the two-step count transfer, from one G kernel call; d is the bounded
+    degree that delta_degree decides (0 for an empty relation).
 
-    All three inequalities are tested in exact integer arithmetic (squared
-    forms); the reported rhs is the float evaluation for humans.
+    The summed form of the fiber law, |G ∩ ({(y,y')} x C²)| <= d²|C|, needs no
+    check of its own: it is Σ_{z∈C} |fiber(y,y',z) ∩ C| <= d²|C| whenever the
+    law holds.  The three inequalities are tested in exact integer arithmetic
+    (squared forms); the reported rhs is the float evaluation for humans.
     """
     if a.universe != rel.x or b.universe != rel.y or c.universe != rel.z:
         raise InputError("cauchy_schwarz_check: subsets must match the relation's universes")
-    if threshold is not None:
-        dd = delta_degree(rel, threshold)
-        if dd.d is None:
-            raise ParameterError(
-                f"relation is not degree-bounded at threshold {threshold}: maxima {dd.pairing_maxima}"
-            )
-        d = dd.d
-    else:
-        d = max(pairing_maxima(rel))
+    if d < 0:
+        raise ParameterError(f"the bounded degree d must be >= 0, got {d}")
     per_x = list(_grid_counts_by_x(rel, a.bits, b.bits, c.bits))
     f_count = sum(per_x)
     w_count = sum(v * v for v in per_x)
-    g_count = g_edge_count(rel, b, c)[0]
+    g_count, max_zz, max_yy = g_edge_count(rel, b, c)
     a_size = a.cardinality()
-    cs_ok = f_count * f_count <= a_size * w_count
-    fiber_ok = w_count <= d * g_count
-    composed_ok = f_count * f_count <= d * d * a_size * g_count
-    rhs = d * (a_size**0.5) * (g_count**0.5)
+    bound = d * d
     return CauchySchwarzReport(
         f_count=f_count,
         w_count=w_count,
         g_count=g_count,
         d=d,
+        bound=bound,
+        max_zz_fiber=max_zz,
+        max_yy_fiber=max_yy,
         a_size=a_size,
-        rhs=rhs,
-        slack=rhs - f_count,
-        cs_ok=cs_ok,
-        fiber_ok=fiber_ok,
-        composed_ok=composed_ok,
+        rhs=d * (a_size**0.5) * (g_count**0.5),
+        fiber_law_ok=max_zz <= bound and max_yy <= bound,
+        cs_ok=f_count * f_count <= a_size * w_count,
+        fiber_ok=w_count <= d * g_count,
+        composed_ok=f_count * f_count <= bound * a_size * g_count,
     )
 
 

@@ -4,15 +4,12 @@ A Universe is an indexed finite set 0..size-1, optionally carrying element
 labels.  Binary relations are stored as dense bit matrices (one Python int
 per left element, bit j set iff (i, j) is an edge); ternary relations as one
 sorted, duplicate-free array('q') of packed keys (i·|Y| + j)·|Z| + k, read by
-key arithmetic, with per-pairing fiber maps built lazily.  All counting here
-is pure integer arithmetic.
+key arithmetic.  All counting here is pure integer arithmetic.
 
 Subsets of a universe are bit vectors.  Grid counts |E ∩ A×B| and
 |F ∩ A×B×C| are exact and deterministic.
 
-Everything is immutable after construction except the memoized fiber maps of
-ternary relations, which are built at most once (assignment of a fully built
-dict is atomic, so concurrent readers see either nothing or the final map).
+Everything is immutable after construction.
 """
 
 from __future__ import annotations
@@ -187,27 +184,16 @@ def _decode_keys(keys: Iterable[int], ny: int, nz: int) -> Iterator[tuple[int, i
     return ((i, *divmod(jk, nz)) for i, jk in map(divmod, keys, repeat(ny * nz)))
 
 
-def _fiber_map(entries: Iterable[tuple[int, int]], base: int) -> dict:
-    """{divmod(p, base): [v, ...]} in first-seen order, from (p, v) entries
-    whose p packs a coordinate pair."""
-    built: dict = {}
-    for p, v in entries:
-        built.setdefault(p, []).append(v)
-    return {divmod(p, base): fiber for p, fiber in built.items()}
-
-
 class FiniteRelation3:
     """A ternary relation F ⊆ X×Y×Z as one sorted, duplicate-free array of
     packed keys (i·|Y| + j)·|Z| + k.
 
     Key order is lexicographic triple order, so the triples of one x form a
-    contiguous run.  Fiber maps for the three coordinate pairings are built on
-    first use: xy -> sorted z list, xz -> sorted y list, yz -> sorted x list.
-    Build relations with build_relation3, which checks every triple and the
-    key range; the constructor trusts its keys.
+    contiguous run.  Build relations with build_relation3, which checks every
+    triple and the key range; the constructor trusts its keys.
     """
 
-    __slots__ = ("x", "y", "z", "keys", "_by_xy", "_by_xz", "_by_yz")
+    __slots__ = ("x", "y", "z", "keys")
 
     def __init__(self, x: Universe, y: Universe, z: Universe, keys: Iterable[int]):
         keys = sorted(keys)  # linear when the keys arrive sorted
@@ -217,9 +203,6 @@ class FiniteRelation3:
         self.y = y
         self.z = z
         self.keys = array("q", keys)
-        self._by_xy = None
-        self._by_xz = None
-        self._by_yz = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -238,28 +221,6 @@ class FiniteRelation3:
             hi = bisect_left(keys, (i + 1) * nyz, lo)
             yield i, lo, hi
             lo = hi
-
-    def by_xy(self) -> dict:
-        if self._by_xy is None:
-            self._by_xy = _fiber_map(map(divmod, self.keys, repeat(self.z.size)), self.y.size)
-        return self._by_xy
-
-    def by_xz(self) -> dict:
-        if self._by_xz is None:
-            ny, nz = self.y.size, self.z.size
-            nyz = ny * nz
-            self._by_xz = _fiber_map(
-                ((key // nyz * nz + key % nz, key // nz % ny) for key in self.keys), nz
-            )
-        return self._by_xz
-
-    def by_yz(self) -> dict:
-        if self._by_yz is None:
-            nyz = self.y.size * self.z.size
-            self._by_yz = _fiber_map(
-                ((jk, i) for i, jk in map(divmod, self.keys, repeat(nyz))), self.z.size
-            )
-        return self._by_yz
 
     def group_by_x(self) -> dict[int, list[tuple[int, int]]]:
         keys, nyz, nz = self.keys, self.y.size * self.z.size, self.z.size

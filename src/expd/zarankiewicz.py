@@ -31,7 +31,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .cuttings import CuttingCover, verify_cutting
-from .errors import InputError, ParameterError
+from .errors import BudgetError, InputError, ParameterError
 from .relations import FiniteRelation2, Subset, _iter_bits
 
 # --- exponent arithmetic ----------------------------------------------------
@@ -123,11 +123,18 @@ def _first_bits(bits: int, count: int) -> tuple[int, ...]:
     return tuple(islice(_iter_bits(bits), count))
 
 
+# find_kst charges each candidate loop's length to a node count before the loop
+# runs, and refuses a search past this many nodes (BudgetError): the search
+# grows like C(m, s), so a K_{s,t}-free relation can otherwise run for minutes.
+MAX_KST_NODES = 5 * 10**6
+
+
 def find_kst(rel: FiniteRelation2, s: int, t: int) -> Optional[KstWitness]:
     """Lexicographically least complete s x t block, or None.
 
     Least here means: the smallest s-tuple of left indices in lexicographic
     order, then the t smallest right indices of their common neighborhood.
+    Raises BudgetError past MAX_KST_NODES search nodes.
     """
     if s < 1 or t < 1:
         raise ParameterError(f"find_kst needs s, t >= 1, got s={s}, t={t}")
@@ -135,23 +142,17 @@ def find_kst(rel: FiniteRelation2, s: int, t: int) -> Optional[KstWitness]:
     rows = rel.rows
     if s > m:
         return None
-    if s == 2:
-        # hot path: pairwise fiber intersections, early exit
-        for i in range(m - 1):
-            ri = rows[i]
-            if ri.bit_count() < t:
-                continue
-            for j in range(i + 1, m):
-                common = ri & rows[j]
-                if common.bit_count() >= t:
-                    return KstWitness((i, j), _first_bits(common, t))
-        return None
+    nodes = 0
 
     def search(start: int, chosen: list[int], common: int) -> Optional[KstWitness]:
+        nonlocal nodes
         if len(chosen) == s:
             return KstWitness(tuple(chosen), _first_bits(common, t))
-        remaining = s - len(chosen)
-        for i in range(start, m - remaining + 1):
+        stop = m - (s - len(chosen)) + 1
+        nodes += stop - start
+        if nodes > MAX_KST_NODES:
+            raise BudgetError(f"K_{s},{t} search needs more than {MAX_KST_NODES} nodes")
+        for i in range(start, stop):
             narrowed = common & rows[i]
             if narrowed.bit_count() >= t:
                 chosen.append(i)

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from expd import Universe, build_relation2, build_relation3, cli, write_relation
+from expd import Universe, build_relation2, build_relation3, cli, pipeline, write_relation
+from expd.instances import random_bipartite
 
 
 def run_cli(*argv, env_extra=None):
@@ -153,6 +154,15 @@ class TestCertify:
     def test_bad_epsilon_exit_3(self):
         res = run_cli("certify", "--pg", "7", "--epsilon", "2/3")
         assert res.returncode == 3
+
+    def test_kst_search_past_node_budget_exit_4(self, tmp_path):
+        # K_{4,7}-free at density 1/10: the search would visit ~10^8 nodes
+        src = tmp_path / "random.json"
+        write_relation(str(src), random_bipartite(1, 1000, 1000, 100000))
+        res = run_cli("certify", "--rel", str(src), "--s", "4", "--t", "7", "--epsilon", "1/100")
+        assert res.returncode == 4, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "search needs more than" in res.stderr
 
 
 class TestCutting:
@@ -315,6 +325,9 @@ RANGE_2000 = "range:0:2000:1"
          "--grid-z", f"range:0:{10**12}:1"),
         ("count", "--expr", "y^2 = z mod 7", "--grid-y", "fullmod", "--grid-z", "fullmod",
          "--budget-cells", "6"),
+        # 10^6 values, under the cell budget, but the last one has 10^6 bits
+        ("count", "--expr", "x + y = z mod 7", "--grid-x", "geom:2:1000000", "--grid-y", "list:1",
+         "--grid-z", "fullmod"),
     ],
 )
 def test_oversized_grid_exit_4_before_building(capsys, argv):
@@ -378,6 +391,40 @@ class TestPipeline3:
             "--budget-cells", "100",
         )
         assert res.returncode == 4
+
+    def test_empty_relation_checks_hold(self):
+        res = run_cli(
+            "pipeline3",
+            "--expr", "x*0 = 1 mod 7",
+            "--grid-x", "fullmod", "--grid-y", "fullmod", "--grid-z", "fullmod",
+        )
+        assert res.returncode == 0, res.stderr
+        bundle = json.loads(res.stdout)
+        assert bundle["delta_degree"]["d"] == 0
+        assert bundle["g_edges"] == 0
+        assert bundle["checks_ok"] is True
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            ("--expr", "x + y = z mod 11", "--grid-x", "fullmod", "--grid-y", "fullmod",
+             "--grid-z", "fullmod"),
+            ("--family", "cyclic", "--twists", "seeded", "--seed", "3", "--n", "12"),
+            ("--family", "cylindrical:3", "--n", "6", "--seed", "1", "--threshold", "64"),
+        ],
+    )
+    def test_one_g_kernel_call_per_run(self, monkeypatch, capsys, instance):
+        calls = []
+        kernel = pipeline.g_edge_count
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "g_edge_count", counted)
+        assert cli.main(["pipeline3", *instance]) == 0
+        assert json.loads(capsys.readouterr().out)["checks_ok"] is True
+        assert len(calls) == 1
 
 
 class TestScan:

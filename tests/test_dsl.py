@@ -5,7 +5,7 @@ import random
 import pytest
 
 from expd import GridSpec, InputError, instantiate2, instantiate3, parse, parse_grid, to_text
-from expd.dsl import BINARY_VARS, MAX_TOKENS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _solved, _tokenize
+from expd.dsl import BINARY_VARS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _solved, _tokenize
 from expd.errors import BudgetError, SyntaxError_
 
 
@@ -177,6 +177,14 @@ class TestGridBudget:
             assert grid.size() == len(grid.resolve())
         assert GridSpec.full_mod().size(13) == len(GridSpec.full_mod().resolve(13)) == 13
         assert GridSpec.range_(0, 10**30).size() == 10**30  # no OverflowError
+
+    def test_geometric_bit_cap(self):
+        # the largest value base^(count-1) may have MAX_VALUE_BITS bits, no more
+        assert GridSpec.geometric(2, MAX_VALUE_BITS).size() == MAX_VALUE_BITS
+        assert GridSpec.geometric(3, 41349).size() == 41349  # 3^41348: 65,536 bits
+        for base, count in ((2, MAX_VALUE_BITS + 1), (3, 41350), (2**100, 700), (2, 10**6)):
+            with pytest.raises(BudgetError, match="geometric grid"):
+                GridSpec.geometric(base, count).size()
 
     def test_refused_before_any_grid_is_built(self):
         small = GridSpec.range_(0, 10)

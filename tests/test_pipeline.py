@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,6 @@ from expd import (
     Universe,
     build_relation3,
     cauchy_schwarz_check,
-    check_g_fiber_bounds,
     count_grid3,
     cylindrical_witness,
     delta_degree,
@@ -319,18 +319,25 @@ class TestGKernel:
             g_edge_count(rel, Subset.full(u(4, "Y")), None)
 
 
+def full_check(rel, d):
+    """The merged fiber-law and count-transfer check on the full grid."""
+    return cauchy_schwarz_check(
+        rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z), d
+    )
+
+
 class TestFiberBounds:
     def test_mod5(self):
         rel = mod_sum_relation(5)
-        rep = check_g_fiber_bounds(rel, 1)
+        rep = full_check(rel, 1)
         assert rep.ok
         assert rep.max_zz_fiber == 1 and rep.max_yy_fiber == 1
         assert rep.bound == 1
-        assert rep.g_edges == derive_g(rel).edge_count == 125
+        assert rep.g_count == derive_g(rel).edge_count == 125
 
     def test_units_mod7(self):
         rel = units_product_relation(7)
-        rep = check_g_fiber_bounds(rel, 1)
+        rep = full_check(rel, 1)
         assert rep.ok
         assert rep.max_zz_fiber == 1 and rep.max_yy_fiber == 1
 
@@ -339,7 +346,7 @@ class TestFiberBounds:
         for _ in range(12):
             rel = random_delta_algebraic(rng, (6, 6, 6), rng.randint(1, 3))
             d = max(pairing_maxima(rel)) or 1
-            rep = check_g_fiber_bounds(rel, d)
+            rep = full_check(rel, d)
             assert rep.ok, rep
             quads = brute_g_quadruples(rel)
             by_yyz = {}
@@ -357,7 +364,7 @@ class TestFiberBounds:
         ]
         for rel in rels:
             d = max(pairing_maxima(rel)) or 1
-            assert check_g_fiber_bounds(rel, d).ok
+            assert full_check(rel, d).ok
             g = derive_g(rel)
             nz = rel.z.size
             choices = [list(range(nz))] + [
@@ -371,15 +378,20 @@ class TestFiberBounds:
     def test_d_required(self):
         rel = mod_sum_relation(3)
         with pytest.raises(ParameterError):
-            check_g_fiber_bounds(rel, 0)
+            full_check(rel, -1)
+
+    def test_empty_relation_holds_at_d0(self):
+        rel = build_relation3(u(3, "X"), u(3, "Y"), u(3, "Z"), [])
+        assert delta_degree(rel, 1).d == 0
+        rep = full_check(rel, 0)
+        assert rep.ok and rep.bound == 0
+        assert (rep.f_count, rep.w_count, rep.g_count) == (0, 0, 0)
 
 
 class TestCauchySchwarz:
     def test_mod5_equality_at_25(self):
         rel = mod_sum_relation(5)
-        rep = cauchy_schwarz_check(
-            rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z)
-        )
+        rep = full_check(rel, delta_degree(rel, 1).d)
         assert rep.ok
         assert rep.f_count == 25 and rep.g_count == 125 and rep.d == 1
         # exact equality: |F'|^2 == d^2 |A| |G'|
@@ -389,7 +401,7 @@ class TestCauchySchwarz:
     def test_singleton_a_cs_step_tight(self):
         rel = mod_sum_relation(5)
         a = Subset.from_indices(rel.x, [2])
-        rep = cauchy_schwarz_check(rel, a, Subset.full(rel.y), Subset.full(rel.z))
+        rep = cauchy_schwarz_check(rel, a, Subset.full(rel.y), Subset.full(rel.z), 1)
         # |F'| = |F'_a| and |W'| = |F'_a|^2: the Cauchy-Schwarz step is equality
         assert rep.w_count == rep.f_count**2
         assert rep.f_count**2 == rep.a_size * rep.w_count
@@ -402,7 +414,7 @@ class TestCauchySchwarz:
             a = Subset.from_indices(rel.x, [i for i in range(5) if rng.random() < 0.7])
             b = Subset.from_indices(rel.y, [i for i in range(5) if rng.random() < 0.7])
             c = Subset.from_indices(rel.z, [i for i in range(5) if rng.random() < 0.7])
-            rep = cauchy_schwarz_check(rel, a, b, c)
+            rep = cauchy_schwarz_check(rel, a, b, c, max(pairing_maxima(rel)))
             tr = [t for t in rel.triples if b.contains(t[1]) and c.contains(t[2])]
             f_brute = sum(1 for t in tr if a.contains(t[0]))
             w_brute = sum(
@@ -411,10 +423,15 @@ class TestCauchySchwarz:
                 for t2 in tr
                 if t1[0] == t2[0] and a.contains(t1[0])
             )
-            g_brute = len({(t1[1], t2[1], t1[2], t2[2]) for t1 in tr for t2 in tr if t1[0] == t2[0]})
+            quads = {(t1[1], t2[1], t1[2], t2[2]) for t1 in tr for t2 in tr if t1[0] == t2[0]}
+            g_brute = len(quads)
+            zz_brute = Counter((y1, y2, z1) for y1, y2, z1, _ in quads)
+            yy_brute = Counter((z1, z2, y1) for y1, _, z1, z2 in quads)
             assert rep.f_count == f_brute
             assert rep.w_count == w_brute
             assert rep.g_count == g_brute
+            assert rep.max_zz_fiber == max(zz_brute.values(), default=0)
+            assert rep.max_yy_fiber == max(yy_brute.values(), default=0)
             assert rep.ok
 
     def test_inequalities_hold_fuzz(self):
@@ -422,19 +439,8 @@ class TestCauchySchwarz:
         for _ in range(20):
             sizes = tuple(rng.randint(3, 12) for _ in range(3))
             rel = random_delta_algebraic(rng, sizes, 3, attempts=120)
-            rep = cauchy_schwarz_check(
-                rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z)
-            )
+            rep = full_check(rel, max(pairing_maxima(rel)))
             assert rep.cs_ok and rep.fiber_ok and rep.composed_ok
-
-    def test_threshold_gate(self):
-        rel = build_relation3(
-            u(2, "X"), u(2, "Y"), u(2, "Z"), list(itertools.product(range(2), repeat=3))
-        )
-        with pytest.raises(ParameterError, match="not degree-bounded"):
-            cauchy_schwarz_check(
-                rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z), threshold=1
-            )
 
 
 class TestFamilies:
@@ -447,8 +453,9 @@ class TestFamilies:
     def test_cyclic_law_yz_determines_x(self):
         fam = make_family(FamilySpec(kind="group_like", group=("cyclic", None)))
         rel = fam.build(9).rel
-        assert all(len(v) == 1 for v in rel.by_yz().values())
-        assert len(rel.by_yz()) == 81
+        by_yz = Counter((j, k) for _, j, k in rel.triples)
+        assert all(v == 1 for v in by_yz.values())
+        assert len(by_yz) == 81
 
     def test_unit_group_mod7(self):
         fam = make_family(FamilySpec(kind="group_like", group=("unit_group_mod", 7)))

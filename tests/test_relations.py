@@ -315,7 +315,7 @@ class TestPackedCore:
         return [u(s, name) for s, name in zip(sizes, "XYZ")], triples
 
     def test_matches_tuple_oracle_fuzz(self):
-        from expd.pipeline import _axis_flatten
+        from expd.pipeline import _axis_flatten, pairing_maxima
         from expd.relations import _grid_counts_by_x
 
         seen_empty = seen_dupes = seen_unit = 0
@@ -329,9 +329,10 @@ class TestPackedCore:
             oracle = TupleRelation3(x, y, z, triples)
             assert rel.triples == oracle.triples
             assert len(rel) == len(oracle.triples)
-            assert rel.by_xy() == oracle.by_xy()
-            assert rel.by_xz() == oracle.by_xz()
-            assert rel.by_yz() == oracle.by_yz()
+            assert pairing_maxima(rel) == tuple(
+                max(map(len, fibers.values()), default=0)
+                for fibers in (oracle.by_xy(), oracle.by_xz(), oracle.by_yz())
+            )
             assert rel.group_by_x() == oracle.group_by_x()
             for axis in (1, 2, 3):
                 assert _axis_flatten(rel, axis).rows == oracle.flatten_rows(axis)

@@ -10,6 +10,7 @@ import pytest
 
 from expd import (
     BoundCertificate,
+    BudgetError,
     KstWitness,
     NotKstFreeError,
     ParameterError,
@@ -32,6 +33,7 @@ from expd.instances import (
     random_bipartite,
     random_interval_incidence,
 )
+from expd import zarankiewicz
 from expd.relations import Universe
 from expd.zarankiewicz import CASE_LEAF, CASE_UNBALANCED
 
@@ -163,6 +165,15 @@ class TestFindKst:
                     count = count_grid2(rel, Subset.full(rel.u), Subset.full(rel.v))
                     assert count <= kst_bound(s, t, m, n) + 1e-9
         assert checked > 50
+
+    def test_node_budget(self, monkeypatch):
+        # pg(7): the root loop charges 56 nodes, row i's loop 56 - i: 1652 in all
+        pg = pg_incidence(7)
+        monkeypatch.setattr(zarankiewicz, "MAX_KST_NODES", 1652)
+        assert find_kst(pg, 2, 2) is None
+        monkeypatch.setattr(zarankiewicz, "MAX_KST_NODES", 1651)
+        with pytest.raises(BudgetError, match="more than 1651 nodes"):
+            find_kst(pg, 2, 2)
 
     def test_lexicographically_least(self):
         rel = build_relation2(
