@@ -1,16 +1,33 @@
 """Command-line driver.
 
-Subcommands: count, derive-g, certify, cutting, pipeline3, scan.
-Global flags: --seed, --format {csv,json}, --out PATH, --threshold,
---budget-cells.
+Each subcommand accepts exactly the flags it reads (SUBCOMMAND --help lists
+them):
+
+  count      a ternary instance, or --expr with --grid-y and --grid-z (binary);
+             --seed --format --out --budget-cells
+  derive-g   a ternary instance; --seed --out --budget-cells
+  certify    a binary instance; --cutter --r --s --t --D --epsilon
+             --leaf-size --cert-out --seed --format --out
+  cutting    a binary instance; --cutter --r --seed --format --out
+  pipeline3  a ternary instance; --k --threshold --seed --out --budget-cells
+  scan       a family; --sizes --seed --format --out --budget-cells
+
+A family is --family F [--twists identity|seeded], F one of cyclic,
+unitmod:P, cylindrical[:K], dsl or topz; dsl and topz take --expr, and dsl
+the grids --grid-x/y/z.  A ternary instance is one of --rel FILE, a family
+with --n SIZE, or --expr with --grid-x, --grid-y and --grid-z.  A binary
+instance is one of --rel FILE, --pg Q, --identity N, --interval COUNT:POINTS
+or --box COUNT:GRIDSIDE.
 
 Exit codes: 0 all checks passed, 2 a checked inequality failed, 3 input
-error, 4 budget exceeded.
+error (a malformed or unknown flag, a flag the subcommand does not read, a
+second instance source), 4 budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -40,32 +57,31 @@ def _require_seed(args) -> int:
 
 
 def _emit(args, rows, extra_header: Optional[dict] = None) -> None:
-    header = {"subcommand": args.command, "seed": args.seed}
-    if extra_header:
-        header.update(extra_header)
-    text = reports.emit_report(rows, args.format, args.out, header)
-    sys.stdout.write(text)
+    header = {"subcommand": args.command, "seed": args.seed, **(extra_header or {})}
+    sys.stdout.write(reports.emit_report(rows, args.format, args.out, header))
 
 
 # --- instance construction helpers -----------------------------------------
 
 
-def _load_rel2(args) -> FiniteRelation2:
+def _load_rel2(args) -> tuple[str, FiniteRelation2]:
+    """(name, relation) of the binary instance; the parser lets one source through."""
     if args.rel:
         rel = read_relation(args.rel)
         if not isinstance(rel, FiniteRelation2):
             raise InputError(f"{args.rel} does not hold a binary relation")
-        return rel
+        return args.rel, rel
     if args.pg is not None:
-        return instances.pg_incidence(args.pg)
+        return f"pg:{args.pg}", instances.pg_incidence(args.pg)
     if args.identity is not None:
-        return instances.identity_matching(args.identity)
+        return f"identity:{args.identity}", instances.identity_matching(args.identity)
     if args.interval is not None:
         count, points = _two_ints(args.interval, "--interval COUNT:POINTS")
-        return instances.random_interval_incidence(_require_seed(args), count, points)
+        rel = instances.random_interval_incidence(_require_seed(args), count, points)
+        return f"interval:{args.interval}", rel
     if args.box is not None:
         count, side = _two_ints(args.box, "--box COUNT:GRIDSIDE")
-        return instances.random_rectangle_incidence(_require_seed(args), count, side)
+        return f"box:{args.box}", instances.random_rectangle_incidence(_require_seed(args), count, side)
     raise InputError("no instance given (use --rel, --pg, --identity, --interval or --box)")
 
 
@@ -85,65 +101,58 @@ def _two_ints(text: str, usage: str) -> tuple[int, int]:
 
 def _family_from_args(args) -> pipeline.RelationFamily:
     spec_text = args.family
+    if not spec_text:
+        raise InputError("no family given (use --family)")
+    if args.expr and spec_text not in ("dsl", "topz"):
+        raise InputError(f"--expr defines a dsl or topz family, not --family {spec_text}")
     twists = ("identity", "identity", "identity")
-    if getattr(args, "twists", "identity") == "seeded":
+    if args.twists == "seeded":
         seed = _require_seed(args)
         twists = (("seeded", seed), ("seeded", seed + 1), ("seeded", seed + 2))
     if spec_text == "cyclic":
-        return pipeline.make_family(
-            pipeline.FamilySpec(kind="group_like", group=("cyclic", None), twists=twists)
-        )
-    if spec_text.startswith("unitmod:"):
+        spec = pipeline.FamilySpec(kind="group_like", group=("cyclic", None), twists=twists)
+    elif spec_text.startswith("unitmod:"):
         p = _int(spec_text.split(":", 1)[1], "--family unitmod:P")
-        return pipeline.make_family(
-            pipeline.FamilySpec(kind="group_like", group=("unit_group_mod", p), twists=twists)
-        )
-    if spec_text == "cylindrical" or spec_text.startswith("cylindrical:"):
+        spec = pipeline.FamilySpec(kind="group_like", group=("unit_group_mod", p), twists=twists)
+    elif spec_text == "cylindrical" or spec_text.startswith("cylindrical:"):
         block = None
         if ":" in spec_text:
             block = _int(spec_text.split(":", 1)[1], "--family cylindrical:K")
-        return pipeline.make_family(
-            pipeline.FamilySpec(kind="cylindrical", block=block, seed=args.seed or 0)
-        )
-    if spec_text == "dsl":
+        spec = pipeline.FamilySpec(kind="cylindrical", block=block, seed=args.seed or 0)
+    elif spec_text in ("dsl", "topz"):
         if not args.expr:
-            raise InputError("--family dsl needs --expr")
-        grids = (
-            args.grid_x or "range:0:{n}:1",
-            args.grid_y or "range:0:{n}:1",
-            args.grid_z or "range:0:{n}:1",
+            raise InputError(f"--family {spec_text} needs --expr")
+        if spec_text == "topz":
+            return pipeline.top_frequent_family(args.expr)
+        grids = tuple(grid or "range:0:{n}:1" for grid in (args.grid_x, args.grid_y, args.grid_z))
+        spec = pipeline.FamilySpec(
+            kind="dsl", expr=args.expr, grids=grids, seed=args.seed or 0, budget_cells=args.budget_cells
         )
-        return pipeline.make_family(
-            pipeline.FamilySpec(
-                kind="dsl", expr=args.expr, grids=grids, seed=args.seed or 0, budget_cells=args.budget_cells
-            )
-        )
-    if spec_text == "topz":
-        if not args.expr:
-            raise InputError("--family topz needs --expr")
-        return pipeline.top_frequent_family(args.expr)
-    raise InputError(f"unknown family {spec_text!r}")
+    else:
+        raise InputError(f"unknown family {spec_text!r}")
+    return pipeline.make_family(spec)
 
 
-def _rel3_from_args(args) -> FiniteRelation3:
+def _rel3_from_args(args) -> tuple[str, FiniteRelation3]:
+    """(name, relation) of the one ternary instance given, named by its source."""
     if args.rel:
+        if args.family or args.expr:
+            raise InputError("--rel is a whole instance; drop --family and --expr")
         rel = read_relation(args.rel)
         if not isinstance(rel, FiniteRelation3):
             raise InputError(f"{args.rel} does not hold a ternary relation")
-        return rel
+        return args.rel, rel
     if args.family:
         if not args.n:
             raise InputError("--family needs --n SIZE")
-        return _family_from_args(args).build(args.n).rel
+        return args.family, _family_from_args(args).build(args.n).rel
     if args.expr:
         expr = dsl.parse(args.expr)
-        gx = dsl.parse_grid(args.grid_x, seed=args.seed) if args.grid_x else None
-        gy = dsl.parse_grid(args.grid_y, seed=args.seed) if args.grid_y else None
-        gz = dsl.parse_grid(args.grid_z, seed=args.seed) if args.grid_z else None
-        if not (gx and gy and gz):
+        if not (args.grid_x and args.grid_y and args.grid_z):
             raise InputError("ternary --expr needs --grid-x, --grid-y and --grid-z")
-        rel, _ = dsl.instantiate3(expr, gx, gy, gz, budget_cells=args.budget_cells)
-        return rel
+        grids = [dsl.parse_grid(grid, seed=args.seed) for grid in (args.grid_x, args.grid_y, args.grid_z)]
+        rel, _ = dsl.instantiate3(expr, *grids, budget_cells=args.budget_cells)
+        return args.expr, rel
     raise InputError("no instance given (use --rel, --family or --expr with grids)")
 
 
@@ -151,70 +160,49 @@ def _rel3_from_args(args) -> FiniteRelation3:
 
 
 def cmd_count(args) -> int:
-    if args.expr and not args.grid_x and args.grid_y and args.grid_z:
+    if args.expr and not (args.rel or args.family or args.grid_x) and args.grid_y and args.grid_z:
         expr = dsl.parse(args.expr, variables=dsl.BINARY_VARS)
-        rel2 = dsl.instantiate2(
-            expr,
-            dsl.parse_grid(args.grid_y, seed=args.seed),
-            dsl.parse_grid(args.grid_z, seed=args.seed),
-            budget_cells=args.budget_cells,
-        )
-        row = reports.ReportRow(
-            instance=f"expr2:{args.expr}", n=max(rel2.u.size, rel2.v.size), count=rel2.edge_count
-        )
-        _emit(args, [row])
-        return EXIT_OK
-    rel = _rel3_from_args(args)
-    row = reports.ReportRow(
-        instance=args.family or args.expr or args.rel or "rel3",
-        n=max(rel.x.size, rel.y.size, rel.z.size),
-        count=len(rel),
-    )
-    _emit(args, [row])
+        grids = [dsl.parse_grid(grid, seed=args.seed) for grid in (args.grid_y, args.grid_z)]
+        rel2 = dsl.instantiate2(expr, *grids, budget_cells=args.budget_cells)
+        instance, sizes, count = f"expr2:{args.expr}", (rel2.u.size, rel2.v.size), rel2.edge_count
+    else:
+        instance, rel = _rel3_from_args(args)
+        sizes, count = (rel.x.size, rel.y.size, rel.z.size), len(rel)
+    _emit(args, [reports.ReportRow(instance=instance, n=max(sizes), count=count)])
     return EXIT_OK
 
 
 def cmd_derive_g(args) -> int:
-    rel = _rel3_from_args(args)
+    _, rel = _rel3_from_args(args)
     g = pipeline.derive_g(rel, budget_cells=args.budget_cells)
     if args.out and args.out != "-":
         write_relation(args.out, g)
     else:
         _write_relation(sys.stdout, g, (", ", ": "))
     _, max_zz, max_yy = pipeline.g_edge_count(rel)
-    sys.stdout.write(
-        f"g_edges={g.edge_count} max_zz_fiber={max_zz} max_yy_fiber={max_yy}\n"
-    )
+    sys.stdout.write(f"g_edges={g.edge_count} max_zz_fiber={max_zz} max_yy_fiber={max_yy}\n")
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    rel = _load_rel2(args)
+    instance, rel = _load_rel2(args)
     a = Subset.full(rel.u)
     b = Subset.full(rel.v)
     params = zk.exponent_params(args.D, args.t, args.s, args.epsilon)
     n_col = max(rel.u.size, rel.v.size)
-    given = (("pg", args.pg), ("identity", args.identity), ("interval", args.interval), ("box", args.box))
-    instance = args.rel or args.family or next(f"{flag}:{value}" for flag, value in given if value is not None)
     _, cutter = _pick_cutter(args)
+    exact = count_grid2(rel, a, b)
     try:
         cert = zk.certified_count(rel, a, b, params, cutter, args.r, args.leaf_size)
     except zk.NotKstFreeError as exc:
         left = "+".join(map(str, exc.witness.s_side))
         right = "+".join(map(str, exc.witness.t_side))
-        row = reports.ReportRow(
-            instance=instance,
-            n=n_col,
-            count=count_grid2(rel, a, b),
-            status=f"inapplicable:K{params.s}x{params.t}@[{left}]x[{right}]",
-        )
-        _emit(args, [row])
+        status = f"inapplicable:K{params.s}x{params.t}@[{left}]x[{right}]"
+        _emit(args, [reports.ReportRow(instance=instance, n=n_col, count=exact, status=status)])
         return EXIT_OK
-    exact = count_grid2(rel, a, b)
     if args.cert_out:
         with open(args.cert_out, "w", encoding="utf-8") as fh:
-            json.dump(cert.to_obj(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(cert.to_obj(), sort_keys=True) + "\n")
     row = reports.ReportRow(
         instance=instance,
         n=n_col,
@@ -228,33 +216,35 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.total >= exact else EXIT_CHECK_FAILED
 
 
+CUTTERS = {
+    "interval": cuttings.interval_cutting,
+    "box": cuttings.box_grid_cutting,
+    "greedy": cuttings.greedy_cutting,
+}
+
+
 def _pick_cutter(args) -> tuple[str, Optional[zk.CutterFn]]:
-    """(name, constructor) of the cutter --cutter names; auto picks by instance kind."""
+    """(name, constructor) of the cutter --cutter names; auto picks by instance kind,
+    and certify's none is no constructor."""
     kind = args.cutter
     if kind == "auto":
         kind = "interval" if args.interval else ("box" if args.box else "greedy")
-    cutters = {
-        "interval": cuttings.interval_cutting,
-        "box": cuttings.box_grid_cutting,
-        "greedy": cuttings.greedy_cutting,
-        "none": None,
-    }
-    return kind, cutters[kind]
+    return kind, CUTTERS.get(kind)
 
 
 def cmd_cutting(args) -> int:
-    rel = _load_rel2(args)
+    instance, rel = _load_rel2(args)
     a = Subset.full(rel.u)
     kind, cutter = _pick_cutter(args)
-    if cutter is None:
-        raise InputError("cutting needs a constructor, not --cutter none")
+    if not args.rel:  # a generated instance is named by its cutter and its spec
+        instance = f"{kind}:{args.interval or args.box or ''}"
     cover = cutter(rel, a, args.r)
     if cover is None:
         sys.stdout.write("cutting: constructor returned failure\n")
         return EXIT_CHECK_FAILED
     report = cuttings.verify_cutting(rel, a, args.r, cover)
     row = reports.ReportRow(
-        instance=args.rel or f"{kind}:{args.interval or args.box or ''}",
+        instance=instance,
         n=rel.v.size,
         count=report.cell_count,
         slope=report.fitted_c,
@@ -265,8 +255,8 @@ def cmd_cutting(args) -> int:
 
 
 def cmd_pipeline3(args) -> int:
-    rel = _rel3_from_args(args)
-    bundle: dict = {"instance": args.family or args.expr or args.rel}
+    instance, rel = _rel3_from_args(args)
+    bundle: dict = {"instance": instance}
     dd = pipeline.delta_degree(rel, args.threshold)
     bundle["delta_degree"] = {
         "d": dd.d,
@@ -342,55 +332,66 @@ def cmd_scan(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
+# every flag of every subcommand, with its add_argument keywords
+FLAGS = {
+    "--seed": dict(type=int, help="seed for randomized paths"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(help="report output path ('-' = stdout only)"),
+    "--budget-cells": dict(type=int, default=pipeline.DEFAULT_BUDGET_CELLS),
+    "--threshold": dict(type=int, default=8, help="finite proxy threshold"),
+    "--rel": dict(help="relation JSON file"),
+    "--family": dict(help="cyclic | unitmod:P | cylindrical[:K] | dsl | topz"),
+    "--twists": dict(choices=("identity", "seeded"), default="identity"),
+    "--n": dict(type=int, help="family size"),
+    "--expr": dict(help="relation definition text"),
+    "--grid-x": {}, "--grid-y": {}, "--grid-z": {},
+    "--pg": dict(type=int, help="projective plane of prime order"),
+    "--identity": dict(type=int, help="identity matching size"),
+    "--interval": dict(help="COUNT:POINTS seeded interval family"),
+    "--box": dict(help="COUNT:GRIDSIDE seeded rectangle family"),
+    "--cutter": dict(choices=("auto", *CUTTERS), default="auto"),
+    "--r": dict(type=int, default=4, help="cutting parameter"),
+    "--s": dict(type=int, default=2), "--t": dict(type=int, default=2), "--D": dict(type=int, default=2),
+    "--epsilon": dict(default="1/12", help="rational, e.g. 1/12"),
+    "--leaf-size": dict(type=int, default=32),
+    "--cert-out": dict(help="certificate JSON path"),
+    "--k": dict(type=int, default=2, help="cylinder block size to search for"),
+    "--sizes": dict(default="16,32,64,128"),
+}
+REPORT = ("--seed", "--format", "--out")
+FAMILY = ("--family", "--twists", "--expr", "--grid-x", "--grid-y", "--grid-z", "--budget-cells")
+TERNARY = ("--rel", "--n", *FAMILY)
+BINARY_SOURCES = ("--rel", "--pg", "--identity", "--interval", "--box")  # at most one of them
+BINARY = (*BINARY_SOURCES, "--cutter", "--r")
+SUBCOMMANDS = {
+    "count": (*REPORT, *TERNARY),
+    "derive-g": ("--seed", "--out", *TERNARY),
+    "certify": (*REPORT, *BINARY, "--s", "--t", "--D", "--epsilon", "--leaf-size", "--cert-out"),
+    "cutting": (*REPORT, *BINARY),
+    "pipeline3": ("--seed", "--out", "--threshold", "--k", *TERNARY),
+    "scan": (*REPORT, "--sizes", *FAMILY),
+}
 
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are input errors: exit 3, not argparse's 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized paths")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--out", default=None, help="report output path ('-' = stdout only)")
-    common.add_argument("--threshold", type=int, default=8, help="finite proxy threshold")
-    common.add_argument("--budget-cells", type=int, default=pipeline.DEFAULT_BUDGET_CELLS)
-
-    inst = argparse.ArgumentParser(add_help=False)
-    inst.add_argument("--rel", default=None, help="relation JSON file")
-    inst.add_argument("--expr", default=None, help="relation definition text")
-    inst.add_argument("--grid-x", default=None)
-    inst.add_argument("--grid-y", default=None)
-    inst.add_argument("--grid-z", default=None)
-    inst.add_argument("--family", default=None, help="cyclic | unitmod:P | cylindrical[:K] | dsl | topz")
-    inst.add_argument("--twists", choices=("identity", "seeded"), default="identity")
-    inst.add_argument("--n", type=int, default=None, help="family size")
-
-    rel2 = argparse.ArgumentParser(add_help=False)
-    rel2.add_argument("--pg", type=int, default=None, help="projective plane of prime order")
-    rel2.add_argument("--identity", type=int, default=None, help="identity matching size")
-    rel2.add_argument("--interval", default=None, help="COUNT:POINTS seeded interval family")
-    rel2.add_argument("--box", default=None, help="COUNT:GRIDSIDE seeded rectangle family")
-    rel2.add_argument("--cutter", choices=("auto", "interval", "box", "greedy", "none"), default="auto")
-    rel2.add_argument("--r", type=int, default=4, help="cutting parameter")
-
-    parser = argparse.ArgumentParser(prog="expd", description=__doc__)
+    parser = _Parser(prog="expd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("count", parents=[common, inst])
-    sub.add_parser("derive-g", parents=[common, inst])
-
-    p_certify = sub.add_parser("certify", parents=[common, inst, rel2])
-    p_certify.add_argument("--s", type=int, default=2)
-    p_certify.add_argument("--t", type=int, default=2)
-    p_certify.add_argument("--D", type=int, default=2)
-    p_certify.add_argument("--epsilon", default="1/12", help="rational, e.g. 1/12")
-    p_certify.add_argument("--leaf-size", type=int, default=32)
-    p_certify.add_argument("--cert-out", default=None, help="certificate JSON path")
-
-    sub.add_parser("cutting", parents=[common, inst, rel2])
-
-    p_pipe = sub.add_parser("pipeline3", parents=[common, inst])
-    p_pipe.add_argument("--k", type=int, default=2, help="cylinder block size to search for")
-
-    p_scan = sub.add_parser("scan", parents=[common, inst])
-    p_scan.add_argument("--sizes", default="16,32,64,128")
-
+    for name, flags in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        sources = p.add_mutually_exclusive_group() if "--pg" in flags else p
+        for flag in flags:
+            kwargs = FLAGS[flag]
+            if name == "certify" and flag == "--cutter":  # none: every Case-3 node counts exactly
+                kwargs = {**kwargs, "choices": (*kwargs["choices"], "none")}
+            (sources if flag in BINARY_SOURCES else p).add_argument(flag, **kwargs)
     return parser
 
 
@@ -405,9 +406,8 @@ COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except BudgetError as exc:
         print(f"expd: budget exceeded: {exc}", file=sys.stderr)
@@ -418,10 +418,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"expd: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ExpdError as exc:
-        print(f"expd: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ExpdError, OSError) as exc:
         print(f"expd: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

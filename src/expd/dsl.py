@@ -14,7 +14,7 @@ Python function in exact integer arithmetic, with powers and the result
 reduced mod m when a modulus is declared; without one, values that may exceed
 MAX_VALUE_BITS on the grids are refused (BudgetError) before evaluation, as are
 grids of more values or points than the cell budget and geom: grids whose
-largest value exceeds MAX_VALUE_BITS, before any is built.  It
+values may hold more than MAX_GRID_BITS bits in all, before any is built.  It
 produces FiniteRelation3 or FiniteRelation2 instances with grid values as
 element labels.
 
@@ -294,9 +294,11 @@ def to_text(expr: RelationExpr) -> str:
 
 
 # Largest value, in bits, that a definition without a modulus may compute on its
-# grids, and that a geom: grid may hold; x^99999999 would otherwise build a
-# 10^8-bit integer at every point, and geom:2:1000000 about 60 GB of grid.
+# grids; x^99999999 would otherwise build a 10^8-bit integer at every point.
 MAX_VALUE_BITS = 1 << 16
+# Most bits, summed over its values, that a geom: grid may hold (2 MB); the sum
+# grows with the square of the count, and geom:2:65536 would hold 2^31 bits.
+MAX_GRID_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -334,18 +336,17 @@ class GridSpec:
 
     def size(self, modulus: Optional[int] = None) -> int:
         """The number of values resolve would give, computed without building them;
-        a geometric grid whose largest value exceeds MAX_VALUE_BITS raises BudgetError."""
+        a geometric grid whose values may hold more than MAX_GRID_BITS bits in all
+        raises BudgetError."""
         if self.kind == "range":
             if self.step == 0:
                 raise InputError("grid range step must be nonzero")
             return max(0, -((self.lo - self.hi) // self.step))
         if self.kind == "geometric" and self.base >= 2 and self.count > 1:
-            # base^(count-1) has at least (count-1)(bits(base)-1) + 1 bits, and
-            # below that bound it has fewer than 2·MAX_VALUE_BITS, cheap to build
-            low = (self.count - 1) * (self.base.bit_length() - 1)
-            if low >= MAX_VALUE_BITS or (self.base ** (self.count - 1)).bit_length() > MAX_VALUE_BITS:
+            # base^i has at most i·bits(base) bits, and base^0 one bit
+            if self.base.bit_length() * self.count * (self.count - 1) // 2 + self.count > MAX_GRID_BITS:
                 raise BudgetError(
-                    f"geometric grid {self.base}^{self.count - 1} exceeds {MAX_VALUE_BITS} bits"
+                    f"geometric grid geom:{self.base}:{self.count} may hold more than {MAX_GRID_BITS} bits"
                 )
         if self.kind in ("geometric", "random"):
             return max(0, self.count)

@@ -259,6 +259,7 @@ MALFORMED_ARGUMENTS = {
         "--seed", "1",
     ),
     "size-not-int": ("scan", "--family", "cyclic", "--sizes", "8,a,16"),
+    "scan-no-family": ("scan", "--sizes", "8,16,32"),
     "interval-no-points": ("certify", "--interval", "10:0", "--seed", "1"),
     "box-no-side": ("certify", "--box", "5:0", "--seed", "1"),
     "epsilon-not-rational": ("certify", "--identity", "5", "--epsilon", "abc"),
@@ -464,3 +465,123 @@ class TestScan:
     def test_too_few_sizes_exit_3(self):
         res = run_cli("scan", "--family", "cyclic", "--sizes", "8,16")
         assert res.returncode == 3
+
+
+# --- the parser: each subcommand accepts exactly the flags it reads ----------
+
+GOLDEN_REL3 = os.path.join(os.path.dirname(__file__), "golden", "cylindrical-4-n12-seed5.rel3.json")
+ACCEPTED_FLAG_COUNTS = {"count": 12, "derive-g": 11, "certify": 16, "cutting": 10, "pipeline3": 13, "scan": 11}
+# an argv each subcommand runs to exit 0, and the flags it does not read
+RUNNABLE = {
+    "count": ("count", "--family", "cyclic", "--n", "5"),
+    "derive-g": ("derive-g", "--family", "cyclic", "--n", "4"),
+    "certify": ("certify", "--pg", "7"),
+    "cutting": ("cutting", "--interval", "40:120", "--seed", "3"),
+    "pipeline3": ("pipeline3", "--family", "cyclic", "--n", "4"),
+    "scan": ("scan", "--family", "cyclic", "--sizes", "8,16,32"),
+}
+TERNARY_ONLY = ("--budget-cells", "--expr", "--grid-x", "--grid-y", "--grid-z", "--family", "--twists", "--n")
+UNREAD = {
+    "count": ("--threshold",),
+    "derive-g": ("--format", "--threshold"),
+    "certify": ("--threshold", *TERNARY_ONLY),
+    "cutting": ("--threshold", *TERNARY_ONLY),
+    "pipeline3": ("--format",),
+    "scan": ("--threshold", "--rel", "--n"),
+}
+# a value each unread flag would take where it is read
+VALUES = {
+    "--threshold": "2", "--format": "json", "--budget-cells": "10", "--expr": "x + y = z",
+    "--grid-x": "fullmod", "--grid-y": "fullmod", "--grid-z": "fullmod", "--family": "cyclic",
+    "--twists": "seeded", "--n": "8", "--rel": GOLDEN_REL3,
+}
+
+
+def test_accepted_flag_counts():
+    parser = cli.build_parser()
+    counts = {name: len(vars(parser.parse_args([name]))) - 1 for name in cli.COMMANDS}  # - "command"
+    assert counts == ACCEPTED_FLAG_COUNTS
+    assert sum(counts.values()) == 73
+
+
+def test_cutting_offers_no_none_cutter(capsys):
+    assert cli.main([*RUNNABLE["cutting"], "--cutter", "none"]) == 3
+    assert "invalid choice: 'none' (choose from 'auto', 'interval', 'box', 'greedy')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in UNREAD.items() for f in flags])
+def test_unread_flag_exit_3(capsys, command, flag):
+    assert cli.main([*RUNNABLE[command], flag, VALUES[flag]]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("certify", "--r"), ("certify", "--s"), ("certify", "--t"), ("certify", "--D"), ("count", "--n"),
+     ("pipeline3", "--k"), ("certify", "--leaf-size"), ("count", "--budget-cells"),
+     ("pipeline3", "--threshold"), ("count", "--seed")],
+)
+def test_malformed_typed_flag_exit_3(capsys, command, flag):
+    assert cli.main([*RUNNABLE[command], flag, "abc"]) == 3
+    assert f"input error: argument {flag}: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "--family", "cyclic", "--n", "5", "--bogus"), "unrecognized arguments: --bogus"),
+        (("counts", "--family", "cyclic"), "invalid choice: 'counts'"),
+        ((), "the following arguments are required: command"),
+    ],
+)
+def test_malformed_command_line_exit_3(capsys, argv, message):
+    assert cli.main(list(argv)) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_parser_error_in_a_process_exit_3():
+    res = run_cli("certify", "--pg", "7", "--r", "abc")
+    assert res.returncode == 3
+    assert res.stderr == "expd: input error: argument --r: invalid int value: 'abc'\n"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", [None, *RUNNABLE])
+def test_help_exit_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: expd {command or ''}".rstrip())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--rel", GOLDEN_REL3, "--family", "cyclic", "--n", "5"),
+        ("pipeline3", "--rel", GOLDEN_REL3, "--expr", "x + y = z mod 7"),
+        ("certify", "--pg", "7", "--identity", "5"),
+        ("cutting", "--rel", "f.json", "--box", "48:16", "--seed", "5"),
+        ("count", "--family", "cyclic", "--n", "5", "--expr", "y = z", "--grid-y", "list:1", "--grid-z", "list:1"),
+        ("scan", "--family", "cyclic", "--expr", "x + y = z", "--sizes", "8,16,32"),
+    ],
+)
+def test_second_instance_source_exit_3(capsys, argv):
+    assert cli.main(list(argv)) == 3
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("count", "--rel", GOLDEN_REL3), GOLDEN_REL3),
+        (("count", "--family", "dsl", "--expr", "x + y = z", "--n", "4"), "dsl"),
+        (("certify", "--identity", "5"), "identity:5"),
+        (("certify", "--interval", "40:120", "--seed", "3"), "interval:40:120"),
+        (("cutting", "--identity", "16"), "greedy:"),
+        (("cutting", "--interval", "40:120", "--seed", "3", "--cutter", "greedy"), "greedy:40:120"),
+    ],
+)
+def test_instance_named_by_its_source(capsys, argv, name):
+    cli.main(list(argv))
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[0] == name

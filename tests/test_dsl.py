@@ -5,7 +5,7 @@ import random
 import pytest
 
 from expd import GridSpec, InputError, instantiate2, instantiate3, parse, parse_grid, to_text
-from expd.dsl import BINARY_VARS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _solved, _tokenize
+from expd.dsl import BINARY_VARS, MAX_GRID_BITS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _solved, _tokenize
 from expd.errors import BudgetError, SyntaxError_
 
 
@@ -179,10 +179,14 @@ class TestGridBudget:
         assert GridSpec.range_(0, 10**30).size() == 10**30  # no OverflowError
 
     def test_geometric_bit_cap(self):
-        # the largest value base^(count-1) may have MAX_VALUE_BITS bits, no more
-        assert GridSpec.geometric(2, MAX_VALUE_BITS).size() == MAX_VALUE_BITS
-        assert GridSpec.geometric(3, 41349).size() == 41349  # 3^41348: 65,536 bits
-        for base, count in ((2, MAX_VALUE_BITS + 1), (3, 41350), (2**100, 700), (2, 10**6)):
+        # bits(base)·count·(count-1)/2 + count, a bound on the grid's total bits,
+        # may reach MAX_GRID_BITS, no more: geom:2:4096 and geom:3:4096 sit on it
+        for base in (2, 3):
+            grid = GridSpec.geometric(base, 4096)
+            assert grid.size() == 4096
+            assert sum(value.bit_length() for value in grid.resolve()) <= MAX_GRID_BITS
+        refused = ((2, 4097), (3, 4097), (2, 16384), (2, 65536), (3, 41349))
+        for base, count in (*refused, (2, MAX_VALUE_BITS + 1), (3, 41350), (2**100, 700), (2, 10**6)):
             with pytest.raises(BudgetError, match="geometric grid"):
                 GridSpec.geometric(base, count).size()
 
