@@ -20,8 +20,8 @@ instance is one of --rel FILE, --pg Q, --identity N, --interval COUNT:POINTS
 or --box COUNT:GRIDSIDE.
 
 Exit codes: 0 all checks passed, 2 a checked inequality failed, 3 input
-error (a malformed or unknown flag, a flag the subcommand does not read, a
-second instance source), 4 budget exceeded.
+error (a malformed or unknown flag, an abbreviated flag, a flag the
+subcommand does not read, a second instance source), 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ def cmd_cutting(args) -> int:
     instance, rel = _load_rel2(args)
     a = Subset.full(rel.u)
     kind, cutter = _pick_cutter(args)
-    if not args.rel:  # a generated instance is named by its cutter and its spec
-        instance = f"{kind}:{args.interval or args.box or ''}"
+    if not args.rel:  # a generated instance is named by its cutter and its source
+        instance = f"{kind}:{args.interval or args.box or instance}"
     cover = cutter(rel, a, args.r)
     if cover is None:
         sys.stdout.write("cutting: constructor returned failure\n")
@@ -382,10 +382,12 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="expd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(
+        prog="expd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, flags in SUBCOMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         sources = p.add_mutually_exclusive_group() if "--pg" in flags else p
         for flag in flags:
             kwargs = FLAGS[flag]

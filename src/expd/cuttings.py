@@ -127,12 +127,12 @@ def verify_cutting(
 
 
 def _fiber_interval(fiber: int) -> Optional[tuple[int, int]]:
-    """(lo, hi) if the fiber is one contiguous run of points, None if empty."""
+    """The half-open span (lo, hi) of a fiber that is one contiguous run of
+    points, None if the fiber is empty."""
     if fiber == 0:
         return None
-    lo = (fiber & -fiber).bit_length() - 1
-    hi = fiber.bit_length() - 1
-    if fiber != ((1 << (hi - lo + 1)) - 1) << lo:
+    lo, hi = (fiber & -fiber).bit_length() - 1, fiber.bit_length()
+    if fiber != ((1 << (hi - lo)) - 1) << lo:
         raise FamilyError("fiber is not a contiguous run of the ordered points")
     return lo, hi
 
@@ -162,6 +162,20 @@ def _blocks_by_transition_weight(
     return blocks
 
 
+def _transition_cuts(k: int, spans, n_fib: int, r_scaled: int) -> list[int]:
+    """Boundaries of greedy blocks of the ordered positions 0..k-1 whose
+    interior transition weight is capped at n_fib / r_scaled; spans are the
+    fibers' half-open extents."""
+    weights = [0] * max(0, k - 1)
+    for lo, hi in spans:
+        if lo > 0:
+            weights[lo - 1] += 1
+        if hi < k:
+            weights[hi - 1] += 1
+    blocks = _blocks_by_transition_weight(k, weights, n_fib, r_scaled)
+    return [lo for lo, _ in blocks] + [k]
+
+
 def interval_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
     """Cover for contiguous fibers: <= 2r consecutive blocks, crossing <= |A|/r.
 
@@ -174,22 +188,9 @@ def interval_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
         raise InputError("interval_cutting: A must be a subset of the left universe")
     if r < 1:
         raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
-    n_points = rel.v.size
-    n_fib = a.cardinality()
-    weights = [0] * max(0, n_points - 1)
-    for i in a.members():
-        iv = _fiber_interval(rel.rows[i])
-        if iv is None:
-            continue
-        lo, hi = iv
-        if lo > 0:
-            weights[lo - 1] += 1
-        if hi < n_points - 1:
-            weights[hi] += 1
-    blocks = _blocks_by_transition_weight(n_points, weights, n_fib, r)
-    cells = tuple(
-        Subset(rel.v, ((1 << (hi - lo + 1)) - 1) << lo) for lo, hi in blocks
-    )
+    spans = filter(None, (_fiber_interval(rel.rows[i]) for i in a.members()))
+    cuts = _transition_cuts(rel.v.size, spans, a.cardinality(), r)
+    cells = tuple(Subset(rel.v, ((1 << (hi - lo)) - 1) << lo) for lo, hi in zip(cuts, cuts[1:]))
     return CuttingCover(cells=cells, r=r, claimed_exponent=1)
 
 
@@ -302,19 +303,6 @@ def _equal_cuts(k: int, groups: int) -> list[int]:
     """Boundaries of <= groups consecutive near-equal chunks of k ranks."""
     groups = max(1, min(groups, k))
     return [c * k // groups for c in range(groups + 1)]
-
-
-def _transition_cuts(k: int, spans, n_fib: int, r_scaled: int) -> list[int]:
-    """Boundaries of greedy rank blocks whose interior transition weight is
-    capped at n_fib / r_scaled; spans are the half-open rank extents."""
-    weights = [0] * max(0, k - 1)
-    for lo, hi in spans:
-        if lo > 0:
-            weights[lo - 1] += 1
-        if hi < k:
-            weights[hi - 1] += 1
-    blocks = _blocks_by_transition_weight(k, weights, n_fib, r_scaled)
-    return [lo for lo, _ in blocks] + [k]
 
 
 def box_grid_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:

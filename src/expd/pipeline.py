@@ -32,7 +32,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product, repeat, starmap
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .dsl import GridSpec, _compile, _solved, instantiate3, parse, parse_grid
 from .errors import CapacityError, InputError, ParameterError
@@ -42,6 +42,7 @@ from .relations import (
     FiniteRelation3,
     Subset,
     Universe,
+    _cells,
     _grid_counts_by_x,
     _iter_bits,
     build_relation3,
@@ -119,12 +120,9 @@ def cylindrical_witness(
     two, scanning axes 1, 2, 3 in order; None when every split is K_{k,k}-free."""
     if k < 2:
         raise ParameterError(f"cylindrical witness needs k >= 2, got {k}")
-    sizes = (rel.x.size, rel.y.size, rel.z.size)
-    product = sizes[0] * sizes[1] * sizes[2]
+    product = _cells(rel.x.size, rel.y.size, rel.z.size)
     if product > budget_cells:
-        raise CapacityError(
-            f"flattened axis relations need {product} cells; budget is {budget_cells}"
-        )
+        raise CapacityError(f"flattened axis relations need {product} cells; budget is {budget_cells}")
     for axis in (1, 2, 3):
         flat = _axis_flatten(rel, axis)
         witness = find_kst(flat, k, k)
@@ -136,65 +134,68 @@ def cylindrical_witness(
 # --- the derived pair relation -------------------------------------------------
 
 
-def derive_g(rel: FiniteRelation3, budget_cells: int = DEFAULT_BUDGET_CELLS) -> FiniteRelation2:
-    """Materialize G over Y² x Z² (row-major pair indices) by grouping on x."""
-    ny, nz = rel.y.size, rel.z.size
-    py, pz = ny * ny, nz * nz
-    if py > budget_cells or pz > budget_cells or py * pz > budget_cells:
-        raise CapacityError(
-            f"pair relation needs {py} x {pz} cells; budget is {budget_cells}"
-        )
-    rows = [0] * py
-    for entries in rel.group_by_x().values():
-        for j, k in entries:
-            base_y = j * ny
-            base_z = k * nz
-            for j2, k2 in entries:
-                rows[base_y + j2] |= 1 << (base_z + k2)
-    return FiniteRelation2(pair_universe(rel.y), pair_universe(rel.z), rows)
-
-
-def _union_sizes(rows_by_x: dict[int, dict[int, int]], xs: int) -> list[int]:
-    """Popcounts of the per-key unions of rows_by_x[x] over the x in bit set xs."""
+def _union(rows: list[dict[int, int]], xs: int) -> dict[int, int]:
+    """The per-key unions of rows[t] over the run ordinals t in bit set xs."""
     merged: dict[int, int] = {}
-    for x in _iter_bits(xs):
-        for key, mask in rows_by_x[x].items():
+    for t in _iter_bits(xs):
+        for key, mask in rows[t].items():
             merged[key] = merged.get(key, 0) | mask
-    return [mask.bit_count() for mask in merged.values()]
+    return merged
+
+
+def _g_fibers(rel: FiniteRelation3, bbits: int, cbits: int) -> Iterator[tuple[list, dict, dict]]:
+    """The one walk of F that G is read from, restricted to X×B×C: for each
+    distinct x-set X_yz = {x : (x,y,z) ∈ F}, its (y,z) pairs, its merged
+    (y,y',z) fibers {y': ∪_{x∈X_yz} F_{x,y'} as a Z mask} and its merged
+    (z,z',y) fibers {z': ∪_{x∈X_yz} F_{x,·,z'} as a Y mask}.  An x-set is a
+    mask over x-run ordinals, so it has at most |F| bits whatever |X| is."""
+    keys, nz, nyz = rel.keys, rel.z.size, rel.y.size * rel.z.size
+    z_rows, y_rows, x_sets = [], [], {}  # per x-run {y': Z mask}, {z': Y mask}; (y,z) -> X_yz
+    for t, (_, lo, hi) in enumerate(rel.x_runs()):
+        z_rows.append(by_y := {})
+        y_rows.append(by_z := {})
+        for j, k in (divmod(key % nyz, nz) for key in keys[lo:hi]):
+            if bbits >> j & 1 and cbits >> k & 1:
+                by_y[j] = by_y.get(j, 0) | 1 << k
+                by_z[k] = by_z.get(k, 0) | 1 << j
+                x_sets[(j, k)] = x_sets.get((j, k), 0) | 1 << t
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for yz, xs in x_sets.items():
+        classes.setdefault(xs, []).append(yz)
+    for xs, pairs in classes.items():
+        yield pairs, _union(z_rows, xs), _union(y_rows, xs)
+
+
+def derive_g(rel: FiniteRelation3, budget_cells: int = DEFAULT_BUDGET_CELLS) -> FiniteRelation2:
+    """Materialize G over Y² x Z² (row-major pair indices) from the G kernel."""
+    ny, nz = rel.y.size, rel.z.size
+    if _cells(ny * ny, nz * nz) > budget_cells:
+        raise CapacityError(f"pair relation needs {ny * ny} x {nz * nz} cells; budget is {budget_cells}")
+    rows = [0] * (ny * ny)
+    for pairs, zz, _ in _g_fibers(rel, (1 << ny) - 1, (1 << nz) - 1):
+        for j, k in pairs:
+            base, shift = j * ny, k * nz
+            for j2, mask in zz.items():
+                rows[base + j2] |= mask << shift
+    return FiniteRelation2(pair_universe(rel.y), pair_universe(rel.z), rows)
 
 
 def g_edge_count(
     rel: FiniteRelation3, b: Optional[Subset] = None, c: Optional[Subset] = None
 ) -> tuple[int, int, int]:
-    """(|G ∩ B²×C²|, max (y,y',z) fiber, max (z,z',y) fiber), without enumerating G.
-
-    B and C default to all of Y and Z.  Restricting F to X×B×C first restricts
-    G to B²×C².  With X_yz = {x : (x,y,z) ∈ F}, the (y,y',z) fiber of G is
-    ∪_{x∈X_yz} F_{x,y'} ⊆ Z and the (z,z',y) fiber is ∪_{x∈X_yz} F_{x,·,z'} ⊆ Y,
-    so |G| = Σ_{(y,z)} Σ_{y'} |∪_{x∈X_yz} F_{x,y'}|.  The unions depend on
-    (y,z) only through the x-set X_yz, so each distinct x-set is merged once.
-    """
+    """(|G ∩ B²×C²|, max (y,y',z) fiber, max (z,z',y) fiber), read from the G
+    kernel without enumerating G.  B and C default to all of Y and Z;
+    restricting F to X×B×C restricts G to B²×C²."""
     if (b is not None and b.universe != rel.y) or (c is not None and c.universe != rel.z):
         raise InputError("g_edge_count: subsets must match the relation's universes")
     bbits = (1 << rel.y.size) - 1 if b is None else b.bits
     cbits = (1 << rel.z.size) - 1 if c is None else c.bits
-    z_rows: dict[int, dict[int, int]] = {}  # x -> {y': F_{x,y'} as a Z mask}
-    y_rows: dict[int, dict[int, int]] = {}  # x -> {z': F_{x,·,z'} as a Y mask}
-    x_sets: dict[tuple[int, int], int] = {}  # (y, z) -> X_yz as an X mask
-    for i, entries in rel.group_by_x().items():
-        for j, k in entries:
-            if bbits >> j & 1 and cbits >> k & 1:
-                by_y = z_rows.setdefault(i, {})
-                by_y[j] = by_y.get(j, 0) | 1 << k
-                by_z = y_rows.setdefault(i, {})
-                by_z[k] = by_z.get(k, 0) | 1 << j
-                x_sets[(j, k)] = x_sets.get((j, k), 0) | 1 << i
     count = max_zz = max_yy = 0
-    for xs, times in Counter(x_sets.values()).items():
-        zz = _union_sizes(z_rows, xs)
-        count += times * sum(zz)
-        max_zz = max(max_zz, max(zz))
-        max_yy = max(max_yy, max(_union_sizes(y_rows, xs)))
+    for pairs, zz, yy in _g_fibers(rel, bbits, cbits):
+        sizes = [mask.bit_count() for mask in zz.values()]
+        count += len(pairs) * sum(sizes)
+        max_zz = max(max_zz, *sizes)
+        max_yy = max(max_yy, *(mask.bit_count() for mask in yy.values()))
     return count, max_zz, max_yy
 
 

@@ -15,6 +15,7 @@ Everything is immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from array import array
 from bisect import bisect_left
@@ -92,6 +93,11 @@ def pair_decode(base_size: int, p: int) -> tuple[int, int]:
     if not 0 <= p < base_size * base_size:
         raise InputError(f"pair index {p} out of range for base size {base_size}")
     return divmod(p, base_size)
+
+
+def _cells(*sizes: int) -> int:
+    """Cells a size cap charges for a product of universes; an empty one counts as one."""
+    return math.prod(max(size, 1) for size in sizes)
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -221,13 +227,6 @@ class FiniteRelation3:
             hi = bisect_left(keys, (i + 1) * nyz, lo)
             yield i, lo, hi
             lo = hi
-
-    def group_by_x(self) -> dict[int, list[tuple[int, int]]]:
-        keys, nyz, nz = self.keys, self.y.size * self.z.size, self.z.size
-        return {
-            i: [divmod(key % nyz, nz) for key in keys[lo:hi]]
-            for i, lo, hi in self.x_runs()
-        }
 
     def __eq__(self, other) -> bool:
         return (
@@ -365,10 +364,9 @@ def relation_from_obj(obj: dict) -> Union[FiniteRelation2, FiniteRelation3]:
         raise InputError(f"{kind} file: {field!r} must be a list")
     us = [_universe_from_obj(o) for o in universes]
     if kind == "rel2":
-        cells = us[0].size * us[1].size
-        if cells > MAX_FILE_CELLS:
+        if _cells(us[0].size, us[1].size) > MAX_FILE_CELLS:
             raise CapacityError(
-                f"rel2 file asks for {us[0].size} x {us[1].size} = {cells} cells; cap is {MAX_FILE_CELLS}"
+                f"rel2 file asks for {us[0].size} x {us[1].size} cells; cap is {MAX_FILE_CELLS}"
             )
         return build_relation2(*us, entries)
     return build_relation3(*us, entries)

@@ -248,6 +248,34 @@ def test_oversized_relation_file_exit_4(tmp_path, name):
     assert "capacity" in res.stderr
 
 
+# An empty universe counts as one cell, so the other universes are still capped.
+ONE_SIDED_RELATIONS = {
+    "certify-rel2-0x1e30": ("certify", "rel2", (0, 10**30)),
+    "cutting-rel2-1e12x0": ("cutting", "rel2", (10**12, 0)),
+    "pipeline3-rel3-0x1e30x1e30": ("pipeline3", "rel3", (0, 10**30, 10**30)),
+    "pipeline3-rel3-3x0x1e12": ("pipeline3", "rel3", (3, 0, 10**12)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SIDED_RELATIONS))
+def test_one_sided_universes_exit_4(tmp_path, capsys, name):
+    command, kind, sizes = ONE_SIDED_RELATIONS[name]
+    src = tmp_path / "one-sided.json"
+    universes = [{"name": f"U{a}", "size": size} for a, size in enumerate(sizes)]
+    src.write_text(json.dumps({"kind": kind, "universes": universes}))
+    assert cli.main([command, "--rel", str(src)]) == 4
+    assert "capacity" in capsys.readouterr().err
+
+
+def test_derive_g_huge_x_universe(tmp_path, capsys):
+    last = 10**15 - 1
+    src = tmp_path / "huge-x.json"
+    universes = [{"name": "X", "size": 10**15}, {"name": "Y", "size": 2}, {"name": "Z", "size": 2}]
+    src.write_text(json.dumps({"kind": "rel3", "universes": universes, "triples": [[last, 0, 0], [last, 1, 1]]}))
+    assert cli.main(["derive-g", "--rel", str(src)]) == 0
+    assert capsys.readouterr().out.endswith("\ng_edges=4 max_zz_fiber=1 max_yy_fiber=1\n")
+
+
 # malformed numbers and generator sizes on the command line
 MALFORMED_ARGUMENTS = {
     "unitmod-not-int": ("scan", "--family", "unitmod:abc"),
@@ -533,6 +561,8 @@ def test_malformed_typed_flag_exit_3(capsys, command, flag):
         (("count", "--family", "cyclic", "--n", "5", "--bogus"), "unrecognized arguments: --bogus"),
         (("counts", "--family", "cyclic"), "invalid choice: 'counts'"),
         ((), "the following arguments are required: command"),
+        (("count", "--family", "cyclic", "--n", "5", "--s", "2"), "unrecognized arguments: --s 2"),
+        (("certify", "--pg", "7", "--lea", "8"), "unrecognized arguments: --lea 8"),
     ],
 )
 def test_malformed_command_line_exit_3(capsys, argv, message):
@@ -578,7 +608,7 @@ def test_second_instance_source_exit_3(capsys, argv):
         (("count", "--family", "dsl", "--expr", "x + y = z", "--n", "4"), "dsl"),
         (("certify", "--identity", "5"), "identity:5"),
         (("certify", "--interval", "40:120", "--seed", "3"), "interval:40:120"),
-        (("cutting", "--identity", "16"), "greedy:"),
+        (("cutting", "--identity", "16"), "greedy:identity:16"),
         (("cutting", "--interval", "40:120", "--seed", "3", "--cutter", "greedy"), "greedy:40:120"),
     ],
 )

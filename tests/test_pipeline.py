@@ -251,20 +251,39 @@ class TestDeriveG:
         assert g.rows[pair_encode(3, 1, 1)] == 1 << pair_encode(3, 2, 2)
 
     def test_matches_quadruple_oracle_fuzz(self):
+        # TestGKernel's input mix: empty, dense and degree-bounded relations
         rng = random.Random(37)
-        for _ in range(15):
+        shared_x_sets = 0
+        for trial in range(60):
             sizes = tuple(rng.randint(1, 6) for _ in range(3))
-            triples = {
-                tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(0, 25))
-            }
-            rel = build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), sorted(triples))
+            if trial < 5:
+                rel = build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), [])
+            elif trial % 2:
+                triples = {
+                    tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(1, 80))
+                }
+                rel = build_relation3(
+                    u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), sorted(triples)
+                )
+            else:
+                rel = random_delta_algebraic(rng, sizes, rng.randint(1, 3))
+            shared_x_sets += any(n > 1 for n in Counter(t[1:] for t in rel.triples).values())
             g = derive_g(rel)
-            assert g_edges_as_quadruples(g, sizes[1], sizes[2]) == brute_g_quadruples(rel)
+            assert g_edges_as_quadruples(g, sizes[1], sizes[2]) == brute_g_quadruples(rel), trial
+            assert g.edge_count == g_edge_count(rel)[0], trial
+        assert shared_x_sets >= 10  # some (y,z) lies over two or more x
 
     def test_capacity_error(self):
         rel = mod_sum_relation(5)
         with pytest.raises(CapacityError):
             derive_g(rel, budget_cells=100)
+
+    def test_huge_x_universe(self):
+        # x-sets are masks over the x-runs of F, so |X| = 10^15 costs nothing
+        last = 10**15 - 1
+        rel = build_relation3(u(10**15, "X"), u(2, "Y"), u(2, "Z"), [(last, 0, 0), (last, 1, 1)])
+        assert derive_g(rel).edge_count == 4
+        assert g_edge_count(rel) == (4, 1, 1)
 
 
 class TestGKernel:
