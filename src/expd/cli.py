@@ -109,25 +109,25 @@ def _family_from_args(args) -> pipeline.RelationFamily:
     if args.twists == "seeded":
         seed = _require_seed(args)
         twists = (("seeded", seed), ("seeded", seed + 1), ("seeded", seed + 2))
+    # each family builder reads only the spec fields of its kind
+    common = dict(twists=twists, seed=args.seed or 0, budget_cells=args.budget_cells)
     if spec_text == "cyclic":
-        spec = pipeline.FamilySpec(kind="group_like", group=("cyclic", None), twists=twists)
+        spec = pipeline.FamilySpec(kind="group_like", group=("cyclic", None), **common)
     elif spec_text.startswith("unitmod:"):
         p = _int(spec_text.split(":", 1)[1], "--family unitmod:P")
-        spec = pipeline.FamilySpec(kind="group_like", group=("unit_group_mod", p), twists=twists)
+        spec = pipeline.FamilySpec(kind="group_like", group=("unit_group_mod", p), **common)
     elif spec_text == "cylindrical" or spec_text.startswith("cylindrical:"):
         block = None
         if ":" in spec_text:
             block = _int(spec_text.split(":", 1)[1], "--family cylindrical:K")
-        spec = pipeline.FamilySpec(kind="cylindrical", block=block, seed=args.seed or 0)
+        spec = pipeline.FamilySpec(kind="cylindrical", block=block, **common)
     elif spec_text in ("dsl", "topz"):
         if not args.expr:
             raise InputError(f"--family {spec_text} needs --expr")
         if spec_text == "topz":
-            return pipeline.top_frequent_family(args.expr)
+            return pipeline.top_frequent_family(args.expr, args.budget_cells)
         grids = tuple(grid or "range:0:{n}:1" for grid in (args.grid_x, args.grid_y, args.grid_z))
-        spec = pipeline.FamilySpec(
-            kind="dsl", expr=args.expr, grids=grids, seed=args.seed or 0, budget_cells=args.budget_cells
-        )
+        spec = pipeline.FamilySpec(kind="dsl", expr=args.expr, grids=grids, **common)
     else:
         raise InputError(f"unknown family {spec_text!r}")
     return pipeline.make_family(spec)
@@ -143,7 +143,7 @@ def _rel3_from_args(args) -> tuple[str, FiniteRelation3]:
             raise InputError(f"{args.rel} does not hold a ternary relation")
         return args.rel, rel
     if args.family:
-        if not args.n:
+        if args.n is None:
             raise InputError("--family needs --n SIZE")
         return args.family, _family_from_args(args).build(args.n).rel
     if args.expr:

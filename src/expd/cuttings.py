@@ -6,11 +6,12 @@ is crossed by at most |A|/r of the fibers {E_a : a ∈ A}.  A family admits
 cuttings with exponent D when covers of <= c * r^D cells exist for every r;
 the constant c is family-dependent and reported empirically (fitted_c).
 
-A cover carries only its cells, r and the claimed exponent; constructors
-never self-certify.  verify_cutting is the one place crossings are counted:
-it returns, per cell, the set of fibers of A that cross it, and reads the
-maximum crossing, validity and the first failure from those sets.  The
-certified counter recurses on the same sets.
+A cover carries only its cells, as bit masks over V, and the claimed
+exponent; constructors never self-certify.  verify_cutting checks the cells
+against V and is the one place crossings are counted: it returns, per cell,
+the set of fibers of A that cross it, and reads the maximum crossing,
+validity and the first failure from those sets.  The certified counter
+recurses on the same sets.
 
 Two structural facts do the heavy lifting here:
   * singleton cells are never crossed (E_a ∩ {v} != ∅ forces {v} ⊆ E_a);
@@ -61,11 +62,10 @@ def crosses(fiber_bits: int, cell_bits: int) -> bool:
 
 @dataclass(frozen=True)
 class CuttingCover:
-    """Cells over V in a fixed order: a certificate assigns each point of B
-    to the first cell that holds it."""
+    """Cells over V in a fixed order, each a bit mask over V: a certificate
+    assigns each point of B to the first cell that holds it."""
 
-    cells: tuple[Subset, ...]
-    r: int
+    cells: tuple[int, ...]
     claimed_exponent: int
 
 
@@ -82,14 +82,18 @@ class CuttingReport:
     failure: Optional[str] = None
 
 
+def _check_cut(rel: FiniteRelation2, a: Subset, r: int, who: str) -> None:
+    if a.universe != rel.u:
+        raise InputError(f"{who}: A must be a subset of the relation's left universe")
+    if r < 1:
+        raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
+
+
 def verify_cutting(
     rel: FiniteRelation2, a: Subset, r: int, cover: CuttingCover
 ) -> CuttingReport:
     """Recompute coverage and every cell's crossing set; valid iff both caps hold."""
-    if a.universe != rel.u:
-        raise InputError("verify_cutting: A must be a subset of the relation's left universe")
-    if r < 1:
-        raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
+    _check_cut(rel, a, r, "verify_cutting")
     fibers = [(1 << i, rel.rows[i]) for i in a.members()]
     n_fib = len(fibers)
     union = 0
@@ -97,12 +101,12 @@ def verify_cutting(
     failure = None
     crossing_sets = []
     for idx, cell in enumerate(cover.cells):
-        if cell.universe != rel.v:
+        if cell < 0 or cell >> rel.v.size:
             raise InputError(f"verify_cutting: cell {idx} is not a subset of V")
-        union |= cell.bits
+        union |= cell
         crossing_set = 0
         for bit, fiber in fibers:
-            if crosses(fiber, cell.bits):
+            if crosses(fiber, cell):
                 crossing_set |= bit
         crossing_sets.append(crossing_set)
         crossing = crossing_set.bit_count()
@@ -184,14 +188,11 @@ def interval_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
     so blocks assembled greedily under an interior-weight cap of |A|/r stay
     within the cap, and at most 2r blocks are ever produced.
     """
-    if a.universe != rel.u:
-        raise InputError("interval_cutting: A must be a subset of the left universe")
-    if r < 1:
-        raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
+    _check_cut(rel, a, r, "interval_cutting")
     spans = filter(None, (_fiber_interval(rel.rows[i]) for i in a.members()))
     cuts = _transition_cuts(rel.v.size, spans, a.cardinality(), r)
-    cells = tuple(Subset(rel.v, ((1 << (hi - lo)) - 1) << lo) for lo, hi in zip(cuts, cuts[1:]))
-    return CuttingCover(cells=cells, r=r, claimed_exponent=1)
+    cells = tuple(((1 << (hi - lo)) - 1) << lo for lo, hi in zip(cuts, cuts[1:]))
+    return CuttingCover(cells=cells, claimed_exponent=1)
 
 
 # --- rectangle fibers over planar points (exponent 2) -----------------------
@@ -265,9 +266,7 @@ class _RankPlane:
             boxes.append((box, fiber))
         return boxes
 
-    def grid_cover(
-        self, rel: FiniteRelation2, r: int, boxes, x_cuts: list[int], y_cuts: list[int], cap: int
-    ) -> Optional[CuttingCover]:
+    def grid_cover(self, boxes, x_cuts: list[int], y_cuts: list[int], cap: int) -> Optional[CuttingCover]:
         """The non-empty cells of the rank grid, column by column, or None
         once a crossing count exceeds cap.  The counts serve only this early
         exit; verify_cutting counts the crossings of the returned cover.
@@ -292,11 +291,8 @@ class _RankPlane:
                         column_counts[cy] += 1
                         if column_counts[cy] > cap:
                             return None
-        return CuttingCover(
-            cells=tuple(Subset(rel.v, bits) for column in cells for bits in column if bits),
-            r=r,
-            claimed_exponent=2,
-        )
+        nonempty = tuple(bits for column in cells for bits in column if bits)
+        return CuttingCover(cells=nonempty, claimed_exponent=2)
 
 
 def _equal_cuts(k: int, groups: int) -> list[int]:
@@ -314,22 +310,19 @@ def box_grid_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
     (interior weight <= |A|/2r per column and per row), which meet the cap by
     construction at <= 4r x 4r cells.
     """
-    if a.universe != rel.u:
-        raise InputError("box_grid_cutting: A must be a subset of the left universe")
-    if r < 1:
-        raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
+    _check_cut(rel, a, r, "box_grid_cutting")
     plane = _RankPlane(_planar_points(rel))
     boxes = plane.fiber_boxes(rel, a)
     n_fib = a.cardinality()
     for g in range(1, math.isqrt(8 * r * r) + 1):
         x_cuts, y_cuts = _equal_cuts(plane.kx, g), _equal_cuts(plane.ky, g)
-        cover = plane.grid_cover(rel, r, boxes, x_cuts, y_cuts, n_fib // r)
+        cover = plane.grid_cover(boxes, x_cuts, y_cuts, n_fib // r)
         if cover is not None:
             return cover
     x_cuts = _transition_cuts(plane.kx, [box[:2] for box, _ in boxes], n_fib, 2 * r)
     y_cuts = _transition_cuts(plane.ky, [box[2:] for box, _ in boxes], n_fib, 2 * r)
     # a fiber crosses a cell at most once, so no count can exceed n_fib
-    return plane.grid_cover(rel, r, boxes, x_cuts, y_cuts, n_fib)
+    return plane.grid_cover(boxes, x_cuts, y_cuts, n_fib)
 
 
 # --- generic best-effort provider -------------------------------------------
@@ -346,10 +339,7 @@ def greedy_cutting(rel: FiniteRelation2, a: Subset, r: int) -> Optional[CuttingC
     over |A|/r.  Returns None when more than 4r cells would still be needed.
     The claimed exponent is 1.
     """
-    if a.universe != rel.u:
-        raise InputError("greedy_cutting: A must be a subset of the left universe")
-    if r < 1:
-        raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
+    _check_cut(rel, a, r, "greedy_cutting")
     max_cells = 4 * r
     n_points = rel.v.size
     a_list = sorted(a.members())
@@ -358,24 +348,19 @@ def greedy_cutting(rel: FiniteRelation2, a: Subset, r: int) -> Optional[CuttingC
     for pos, i in enumerate(a_list):
         for v in _iter_bits(rel.rows[i]):
             sig[v] |= 1 << pos
-    classes: dict[int, int] = {}
-    first_seen: dict[int, int] = {}
+    classes: dict[int, int] = {}  # filled as v ascends: in order of first point
     for v in range(n_points):
-        s = sig[v]
-        classes[s] = classes.get(s, 0) | 1 << v
-        first_seen.setdefault(s, v)
-    ordered = sorted(classes.items(), key=lambda kv: first_seen[kv[0]])
+        classes[sig[v]] = classes.get(sig[v], 0) | 1 << v
     full_mask = (1 << n_fib) - 1
 
-    if len(ordered) <= max_cells:
-        atoms = tuple(Subset(rel.v, bits) for _, bits in ordered)
-        return CuttingCover(cells=atoms, r=r, claimed_exponent=1)
+    if len(classes) <= max_cells:
+        return CuttingCover(cells=tuple(classes.values()), claimed_exponent=1)
 
     cells: list[int] = []
     cur_bits = 0
     cur_in = full_mask  # fibers containing every class merged so far
     cur_out = full_mask  # fibers disjoint from every class merged so far
-    for s, bits in ordered:
+    for s, bits in classes.items():
         new_in = cur_in & s
         new_out = cur_out & ~s
         crossing = n_fib - (new_in | new_out).bit_count()
@@ -389,4 +374,4 @@ def greedy_cutting(rel: FiniteRelation2, a: Subset, r: int) -> Optional[CuttingC
         cells.append(cur_bits)
     if len(cells) > max_cells:
         return None
-    return CuttingCover(cells=tuple(Subset(rel.v, bits) for bits in cells), r=r, claimed_exponent=1)
+    return CuttingCover(cells=tuple(cells), claimed_exponent=1)

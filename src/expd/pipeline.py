@@ -35,7 +35,8 @@ from itertools import product, repeat, starmap
 from typing import Callable, Iterator, Optional
 
 from .dsl import GridSpec, _compile, _solved, instantiate3, parse, parse_grid
-from .errors import CapacityError, InputError, ParameterError
+from .errors import BudgetError, CapacityError, InputError, ParameterError
+from .instances import is_prime
 from .relations import (
     DEFAULT_BUDGET_CELLS,
     FiniteRelation2,
@@ -276,7 +277,7 @@ class FamilySpec:
     seed: int = 0
     expr: Optional[str] = None
     grids: tuple[str, str, str] = ("range:0:{n}:1", "range:0:{n}:1", "range:0:{n}:1")
-    budget_cells: int = DEFAULT_BUDGET_CELLS  # cap on a dsl grid and its points
+    budget_cells: int = DEFAULT_BUDGET_CELLS  # cap on n², and on a dsl grid and its points
 
 
 @dataclass(frozen=True)
@@ -289,35 +290,35 @@ class FamilyInstance:
 
 @dataclass(frozen=True)
 class RelationFamily:
+    """builder(n) returns the family's relation of size n; build checks n and
+    wraps the relation with full A, B and C."""
+
     name: str
-    builder: Callable[[int], FamilyInstance]
+    builder: Callable[[int], FiniteRelation3]
+    budget_cells: int = DEFAULT_BUDGET_CELLS
 
     def build(self, n: int) -> FamilyInstance:
         if n < 1:
             raise InputError(f"family size must be >= 1, got {n}")
-        return self.builder(n)
+        if n * n > self.budget_cells:  # any family of size n is charged n² cells
+            raise BudgetError(f"family size {n} needs {n * n} cells; budget is {self.budget_cells}")
+        rel = self.builder(n)
+        return FamilyInstance(rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z))
 
 
 def _twist_map(descriptor, size: int, child_seed: int) -> list[int]:
-    """The map index -> group element; must be a bijection onto 0..size-1."""
+    """The map index -> group element, a bijection onto 0..size-1."""
     if descriptor == "identity":
         return list(range(size))
-    if isinstance(descriptor, tuple) and len(descriptor) == 2:
-        tag, payload = descriptor
-        if tag == "seeded":
-            rng = random.Random(int(payload) * 1000003 + child_seed)
-            perm = list(range(size))
-            rng.shuffle(perm)
-            return perm
-        if tag == "perm":
-            perm = list(payload)
-            if sorted(perm) != list(range(size)):
-                raise InputError(f"invalid twist: {payload!r} is not a bijection on 0..{size - 1}")
-            return perm
+    if isinstance(descriptor, tuple) and len(descriptor) == 2 and descriptor[0] == "seeded":
+        rng = random.Random(int(descriptor[1]) * 1000003 + child_seed)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        return perm
     raise InputError(f"unknown twist descriptor {descriptor!r}")
 
 
-def _group_like_instance(spec: FamilySpec, n: int) -> FamilyInstance:
+def _group_like_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     gkind, gparam = spec.group
     if gkind == "cyclic":
         size = n
@@ -330,6 +331,8 @@ def _group_like_instance(spec: FamilySpec, n: int) -> FamilyInstance:
             raise InputError(
                 f"unit_group_mod({p}) family has the single size {p - 1}, got {n}"
             )
+        if not is_prime(p):
+            raise InputError(f"unit_group_mod needs a prime modulus, got {p}")
         size = p - 1
         elements = list(range(1, p))
         def third(e1: int, e2: int) -> int:
@@ -351,52 +354,45 @@ def _group_like_instance(spec: FamilySpec, n: int) -> FamilyInstance:
     ux = Universe("X", size, tuple(elem_of[0]) if gkind == "unit_group_mod" else None)
     uy = Universe("Y", size, tuple(elem_of[1]) if gkind == "unit_group_mod" else None)
     uz = Universe("Z", size, tuple(elem_of[2]) if gkind == "unit_group_mod" else None)
-    rel = build_relation3(ux, uy, uz, triples)
-    return FamilyInstance(rel, Subset.full(ux), Subset.full(uy), Subset.full(uz))
+    return build_relation3(ux, uy, uz, triples)
 
 
-def _cylindrical_instance(spec: FamilySpec, n: int) -> FamilyInstance:
+def _cylindrical_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     k = n if spec.block is None else min(spec.block, n)
     triples = [(i, j, j) for i in range(k) for j in range(k)]
     rng = random.Random(spec.seed * 1000003 + n)
     for _ in range(n):
         triples.append((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
     ux, uy, uz = Universe("X", n), Universe("Y", n), Universe("Z", n)
-    rel = build_relation3(ux, uy, uz, triples)
-    return FamilyInstance(rel, Subset.full(ux), Subset.full(uy), Subset.full(uz))
+    return build_relation3(ux, uy, uz, triples)
 
 
-def _dsl_instance(spec: FamilySpec, n: int) -> FamilyInstance:
+def _dsl_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     expr = parse(spec.expr)
-    grids = [parse_grid(g.format(n=n), seed=spec.seed) for g in spec.grids]
-    rel, _ = instantiate3(expr, *grids, budget_cells=spec.budget_cells)
-    return FamilyInstance(
-        rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z)
-    )
+    grids = [parse_grid(g.replace("{n}", str(n)), seed=spec.seed) for g in spec.grids]
+    return instantiate3(expr, *grids, budget_cells=spec.budget_cells)[0]
 
 
 def make_family(spec: FamilySpec) -> RelationFamily:
     if spec.kind == "group_like":
         if spec.group is None:
             raise InputError("group_like family needs a group")
-        for t in spec.twists:
-            if t != "identity" and not (isinstance(t, tuple) and len(t) == 2):
-                raise InputError(f"unknown twist descriptor {t!r}")
-        name = f"group_like_{spec.group[0]}"
-        return RelationFamily(name, lambda n: _group_like_instance(spec, n))
-    if spec.kind == "cylindrical":
+        name, builder = f"group_like_{spec.group[0]}", _group_like_relation
+    elif spec.kind == "cylindrical":
         if spec.block is not None and spec.block < 1:
             raise InputError(f"cylindrical block side must be >= 1, got {spec.block}")
-        return RelationFamily("cylindrical", lambda n: _cylindrical_instance(spec, n))
-    if spec.kind == "dsl":
+        name, builder = "cylindrical", _cylindrical_relation
+    elif spec.kind == "dsl":
         if spec.expr is None:
             raise InputError("dsl family needs an expression")
         parse(spec.expr)  # fail fast on syntax errors
-        return RelationFamily(f"dsl:{spec.expr}", lambda n: _dsl_instance(spec, n))
-    raise InputError(f"unknown family kind {spec.kind!r}")
+        name, builder = f"dsl:{spec.expr}", _dsl_relation
+    else:
+        raise InputError(f"unknown family kind {spec.kind!r}")
+    return RelationFamily(name, lambda n: builder(spec, n), spec.budget_cells)
 
 
-def top_frequent_family(expr_text: str) -> RelationFamily:
+def top_frequent_family(expr_text: str, budget_cells: int = DEFAULT_BUDGET_CELLS) -> RelationFamily:
     """A = B = {0..n-1}; C = the n most frequent values of the solved side.
 
     The expression must isolate z on one side; ties in the frequency order
@@ -407,7 +403,7 @@ def top_frequent_family(expr_text: str) -> RelationFamily:
     if solved != "z":
         raise InputError("top-frequent family needs an expression solved for z")
 
-    def build(n: int) -> FamilyInstance:
+    def build(n: int) -> FiniteRelation3:
         grid = list(range(n))
         value = _compile(side, ("x", "y"), expr.modulus, {"x": grid, "y": grid})
         counts = Counter(starmap(value, product(grid, repeat=2)))
@@ -419,8 +415,6 @@ def top_frequent_family(expr_text: str) -> RelationFamily:
             GridSpec.range_(0, n),
             GridSpec.explicit(c_values),
         )
-        return FamilyInstance(
-            rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z)
-        )
+        return rel
 
-    return RelationFamily(f"topz:{expr_text}", build)
+    return RelationFamily(f"topz:{expr_text}", build, budget_cells)

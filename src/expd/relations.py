@@ -38,7 +38,8 @@ MAX_KEYS = 1 << 63
 MAX_FILE_CELLS = 10**8
 
 # Default cap on the cells or points one operation may build or evaluate
-# (--budget-cells): pair matrices, flattened axes and DSL grid points.
+# (--budget-cells): pair matrices, flattened axes, DSL grid points, and n²
+# for a family of size n, whatever the family.
 DEFAULT_BUDGET_CELLS = 10**8
 
 

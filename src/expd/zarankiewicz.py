@@ -288,7 +288,7 @@ def certified_count(
         local = 0
         assigned = 0
         for cell, a_i in zip(cover.cells, report.crossing_sets):
-            b_i = cell.bits & b_bits & ~assigned
+            b_i = cell & b_bits & ~assigned
             assigned |= b_i
             if b_i == 0:
                 continue

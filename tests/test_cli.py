@@ -65,6 +65,11 @@ class TestCount:
         assert res.returncode == 0
         assert res.stdout.splitlines()[-1].split(",")[2] == "10"
 
+    def test_zero_family_size_names_its_fault(self):
+        res = run_cli("count", "--family", "cyclic", "--n", "0")
+        assert res.returncode == 3
+        assert res.stderr == "expd: input error: family size must be >= 1, got 0\n"
+
     def test_input_error_exit_3(self):
         res = run_cli("count", "--expr", "x + y = z")  # no grids
         assert res.returncode == 3
@@ -277,8 +282,14 @@ def test_derive_g_huge_x_universe(tmp_path, capsys):
 
 
 # malformed numbers and generator sizes on the command line
+DSL_FAMILY = ("count", "--family", "dsl", "--expr", "x + y = z", "--n", "3", "--grid-x")
 MALFORMED_ARGUMENTS = {
     "unitmod-not-int": ("scan", "--family", "unitmod:abc"),
+    "unitmod-composite-4": ("count", "--family", "unitmod:4", "--n", "3"),
+    "unitmod-composite-9": ("scan", "--family", "unitmod:9", "--sizes", "8,8"),
+    "dsl-grid-positional-field": (*DSL_FAMILY, "list:{0}"),
+    "dsl-grid-unknown-field": (*DSL_FAMILY, "range:0:{m}:1"),
+    "dsl-grid-open-brace": (*DSL_FAMILY, "range:0:{"),
     "cylindrical-not-int": ("scan", "--family", "cylindrical:x"),
     "cylindrical-zero-block": ("scan", "--family", "cylindrical:0", "--sizes", "8,16,32"),
     "cylindrical-negative-block": ("count", "--family", "cylindrical:-3", "--n", "8"),
@@ -300,6 +311,7 @@ def test_malformed_argument_exit_3(name):
     res = run_cli(*MALFORMED_ARGUMENTS[name])
     assert res.returncode == 3, res.stderr
     assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("expd: input error: ") and res.stderr.count("\n") == 1, res.stderr
 
 
 HUGE = "1" * 5000  # over Python's 4300-digit limit for int("...")
@@ -364,6 +376,25 @@ def test_oversized_grid_exit_4_before_building(capsys, argv):
     assert cli.main(list(argv)) == 4
     assert time.perf_counter() - start < 1.0
     assert "budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--family", "cyclic", "--n", "3000"),
+        ("pipeline3", "--family", "cyclic", "--n", "3000"),
+        ("derive-g", "--family", "cyclic", "--n", "3000"),
+        ("count", "--family", "cylindrical", "--n", "3000"),
+        ("scan", "--family", "topz", "--expr", "x^2 + y^3 = z", "--sizes", "3000,6000"),
+    ],
+    ids=["count-cyclic", "pipeline3-cyclic", "derive-g-cyclic", "count-cylindrical", "scan-topz"],
+)
+def test_family_over_budget_exit_4_before_building(capsys, argv):
+    start = time.perf_counter()
+    assert cli.main([*argv, "--budget-cells", "1000"]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == "expd: budget exceeded: family size 3000 needs 9000000 cells; budget is 1000\n"
 
 
 def test_huge_power_mod_m_runs():

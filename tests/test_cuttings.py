@@ -8,6 +8,7 @@ import pytest
 from expd import (
     CuttingCover,
     FamilyError,
+    InputError,
     Subset,
     box_grid_cutting,
     crosses,
@@ -28,9 +29,8 @@ from expd.cuttings import _blocks_by_transition_weight, _planar_points
 from expd.relations import FiniteRelation2, Universe, _iter_bits, build_relation2
 
 
-def cover_from_cells(rel, cells, r, D=1):
-    subs = tuple(Subset.from_indices(rel.v, c) for c in cells)
-    return CuttingCover(cells=subs, r=r, claimed_exponent=D)
+def cover_from_cells(rel, cells, D=1):
+    return CuttingCover(cells=tuple(Subset.from_indices(rel.v, c).bits for c in cells), claimed_exponent=D)
 
 
 class TestCrossingDefinition:
@@ -59,18 +59,18 @@ class TestVerifyCutting:
         # one cell = V; valid iff at most n/r fibers cross V
         rel = interval_incidence([(0, 3), (1, 2), (0, 1), (2, 3)], 4)
         a = Subset.full(rel.u)
-        cover = cover_from_cells(rel, [[0, 1, 2, 3]], r=2)
+        cover = cover_from_cells(rel, [[0, 1, 2, 3]])
         report = verify_cutting(rel, a, 2, cover)
         # fibers (1,2), (0,1), (2,3) cross V; (0,3) contains it
         assert report.max_crossing == 3
         assert not report.valid  # 3 > 4/2
-        report_r1 = verify_cutting(rel, a, 1, cover_from_cells(rel, [[0, 1, 2, 3]], r=1))
+        report_r1 = verify_cutting(rel, a, 1, cover_from_cells(rel, [[0, 1, 2, 3]]))
         assert report_r1.valid
 
     def test_singleton_cells_always_valid(self):
         rel = random_bipartite(3, 10, 12, 60)
         a = Subset.full(rel.u)
-        cover = cover_from_cells(rel, [[j] for j in range(12)], r=10)
+        cover = cover_from_cells(rel, [[j] for j in range(12)])
         report = verify_cutting(rel, a, 10, cover)
         assert report.valid
         assert report.max_crossing == 0
@@ -78,28 +78,35 @@ class TestVerifyCutting:
 
     def test_coverage_violation(self):
         rel = identity_matching(4)
-        cover = cover_from_cells(rel, [[0, 1]], r=2)
+        cover = cover_from_cells(rel, [[0, 1]])
         report = verify_cutting(rel, Subset.full(rel.u), 2, cover)
         assert not report.valid
         assert "cover" in report.failure
 
     def test_cap_violation_reports_first_cell(self):
         rel = interval_incidence([(0, 2), (1, 3), (2, 4), (1, 2)], 6)
-        cover = cover_from_cells(rel, [[1, 2], [0, 3, 4, 5]], r=4)
+        cover = cover_from_cells(rel, [[1, 2], [0, 3, 4, 5]])
         report = verify_cutting(rel, Subset.full(rel.u), 4, cover)
         assert not report.valid
         assert report.failure.startswith("cell ")
 
     def test_fitted_c(self):
         rel = identity_matching(8)
-        cover = cover_from_cells(rel, [[j] for j in range(8)], r=2, D=2)
+        cover = cover_from_cells(rel, [[j] for j in range(8)], D=2)
         report = verify_cutting(rel, Subset.full(rel.u), 2, cover)
         assert report.fitted_c == 8 / 4
+
+    @pytest.mark.parametrize("cell", [1 << 4, 1 << 10, -1], ids=["bit-at-size", "bit-above", "negative"])
+    def test_cell_outside_v_rejected(self, cell):
+        rel = identity_matching(4)
+        cover = CuttingCover(cells=(0b1111, cell), claimed_exponent=1)
+        with pytest.raises(InputError, match="cell 1 is not a subset of V"):
+            verify_cutting(rel, Subset.full(rel.u), 2, cover)
 
 
 def brute_force_crossing_sets(rel, a, cover):
     return [
-        sum(1 << i for i in a.members() if crosses(rel.rows[i], cell.bits)) for cell in cover.cells
+        sum(1 << i for i in a.members() if crosses(rel.rows[i], cell)) for cell in cover.cells
     ]
 
 
@@ -131,7 +138,7 @@ class TestCrossingSets:
                     continue
             else:
                 cells = [rng.getrandbits(rel.v.size) for _ in range(rng.randint(0, 8))]
-                cover = CuttingCover(tuple(Subset(rel.v, c) for c in cells), r, 1)
+                cover = CuttingCover(tuple(cells), 1)
             report = verify_cutting(rel, a, r, cover)
             expected = brute_force_crossing_sets(rel, a, cover)
             assert list(report.crossing_sets) == expected, trial
@@ -139,7 +146,7 @@ class TestCrossingSets:
             over = [idx for idx, c in enumerate(counts) if c * r > a.cardinality()]
             union = 0
             for cell in cover.cells:
-                union |= cell.bits
+                union |= cell
             covered = union == (1 << rel.v.size) - 1
             assert report.max_crossing == max(counts, default=0), trial
             assert report.valid == (covered and not over), trial
@@ -175,7 +182,7 @@ class TestIntervalCutting:
         assert report.valid
         assert report.cell_count <= 6
         for cell in cover.cells:
-            members = sorted(cell.members())
+            members = list(_iter_bits(cell))
             assert members == list(range(members[0], members[-1] + 1))
 
     def test_fuzz_valid_and_within_2r(self):
@@ -251,7 +258,7 @@ def oracle_box_grid_cutting(rel, a, r):
             cells[key] = cells.get(key, 0) | 1 << j
         bits = [cells[key] for key in sorted(cells)]
         counts = [sum(crosses(rel.rows[i], c) for i in a.members()) for c in bits]
-        return CuttingCover(tuple(Subset(rel.v, c) for c in bits), r, 2), counts
+        return CuttingCover(tuple(bits), 2), counts
 
     def equal_chunks(values, g):
         g = max(1, min(g, len(values)))
@@ -399,7 +406,7 @@ class TestGreedyCutting:
         report = verify_cutting(rel, a, 2, cover)
         assert report.valid
         assert report.max_crossing == 0
-        assert {tuple(sorted(c.members())) for c in cover.cells} == {
+        assert {tuple(_iter_bits(c)) for c in cover.cells} == {
             (0, 1),
             (2,),
             (3,),

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from expd import (
+    BudgetError,
     CapacityError,
     FamilySpec,
     InputError,
@@ -24,7 +25,7 @@ from expd import (
     pair_encode,
     top_frequent_family,
 )
-from expd.pipeline import pairing_maxima
+from expd.pipeline import RelationFamily, pairing_maxima
 
 
 def u(n, name):
@@ -513,24 +514,6 @@ class TestFamilies:
         assert len(base.rel) == len(twisted.rel)
         assert derive_g(base.rel).edge_count == derive_g(twisted.rel).edge_count
 
-    def test_invalid_twist_rejected(self):
-        spec = FamilySpec(
-            kind="group_like",
-            group=("cyclic", None),
-            twists=(("perm", (0, 0, 2)), "identity", "identity"),
-        )
-        with pytest.raises(InputError, match="bijection"):
-            make_family(spec).build(3)
-
-    def test_explicit_perm_twist(self):
-        spec = FamilySpec(
-            kind="group_like",
-            group=("cyclic", None),
-            twists=(("perm", (2, 0, 1)), "identity", "identity"),
-        )
-        inst = make_family(spec).build(3)
-        assert len(inst.rel) == 9
-
     def test_cylindrical_block_count(self):
         fam = make_family(FamilySpec(kind="cylindrical", seed=11))
         for n in (4, 8):
@@ -572,3 +555,34 @@ class TestFamilies:
         fam = make_family(FamilySpec(kind="group_like", group=("cyclic", None)))
         with pytest.raises(InputError):
             fam.build(0)
+
+    def test_budget_refuses_n_squared_before_building(self):
+        built = []
+        fam = RelationFamily("watched", built.append, budget_cells=99)
+        with pytest.raises(BudgetError, match="family size 10 needs 100 cells"):
+            fam.build(10)
+        assert built == []
+        for spec in (
+            FamilySpec(kind="group_like", group=("cyclic", None), budget_cells=99),
+            FamilySpec(kind="cylindrical", budget_cells=99),
+        ):
+            assert len(make_family(spec).build(9).rel) >= 81
+            with pytest.raises(BudgetError):
+                make_family(spec).build(10)
+        assert top_frequent_family("x + y = z", budget_cells=99).build(9).rel.z.size == 9
+        with pytest.raises(BudgetError):
+            top_frequent_family("x + y = z", budget_cells=99).build(10)
+
+    @pytest.mark.parametrize("p", [4, 9, 15])
+    def test_unit_group_needs_a_prime_modulus(self, p):
+        fam = make_family(FamilySpec(kind="group_like", group=("unit_group_mod", p)))
+        with pytest.raises(InputError, match="prime modulus"):
+            fam.build(p - 1)
+
+    def test_dsl_grids_substitute_only_n(self):
+        spec = FamilySpec(kind="dsl", expr="x + y = z", grids=("list:{n}", "range:0:{n}:1", "list:0,{n}"))
+        assert make_family(spec).build(3).rel.triples == ((0, 0, 1),)  # 3 + 0 = 3
+        for grid in ("list:{0}", "range:0:{m}:1", "range:0:{"):
+            bad = FamilySpec(kind="dsl", expr="x + y = z", grids=(grid, "list:1", "list:1"))
+            with pytest.raises(InputError, match="bad grid spec"):
+                make_family(bad).build(3)
