@@ -13,8 +13,8 @@ them):
   scan       a family; --sizes --seed --format --out --budget-cells
 
 A family is --family F [--twists identity|seeded], F one of cyclic,
-unitmod:P, cylindrical[:K], dsl or topz; dsl and topz take --expr, and dsl
-the grids --grid-x/y/z.  A ternary instance is one of --rel FILE, a family
+unitmod:P, cylindrical[:K], dsl or topz; only cyclic and unitmod:P take
+seeded twists, dsl and topz take --expr, and dsl the grids --grid-x/y/z.  A ternary instance is one of --rel FILE, a family
 with --n SIZE, or --expr with --grid-x, --grid-y and --grid-z.  A binary
 instance is one of --rel FILE, --pg Q, --identity N, --interval COUNT:POINTS
 or --box COUNT:GRIDSIDE.
@@ -125,6 +125,8 @@ def _family_from_args(args) -> pipeline.RelationFamily:
         if not args.expr:
             raise InputError(f"--family {spec_text} needs --expr")
         if spec_text == "topz":
+            if args.twists != "identity":
+                raise InputError("twists apply to group-like families only, not to topz")
             return pipeline.top_frequent_family(args.expr, args.budget_cells)
         grids = tuple(grid or "range:0:{n}:1" for grid in (args.grid_x, args.grid_y, args.grid_z))
         spec = pipeline.FamilySpec(kind="dsl", expr=args.expr, grids=grids, **common)

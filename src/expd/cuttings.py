@@ -27,9 +27,10 @@ points the same argument per axis (interior weight <= |A|/2r per column and
 per row) gives at most 4r columns x 4r rows; an adaptive equi-depth grid is
 tried first and usually verifies at far fewer cells.
 
-The rectangle cutter works in rank space.  It maps the points once to their
-x- and y-ranks and keeps, per axis, the prefix bitmasks "rank below q", so
-the point set of any rank box is the AND of two prefix differences.  A fiber
+The rectangle cutter works in rank space.  It maps the points to their x-
+and y-ranks once per point set V, kept until the next V, and keeps, per
+axis, the prefix bitmasks "rank below q", so the point set of any rank box
+is the AND of two prefix differences.  A fiber
 lies inside its rank bounding box, found by one walk over its points, so it
 is a rectangle point-set iff it equals that box.  A grid attempt tests each
 fiber only against the cells its box spans, never against all of them.
@@ -37,12 +38,13 @@ fiber only against the cells its box spans, never against all of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FamilyError, InputError, ParameterError
-from .relations import FiniteRelation2, Subset, _iter_bits
+from .relations import FiniteRelation2, Subset, Universe, _iter_bits
 
 __all__ = [
     "CuttingCover",
@@ -106,7 +108,7 @@ def verify_cutting(
         union |= cell
         crossing_set = 0
         for bit, fiber in fibers:
-            if crosses(fiber, cell):
+            if fiber & cell and cell & ~fiber:  # crosses(fiber, cell), inline
                 crossing_set |= bit
         crossing_sets.append(crossing_set)
         crossing = crossing_set.bit_count()
@@ -141,43 +143,29 @@ def _fiber_interval(fiber: int) -> Optional[tuple[int, int]]:
     return lo, hi
 
 
-def _blocks_by_transition_weight(
-    n_points: int, weights: list[int], n_fib: int, r_scaled: int
-) -> list[tuple[int, int]]:
-    """Split 0..n_points-1 into blocks whose interior transition weight w
-    satisfies w * r_scaled <= n_fib, cutting only at positive-weight
-    boundaries.  weights[b] is the transition weight between points b, b+1.
-    """
-    blocks = []
-    start = 0
-    acc = 0
-    for b in range(n_points - 1):
-        w = weights[b]
-        if w == 0:
-            continue
-        if (acc + w) * r_scaled > n_fib:
-            blocks.append((start, b))
-            start = b + 1
-            acc = 0
-        else:
-            acc += w
-    if n_points > 0:
-        blocks.append((start, n_points - 1))
-    return blocks
-
-
 def _transition_cuts(k: int, spans, n_fib: int, r_scaled: int) -> list[int]:
     """Boundaries of greedy blocks of the ordered positions 0..k-1 whose
     interior transition weight is capped at n_fib / r_scaled; spans are the
-    fibers' half-open extents."""
-    weights = [0] * max(0, k - 1)
+    fibers' half-open extents.  A fiber transitions at boundary b (between
+    positions b and b+1) when it starts at b+1 or ends at b; only the
+    boundaries some fiber transitions at are walked, in order, and a block
+    is cut at a boundary whose weight would push it over the cap."""
+    weights: dict[int, int] = {}
     for lo, hi in spans:
         if lo > 0:
-            weights[lo - 1] += 1
+            weights[lo - 1] = weights.get(lo - 1, 0) + 1
         if hi < k:
-            weights[hi - 1] += 1
-    blocks = _blocks_by_transition_weight(k, weights, n_fib, r_scaled)
-    return [lo for lo, _ in blocks] + [k]
+            weights[hi - 1] = weights.get(hi - 1, 0) + 1
+    cuts = [0]
+    acc = 0
+    for b in sorted(weights):
+        w = weights[b]
+        if (acc + w) * r_scaled > n_fib:
+            cuts.append(b + 1)
+            acc = 0
+        else:
+            acc += w
+    return cuts + [k] if k else cuts
 
 
 def interval_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
@@ -198,8 +186,8 @@ def interval_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
 # --- rectangle fibers over planar points (exponent 2) -----------------------
 
 
-def _planar_points(rel: FiniteRelation2) -> list[tuple[int, int]]:
-    labels = rel.v.labels
+def _planar_points(v: Universe) -> list[tuple[int, int]]:
+    labels = v.labels
     if labels is None:
         raise FamilyError("rectangle cutting needs point coordinates in V's labels ('x,y')")
     points = []
@@ -295,6 +283,13 @@ class _RankPlane:
         return CuttingCover(cells=nonempty, claimed_exponent=2)
 
 
+@functools.lru_cache(maxsize=1)
+def _rank_plane(v: Universe) -> _RankPlane:
+    """The rank plane of V's points, built once per point set and kept until
+    the next one: a certificate's box cutter calls share it."""
+    return _RankPlane(_planar_points(v))
+
+
 def _equal_cuts(k: int, groups: int) -> list[int]:
     """Boundaries of <= groups consecutive near-equal chunks of k ranks."""
     groups = max(1, min(groups, k))
@@ -311,7 +306,7 @@ def box_grid_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
     construction at <= 4r x 4r cells.
     """
     _check_cut(rel, a, r, "box_grid_cutting")
-    plane = _RankPlane(_planar_points(rel))
+    plane = _rank_plane(rel.v)
     boxes = plane.fiber_boxes(rel, a)
     n_fib = a.cardinality()
     for g in range(1, math.isqrt(8 * r * r) + 1):

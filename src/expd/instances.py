@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError
-from .relations import FiniteRelation2, Universe, build_relation2
+from .relations import FiniteRelation2, Universe, _check_rel2_cells, build_relation2
 
 
 def is_prime(q: int) -> bool:
@@ -31,6 +31,8 @@ def pg_incidence(q: int) -> FiniteRelation2:
     q²+q+1 points and lines, q+1 points per line, any two distinct points on
     exactly one common line, so the relation is K_{2,2}-free.
     """
+    n = q * q + q + 1
+    _check_rel2_cells(f"projective plane of order {q}", n, n)
     if not is_prime(q):
         raise InputError(f"projective plane generator needs a prime order, got {q}")
     # Normalized homogeneous coordinates: first nonzero entry is 1.
@@ -39,7 +41,6 @@ def pg_incidence(q: int) -> FiniteRelation2:
         + [(0, 1, a) for a in range(q)]
         + [(0, 0, 1)]
     )
-    n = q * q + q + 1
     labels = tuple(":".join(map(str, r)) for r in reps)
     points = Universe("points", n, labels)
     lines = Universe("lines", n, labels)
@@ -75,6 +76,7 @@ def random_interval_incidence(
 ) -> FiniteRelation2:
     if n_intervals < 0 or n_points < 1:
         raise InputError(f"need >= 0 intervals on >= 1 points, got {n_intervals} on {n_points}")
+    _check_rel2_cells("interval instance", n_intervals, n_points)
     rng = random.Random(seed)
     if max_len is None:
         max_len = max(1, n_points // 3)
@@ -122,6 +124,7 @@ def random_rectangle_incidence(
     """Rectangles with seeded corners over the full grid_side x grid_side point grid."""
     if n_rects < 0 or grid_side < 1:
         raise InputError(f"need >= 0 rectangles on a grid side >= 1, got {n_rects} on {grid_side}")
+    _check_rel2_cells("rectangle instance", n_rects, grid_side * grid_side)
     rng = random.Random(seed)
     if max_extent is None:
         max_extent = max(1, grid_side // 4)
@@ -151,6 +154,7 @@ def random_bipartite(seed: int, m: int, n: int, edges: int) -> FiniteRelation2:
 def identity_matching(n: int) -> FiniteRelation2:
     if n < 1:
         raise InputError(f"identity matching needs a size >= 1, got {n}")
+    _check_rel2_cells("identity matching", n, n)
     u = Universe("U", n)
     v = Universe("V", n)
     return build_relation2(u, v, [(i, i) for i in range(n)])

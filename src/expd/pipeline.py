@@ -374,6 +374,8 @@ def _dsl_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
 
 
 def make_family(spec: FamilySpec) -> RelationFamily:
+    if spec.kind != "group_like" and spec.twists != FamilySpec.twists:
+        raise InputError(f"twists apply to group-like families only, not to {spec.kind}")
     if spec.kind == "group_like":
         if spec.group is None:
             raise InputError("group_like family needs a group")

@@ -34,7 +34,8 @@ MAX_PAIR_BASE = 1 << 20
 # must stay below this.
 MAX_KEYS = 1 << 63
 
-# A relation file may not ask for a bit matrix of more cells than this.
+# A relation file, or a generated binary instance (pg, identity, interval,
+# box), may not ask for a bit matrix of more cells than this.
 MAX_FILE_CELLS = 10**8
 
 # Default cap on the cells or points one operation may build or evaluate
@@ -99,6 +100,12 @@ def pair_decode(base_size: int, p: int) -> tuple[int, int]:
 def _cells(*sizes: int) -> int:
     """Cells a size cap charges for a product of universes; an empty one counts as one."""
     return math.prod(max(size, 1) for size in sizes)
+
+
+def _check_rel2_cells(what: str, m: int, n: int) -> None:
+    """Refuse an m x n bit matrix above MAX_FILE_CELLS before it is built."""
+    if _cells(m, n) > MAX_FILE_CELLS:
+        raise CapacityError(f"{what} asks for {m} x {n} cells; cap is {MAX_FILE_CELLS}")
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
@@ -365,10 +372,7 @@ def relation_from_obj(obj: dict) -> Union[FiniteRelation2, FiniteRelation3]:
         raise InputError(f"{kind} file: {field!r} must be a list")
     us = [_universe_from_obj(o) for o in universes]
     if kind == "rel2":
-        if _cells(us[0].size, us[1].size) > MAX_FILE_CELLS:
-            raise CapacityError(
-                f"rel2 file asks for {us[0].size} x {us[1].size} cells; cap is {MAX_FILE_CELLS}"
-            )
+        _check_rel2_cells("rel2 file", us[0].size, us[1].size)
         return build_relation2(*us, entries)
     return build_relation3(*us, entries)
 

@@ -19,7 +19,15 @@ exactly, balanced-enough nodes take the (valid, since K_{s,t}-free) KST
 bound, and the remaining nodes recurse through a verified cutting cover.
 Each point of B goes to the first cell that holds it; the cell's child takes
 the fibers that cross the cell (verify_cutting's crossing set, the only place
-crossings are counted), and the non-crossing edge block is counted exactly.
+crossings are counted), and the non-crossing edge block is counted exactly:
+each node is handed its exact count |E ∩ A×B| by its parent (the root's is
+counted once), so the block is that count minus the children's, and a child's
+count walks only its crossing fibers.
+
+find_kst searches s-tuples of rows in lexicographic order.  At the last
+level, when common's columns times t are fewer than the candidate rows, it
+counts column by column which rows meet common in >= t points (a bit-sliced
+counter over the transposed relation) instead of walking the rows.
 """
 
 from __future__ import annotations
@@ -143,6 +151,7 @@ def find_kst(rel: FiniteRelation2, s: int, t: int) -> Optional[KstWitness]:
     if s > m:
         return None
     nodes = 0
+    cols: list[int] = []  # cols[j]: the rows holding column j, built on first use
 
     def search(start: int, chosen: list[int], common: int) -> Optional[KstWitness]:
         nonlocal nodes
@@ -152,6 +161,24 @@ def find_kst(rel: FiniteRelation2, s: int, t: int) -> Optional[KstWitness]:
         nodes += stop - start
         if nodes > MAX_KST_NODES:
             raise BudgetError(f"K_{s},{t} search needs more than {MAX_KST_NODES} nodes")
+        if len(chosen) == s - 1 and common.bit_count() * t < stop - start:
+            # last row, few columns: at_least[k] = the candidate rows meeting
+            # common in >= k of its columns, counted column by column
+            if not cols:
+                cols.extend([0] * rel.v.size)
+                for i, row in enumerate(rows):
+                    for j in _iter_bits(row):
+                        cols[j] |= 1 << i
+            at_least = [(1 << stop) - (1 << start)] + [0] * t
+            for j in _iter_bits(common):
+                col = cols[j]
+                for k in range(t, 0, -1):
+                    at_least[k] |= at_least[k - 1] & col
+            hit = at_least[t]
+            if hit == 0:
+                return None
+            i = (hit & -hit).bit_length() - 1
+            return KstWitness((*chosen, i), _first_bits(common & rows[i], t))
         for i in range(start, stop):
             narrowed = common & rows[i]
             if narrowed.bit_count() >= t:
@@ -269,32 +296,34 @@ def certified_count(
     def exact(a_bits: int, b_bits: int) -> int:
         return sum((rows[i] & b_bits).bit_count() for i in _iter_bits(a_bits))
 
-    def node(a_bits: int, b_bits: int) -> BoundCertificate:
+    def node(a_bits: int, b_bits: int, value: int) -> BoundCertificate:
+        """The certificate of A x B, given value = |E ∩ A×B|."""
         m = a_bits.bit_count()
         n = b_bits.bit_count()
         if m <= max(r, leaf_size) or n == 0:
-            value = exact(a_bits, b_bits)
             return BoundCertificate(CASE_SMALL, m, n, r, value, (), value)
         if _case2_applies(params, r, m, n):
-            value = math.ceil(kst_bound(params.s, params.t, m, n))
-            return BoundCertificate(CASE_UNBALANCED, m, n, r, value, (), value)
+            bound = math.ceil(kst_bound(params.s, params.t, m, n))
+            return BoundCertificate(CASE_UNBALANCED, m, n, r, bound, (), bound)
         a_subset = Subset(rel.u, a_bits)
         cover = cutter(rel, a_subset, r) if cutter is not None else None
         report = verify_cutting(rel, a_subset, r, cover) if cover is not None else None
         if report is None or not report.valid:
-            value = exact(a_bits, b_bits)
             return BoundCertificate(CASE_LEAF, m, n, r, value, (), value, degraded=True)
         children = []
-        local = 0
+        local = value
         assigned = 0
         for cell, a_i in zip(cover.cells, report.crossing_sets):
             b_i = cell & b_bits & ~assigned
             assigned |= b_i
             if b_i == 0:
                 continue
-            children.append(node(a_i, b_i))
-            local += exact(a_bits & ~a_i, b_i)
+            e_i = exact(a_i, b_i)  # walks only the crossing fibers
+            children.append(node(a_i, b_i, e_i))
+            local -= e_i
+        # the cells cover V (the report is valid), so the B_i partition B and
+        # value - sum(e_i) is exactly the non-crossing block: sum exact(A \ A_i, B_i)
         total = local + sum(child.total for child in children)
         return BoundCertificate(CASE_RECURSE, m, n, r, local, tuple(children), total)
 
-    return node(a.bits, b.bits)
+    return node(a.bits, b.bits, exact(a.bits, b.bits))

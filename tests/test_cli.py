@@ -397,6 +397,43 @@ def test_family_over_budget_exit_4_before_building(capsys, argv):
     assert err == "expd: budget exceeded: family size 3000 needs 9000000 cells; budget is 1000\n"
 
 
+# generated binary instances far above MAX_FILE_CELLS: uncapped, --pg hangs in
+# trial division and the others end in a MemoryError traceback
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--pg", "1000000000000000003"),
+        ("cutting", "--identity", "100000000"),
+        ("cutting", "--interval", "100000000:100000000", "--seed", "1"),
+        ("cutting", "--box", "10:100000", "--seed", "1"),
+    ],
+    ids=["certify-pg", "cutting-identity", "cutting-interval", "cutting-box"],
+)
+def test_generated_instance_over_cap_exit_4_before_building(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 4, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("expd: capacity: ") and res.stderr.count("\n") == 1, res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--family", "cylindrical", "--n", "8"),
+        ("count", "--family", "dsl", "--expr", "x + y = z", "--n", "8"),
+        ("scan", "--family", "topz", "--expr", "x^2 + y^3 = z", "--sizes", "4,8,16"),
+    ],
+    ids=["cylindrical", "dsl", "topz"],
+)
+def test_twists_on_a_family_that_ignores_them_exit_3(capsys, argv):
+    assert cli.main([*argv, "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, "--seed", "1", "--twists", "seeded"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("expd: input error: twists apply to group-like families only, not to ")
+    assert err.count("\n") == 1
+
+
 def test_huge_power_mod_m_runs():
     res = run_cli("count", "--expr", "x^99999999 = z mod 7", *SMALL_GRIDS[:4], "--grid-z", "fullmod")
     assert res.returncode == 0, res.stderr

@@ -25,7 +25,7 @@ from expd.instances import (
     random_rectangle_incidence,
     rectangle_incidence,
 )
-from expd.cuttings import _blocks_by_transition_weight, _planar_points
+from expd.cuttings import _planar_points, _rank_plane, _transition_cuts
 from expd.relations import FiniteRelation2, Universe, _iter_bits, build_relation2
 
 
@@ -230,11 +230,34 @@ class TestIntervalCutting:
                 assert report.fitted_c <= 2.0
 
 
+def _blocks_by_transition_weight(n_points, weights, n_fib, r_scaled):
+    """The dense block rule, kept as the reference: split 0..n_points-1 into
+    blocks whose interior transition weight w satisfies w * r_scaled <= n_fib,
+    cutting only at positive-weight boundaries.  weights[b] is the transition
+    weight between points b, b+1."""
+    blocks = []
+    start = 0
+    acc = 0
+    for b in range(n_points - 1):
+        w = weights[b]
+        if w == 0:
+            continue
+        if (acc + w) * r_scaled > n_fib:
+            blocks.append((start, b))
+            start = b + 1
+            acc = 0
+        else:
+            acc += w
+    if n_points > 0:
+        blocks.append((start, n_points - 1))
+    return blocks
+
+
 def oracle_box_grid_cutting(rel, a, r):
     """The value-space box cutter, kept as the reference: rectangularity by a
     scan of every point of V per fiber, and a bit-by-bit crossing recount of
     every cell on every grid attempt.  Returns (cover, "grid" | "fallback")."""
-    points = _planar_points(rel)
+    points = _planar_points(rel.v)
     for i in a.members():
         fiber = rel.rows[i]
         if fiber == 0:
@@ -315,7 +338,52 @@ def random_planar_family(rng):
     return FiniteRelation2(u, Universe("points", len(coords), tuple(labels)), rows)
 
 
+class TestTransitionCuts:
+    def test_matches_dense_block_rule_fuzz(self):
+        rng = random.Random(83)
+        for trial in range(400):
+            k = trial if trial < 2 else rng.randint(0, 40)
+            spans = []
+            for _ in range(rng.randint(0, 30) if k else 0):
+                lo = rng.choice([0, rng.randrange(k)])  # often at the left end
+                hi = rng.choice([k, rng.randint(lo + 1, k)])  # often at the right end
+                spans.append((lo, hi))
+            n_fib = len(spans) + rng.randint(0, 5)
+            r_scaled = rng.randint(1, 16)
+            weights = [0] * max(0, k - 1)
+            for lo, hi in spans:
+                if lo > 0:
+                    weights[lo - 1] += 1
+                if hi < k:
+                    weights[hi - 1] += 1
+            blocks = _blocks_by_transition_weight(k, weights, n_fib, r_scaled)
+            expected = [lo for lo, _ in blocks] + [k]
+            assert _transition_cuts(k, iter(spans), n_fib, r_scaled) == expected, trial
+
+
 class TestBoxGridCutting:
+    def test_rank_plane_kept_per_point_set(self):
+        # rel2 has rel1's points in reverse index order: the same size, other labels
+        points = [(x, y) for x in range(9) for y in range(7)]
+        rng = random.Random(89)
+        rects = []
+        for _ in range(40):
+            x1, y1 = rng.randrange(9), rng.randrange(7)
+            rects.append(Rect(x1, min(8, x1 + rng.randrange(4)), y1, min(6, y1 + rng.randrange(4))))
+        rel1 = rectangle_incidence(rects, points)
+        rel2 = rectangle_incidence(rects, points[::-1])
+        covers = []
+        for rel in (rel1, rel2, rel1):
+            for r in (2, 4):
+                covers.append(box_grid_cutting(rel, Subset.full(rel.u), r))
+        fresh = []
+        for rel in (rel1, rel2, rel1):
+            for r in (2, 4):
+                _rank_plane.cache_clear()
+                fresh.append(box_grid_cutting(rel, Subset.full(rel.u), r))
+        assert covers == fresh
+        assert covers[0] != covers[2]
+
     def test_matches_value_space_oracle_fuzz(self):
         rng = random.Random(79)
         outcomes = {"grid": 0, "fallback": 0, "rejected": 0}

@@ -573,6 +573,17 @@ class TestFamilies:
         with pytest.raises(BudgetError):
             top_frequent_family("x + y = z", budget_cells=99).build(10)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [FamilySpec(kind="cylindrical", block=3), FamilySpec(kind="dsl", expr="x + y = z")],
+        ids=["cylindrical", "dsl"],
+    )
+    def test_twists_refused_where_no_builder_reads_them(self, spec):
+        seeded = (("seeded", 1), ("seeded", 2), ("seeded", 3))
+        with pytest.raises(InputError, match="twists apply to group-like families only"):
+            make_family(FamilySpec(**{**vars(spec), "twists": seeded}))
+        assert len(make_family(spec).build(4).rel) > 0
+
     @pytest.mark.parametrize("p", [4, 9, 15])
     def test_unit_group_needs_a_prime_modulus(self, p):
         fam = make_family(FamilySpec(kind="group_like", group=("unit_group_mod", p)))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,12 @@ import pytest
 from expd import (
     BoundCertificate,
     BudgetError,
+    FiniteRelation2,
     KstWitness,
     NotKstFreeError,
     ParameterError,
     Subset,
+    box_grid_cutting,
     build_relation2,
     certified_count,
     count_grid2,
@@ -26,16 +29,18 @@ from expd import (
     greedy_cutting,
     interval_cutting,
     kst_bound,
+    verify_cutting,
 )
 from expd.instances import (
     identity_matching,
     pg_incidence,
     random_bipartite,
     random_interval_incidence,
+    random_rectangle_incidence,
 )
 from expd import zarankiewicz
-from expd.relations import Universe
-from expd.zarankiewicz import CASE_LEAF, CASE_UNBALANCED
+from expd.relations import Universe, _iter_bits
+from expd.zarankiewicz import CASE_LEAF, CASE_RECURSE, CASE_SMALL, CASE_UNBALANCED
 
 
 class TestExponentParams:
@@ -121,6 +126,37 @@ def brute_force_kst_free(rel, s, t):
     return True
 
 
+def loop_only_find_kst(rel, s, t):
+    """The row-loop search alone, kept as the reference: (witness or None,
+    nodes charged, and which sides of the column-count guard the last level
+    took)."""
+    m, rows = rel.u.size, rel.rows
+    if s > m:
+        return None, 0, set()
+    nodes = 0
+    guarded = set()
+
+    def search(start, chosen, common):
+        nonlocal nodes
+        if len(chosen) == s:
+            return KstWitness(tuple(chosen), tuple(itertools.islice(_iter_bits(common), t)))
+        stop = m - (s - len(chosen)) + 1
+        nodes += stop - start
+        if len(chosen) == s - 1:
+            guarded.add(common.bit_count() * t < stop - start)
+        for i in range(start, stop):
+            narrowed = common & rows[i]
+            if narrowed.bit_count() >= t:
+                chosen.append(i)
+                found = search(i + 1, chosen, narrowed)
+                if found is not None:
+                    return found
+                chosen.pop()
+        return None
+
+    return search(0, [], (1 << rel.v.size) - 1), nodes, guarded
+
+
 class TestFindKst:
     def test_k22_itself(self):
         rel = build_relation2(Universe("U", 2), Universe("V", 2), [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -175,6 +211,35 @@ class TestFindKst:
         with pytest.raises(BudgetError, match="more than 1651 nodes"):
             find_kst(pg, 2, 2)
 
+    def test_matches_loop_only_search_fuzz(self, monkeypatch):
+        # sparse rows over many left elements take the column-counted last
+        # level, dense rows the row loop; the witness and the node charge
+        # must be those of the row loop alone on both sides
+        rng = random.Random(31)
+        cases = [(pg_incidence(q), s, t) for q in (7, 11) for s in (1, 2, 3) for t in (1, 2, 3, 4)]
+        for trial in range(60):
+            if trial % 2:
+                m, n = rng.randint(30, 80), rng.randint(8, 40)
+                rows = [sum(1 << j for j in {rng.randrange(n) for _ in range(rng.randint(0, 3))}) for _ in range(m)]
+            else:
+                m, n = rng.randint(4, 20), rng.randint(10, 30)
+                rows = [rng.getrandbits(n) for _ in range(m)]
+            rel = FiniteRelation2(Universe("U", m), Universe("V", n), rows)
+            cases.append((rel, rng.randint(1, 3), rng.randint(1, 4)))
+        sides = set()
+        for rel, s, t in cases:
+            expected, nodes, guarded = loop_only_find_kst(rel, s, t)
+            sides |= guarded
+            assert find_kst(rel, s, t) == expected
+            if nodes:
+                monkeypatch.setattr(zarankiewicz, "MAX_KST_NODES", nodes)
+                assert find_kst(rel, s, t) == expected
+                monkeypatch.setattr(zarankiewicz, "MAX_KST_NODES", nodes - 1)
+                with pytest.raises(BudgetError):
+                    find_kst(rel, s, t)
+                monkeypatch.undo()
+        assert sides == {True, False}
+
     def test_lexicographically_least(self):
         rel = build_relation2(
             Universe("U", 4),
@@ -201,7 +266,75 @@ def free_params_for(rel, D):
     return exponent_params(D, t, 2, epsilon_sup(D, t) / 2)
 
 
+def fresh_count_certified_count(rel, a, b, params, cutter, r, leaf_size):
+    """The recursion with a fresh exact count at every node, kept as the
+    reference: leaves walk A, and a Case-3 node's local block is
+    sum_i exact(A minus A_i, B_i)."""
+    rows = rel.rows
+
+    def exact(a_bits, b_bits):
+        return sum((rows[i] & b_bits).bit_count() for i in _iter_bits(a_bits))
+
+    def node(a_bits, b_bits):
+        m, n = a_bits.bit_count(), b_bits.bit_count()
+        if m <= max(r, leaf_size) or n == 0:
+            value = exact(a_bits, b_bits)
+            return BoundCertificate(CASE_SMALL, m, n, r, value, (), value)
+        if zarankiewicz._case2_applies(params, r, m, n):
+            value = math.ceil(kst_bound(params.s, params.t, m, n))
+            return BoundCertificate(CASE_UNBALANCED, m, n, r, value, (), value)
+        a_subset = Subset(rel.u, a_bits)
+        cover = cutter(rel, a_subset, r) if cutter is not None else None
+        report = verify_cutting(rel, a_subset, r, cover) if cover is not None else None
+        if report is None or not report.valid:
+            value = exact(a_bits, b_bits)
+            return BoundCertificate(CASE_LEAF, m, n, r, value, (), value, degraded=True)
+        children, local, assigned = [], 0, 0
+        for cell, a_i in zip(cover.cells, report.crossing_sets):
+            b_i = cell & b_bits & ~assigned
+            assigned |= b_i
+            if b_i:
+                children.append(node(a_i, b_i))
+                local += exact(a_bits & ~a_i, b_i)
+        total = local + sum(child.total for child in children)
+        return BoundCertificate(CASE_RECURSE, m, n, r, local, tuple(children), total)
+
+    return node(a.bits, b.bits)
+
+
+def case_counts(obj, counts=None):
+    counts = Counter() if counts is None else counts
+    counts[obj["case"]] += 1
+    for child in obj["children"]:
+        case_counts(child, counts)
+    return counts
+
+
 class TestCertifiedCount:
+    def test_matches_fresh_count_recursion(self):
+        rng = random.Random(53)
+        cases = Counter()
+        for trial in range(6):
+            instances = [
+                (random_interval_incidence(300 + trial, rng.randint(40, 120), rng.randint(100, 300)),
+                 interval_cutting, 1),
+                (random_rectangle_incidence(400 + trial, rng.randint(40, 120), rng.randint(8, 16)),
+                 box_grid_cutting, 2),
+                (random_interval_incidence(500 + trial, rng.randint(40, 120), rng.randint(100, 300)),
+                 greedy_cutting, 1),
+                (random_bipartite(600 + trial, 60, 60, rng.randint(60, 240)), greedy_cutting, 1),
+                (random_bipartite(700 + trial, 60, 60, rng.randint(60, 240)), None, 1),
+            ]
+            for rel, cutter, D in instances:
+                a, b = Subset.full(rel.u), Subset.full(rel.v)
+                params = free_params_for(rel, D)
+                for r, leaf_size in ((2, 2), (4, 8), (8, 4), (3, 32)):
+                    cert = certified_count(rel, a, b, params, cutter, r, leaf_size).to_obj()
+                    assert cert == fresh_count_certified_count(rel, a, b, params, cutter, r, leaf_size).to_obj()
+                    case_counts(cert, cases)
+        assert cases[CASE_RECURSE] > 50 and cases[CASE_SMALL] > 50 and cases[CASE_LEAF] > 0
+
+
     def test_small_instance_single_case1_node(self):
         rel = random_bipartite(5, 8, 8, 30)
         a, b = Subset.full(rel.u), Subset.full(rel.v)
