@@ -34,6 +34,8 @@ is the AND of two prefix differences.  A fiber
 lies inside its rank bounding box, found by one walk over its points, so it
 is a rectangle point-set iff it equals that box.  A grid attempt tests each
 fiber only against the cells its box spans, never against all of them.
+The greedy cutter reads each point's trace over A from the relation's one
+transpose, relations._columns, which the K_{s,t} search shares.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FamilyError, InputError, ParameterError
-from .relations import FiniteRelation2, Subset, Universe, _iter_bits
+from .relations import FiniteRelation2, Subset, Universe, _columns, _iter_bits
 
 __all__ = [
     "CuttingCover",
@@ -118,7 +120,7 @@ def verify_cutting(
     full = (1 << rel.v.size) - 1
     if union != full:
         failure = failure or "cells do not cover V"
-    fitted_c = len(cover.cells) / float(r**cover.claimed_exponent)
+    fitted_c = len(cover.cells) / r**cover.claimed_exponent  # int division: no float overflow
     return CuttingReport(
         valid=failure is None,
         max_crossing=max_crossing,
@@ -336,32 +338,26 @@ def greedy_cutting(rel: FiniteRelation2, a: Subset, r: int) -> Optional[CuttingC
     """
     _check_cut(rel, a, r, "greedy_cutting")
     max_cells = 4 * r
-    n_points = rel.v.size
-    a_list = sorted(a.members())
-    n_fib = len(a_list)
-    sig = [0] * n_points
-    for pos, i in enumerate(a_list):
-        for v in _iter_bits(rel.rows[i]):
-            sig[v] |= 1 << pos
-    classes: dict[int, int] = {}  # filled as v ascends: in order of first point
-    for v in range(n_points):
-        classes[sig[v]] = classes.get(sig[v], 0) | 1 << v
-    full_mask = (1 << n_fib) - 1
+    a_bits = a.bits
+    n_fib = a.cardinality()
+    classes: dict[int, int] = {}  # trace -> its points, in order of first point
+    for v, col in enumerate(_columns(rel.rows, rel.v.size)):
+        trace = col & a_bits
+        classes[trace] = classes.get(trace, 0) | 1 << v
 
     if len(classes) <= max_cells:
         return CuttingCover(cells=tuple(classes.values()), claimed_exponent=1)
 
     cells: list[int] = []
     cur_bits = 0
-    cur_in = full_mask  # fibers containing every class merged so far
-    cur_out = full_mask  # fibers disjoint from every class merged so far
-    for s, bits in classes.items():
-        new_in = cur_in & s
-        new_out = cur_out & ~s
+    cur_in = cur_out = a_bits  # fibers of A holding / missing every class merged so far
+    for trace, bits in classes.items():
+        new_in = cur_in & trace
+        new_out = cur_out & ~trace
         crossing = n_fib - (new_in | new_out).bit_count()
         if cur_bits and crossing * r > n_fib:
             cells.append(cur_bits)
-            cur_bits, cur_in, cur_out = bits, full_mask & s, full_mask & ~s
+            cur_bits, cur_in, cur_out = bits, trace, a_bits & ~trace
         else:
             cur_bits |= bits
             cur_in, cur_out = new_in, new_out

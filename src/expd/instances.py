@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError
-from .relations import FiniteRelation2, Universe, _check_rel2_cells, build_relation2
+from .relations import FiniteRelation2, Universe, _check_rel2_cells
 
 
 def is_prime(q: int) -> bool:
@@ -44,19 +44,20 @@ def pg_incidence(q: int) -> FiniteRelation2:
     labels = tuple(":".join(map(str, r)) for r in reps)
     points = Universe("points", n, labels)
     lines = Universe("lines", n, labels)
-    # Each line l lists its q+1 points p (p·l ≡ 0 mod q) from its equation.
+    # Each line l lists its q+1 points p (p·l ≡ 0 mod q) from its equation;
+    # p·l = l·p, so the lines through point i are the points on line i.
     index = {r: i for i, r in enumerate(reps)}
     xy_line = [(1, a) for a in range(q)] + [(0, 1)]  # the points (x:y) of P^1
-    pairs = []
-    for j, (l0, l1, l2) in enumerate(reps):
+    rows = []
+    for l0, l1, l2 in reps:
         if l2:  # one z = -(l0·x + l1·y)/l2 for each (x:y)
             c = -pow(l2, -1, q)
             on_line = [(x, y, (l0 * x + l1 * y) * c % q) for x, y in xy_line]
         else:  # (x:y) = (l1:-l0) with any z, plus (0:0:1)
             x, y = (1, -l0 * pow(l1, -1, q) % q) if l1 else (0, 1)
             on_line = [(x, y, z) for z in range(q)] + [(0, 0, 1)]
-        pairs.extend((index[pt], j) for pt in on_line)
-    return build_relation2(points, lines, pairs)
+        rows.append(sum(1 << index[pt] for pt in on_line))
+    return FiniteRelation2(points, lines, rows)
 
 
 def interval_incidence(intervals: list[tuple[int, int]], n_points: int) -> FiniteRelation2:
@@ -148,7 +149,10 @@ def random_bipartite(seed: int, m: int, n: int, edges: int) -> FiniteRelation2:
     chosen = set()
     while len(chosen) < edges:
         chosen.add((rng.randrange(m), rng.randrange(n)))
-    return build_relation2(u, v, sorted(chosen))
+    rows = [0] * m
+    for i, j in chosen:
+        rows[i] |= 1 << j
+    return FiniteRelation2(u, v, rows)
 
 
 def identity_matching(n: int) -> FiniteRelation2:
@@ -157,4 +161,4 @@ def identity_matching(n: int) -> FiniteRelation2:
     _check_rel2_cells("identity matching", n, n)
     u = Universe("U", n)
     v = Universe("V", n)
-    return build_relation2(u, v, [(i, i) for i in range(n)])
+    return FiniteRelation2(u, v, [1 << i for i in range(n)])

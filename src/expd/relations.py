@@ -14,6 +14,7 @@ Everything is immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -113,6 +114,16 @@ def _iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+@functools.lru_cache(maxsize=1)
+def _columns(rows: tuple[int, ...], size: int) -> tuple[int, ...]:
+    """The one transpose of a bit matrix (cols[j]: the rows holding bit j), kept until the next rows."""
+    cols = [0] * size
+    for i, row in enumerate(rows):
+        for j in _iter_bits(row):
+            cols[j] |= 1 << i
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -415,6 +426,6 @@ def read_relation(path: str) -> Union[FiniteRelation2, FiniteRelation3]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deeply nested
             raise InputError(f"{path}: not valid JSON ({exc})") from None
     return relation_from_obj(obj)

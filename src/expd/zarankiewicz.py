@@ -26,8 +26,9 @@ count walks only its crossing fibers.
 
 find_kst searches s-tuples of rows in lexicographic order.  At the last
 level, when common's columns times t are fewer than the candidate rows, it
-counts column by column which rows meet common in >= t points (a bit-sliced
-counter over the transposed relation) instead of walking the rows.
+counts column by column which rows meet common in >= t points instead of
+walking the rows: a bit-sliced counter over the relation's one transpose,
+relations._columns, which greedy_cutting shares.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable, Optional
 
 from .cuttings import CuttingCover, verify_cutting
 from .errors import BudgetError, InputError, ParameterError
-from .relations import FiniteRelation2, Subset, _iter_bits
+from .relations import FiniteRelation2, Subset, _columns, _iter_bits
 
 # --- exponent arithmetic ----------------------------------------------------
 
@@ -151,10 +152,10 @@ def find_kst(rel: FiniteRelation2, s: int, t: int) -> Optional[KstWitness]:
     if s > m:
         return None
     nodes = 0
-    cols: list[int] = []  # cols[j]: the rows holding column j, built on first use
+    cols = None  # the relation's transpose, fetched at the first column-counted node
 
     def search(start: int, chosen: list[int], common: int) -> Optional[KstWitness]:
-        nonlocal nodes
+        nonlocal nodes, cols
         if len(chosen) == s:
             return KstWitness(tuple(chosen), _first_bits(common, t))
         stop = m - (s - len(chosen)) + 1
@@ -164,11 +165,8 @@ def find_kst(rel: FiniteRelation2, s: int, t: int) -> Optional[KstWitness]:
         if len(chosen) == s - 1 and common.bit_count() * t < stop - start:
             # last row, few columns: at_least[k] = the candidate rows meeting
             # common in >= k of its columns, counted column by column
-            if not cols:
-                cols.extend([0] * rel.v.size)
-                for i, row in enumerate(rows):
-                    for j in _iter_bits(row):
-                        cols[j] |= 1 << i
+            if cols is None:
+                cols = _columns(rows, rel.v.size)
             at_least = [(1 << stop) - (1 << start)] + [0] * t
             for j in _iter_bits(common):
                 col = cols[j]

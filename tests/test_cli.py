@@ -10,6 +10,7 @@ import pytest
 
 from expd import Universe, build_relation2, build_relation3, cli, pipeline, write_relation
 from expd.instances import random_bipartite
+from expd.relations import _columns
 
 
 def run_cli(*argv, env_extra=None):
@@ -156,6 +157,15 @@ class TestCertify:
         assert res.returncode == 0
         assert "inapplicable" in res.stdout
 
+    def test_freeness_check_and_root_cutter_share_one_transpose(self, capsys):
+        # A and B are full, so the restriction find_kst searches has the
+        # relation's rows, and greedy_cutting at the root reads the same columns
+        _columns.cache_clear()
+        assert cli.main(["certify", "--pg", "31"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("pg:31,993,31776,31776,")
+        info = _columns.cache_info()
+        assert info.misses == 1 and info.hits >= 1, info
+
     def test_bad_epsilon_exit_3(self):
         res = run_cli("certify", "--pg", "7", "--epsilon", "2/3")
         assert res.returncode == 3
@@ -199,6 +209,14 @@ class TestCutting:
         assert res.returncode == 2
         assert "failure" in res.stdout
 
+    @pytest.mark.parametrize("instance, r", [(("--interval", "10:64"), 10**400), (("--box", "10:8"), 10**200)])
+    def test_r_beyond_float_range(self, instance, r):
+        # fitted_c = cells / r^D is an int division: no float conversion of r^D
+        res = run_cli("cutting", *instance, "--seed", "1", "--r", str(r))
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert res.stdout.splitlines()[-1].endswith(",ok")
+
 
 UNIVERSES3 = [{"name": n, "size": 2} for n in "XYZ"]
 
@@ -213,6 +231,11 @@ MALFORMED_RELATIONS = {
         "universes": [{"name": "X", "size": 2, "labels": [[0], [1]]}] + UNIVERSES3[1:],
         "triples": [],
     },
+    # raw bytes, written as they are: past the JSON decoder's recursion limit,
+    # past Python's 4300-digit limit for int("..."), and not UTF-8
+    "deeply-nested": b"[" * 100_000,
+    "5000-digit-size": b'{"kind": "rel2", "universes": [{"name": "U", "size": ' + b"1" * 5000 + b"}]}",
+    "utf16-bom": b"\xff\xfe{}",
 }
 
 
@@ -231,10 +254,10 @@ OVERSIZED_RELATIONS = {
 }
 
 
-def run_on_file(tmp_path, obj):
+def run_on_file(tmp_path, obj, command="count"):
     src = tmp_path / "bad.json"
-    src.write_text(json.dumps(obj))
-    return run_cli("count", "--rel", str(src))
+    src.write_bytes(obj if isinstance(obj, bytes) else json.dumps(obj).encode())
+    return run_cli(command, "--rel", str(src))
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_RELATIONS))
@@ -243,6 +266,14 @@ def test_malformed_relation_file_exit_3(tmp_path, name):
     assert res.returncode == 3, res.stderr
     assert "Traceback" not in res.stderr
     assert "input error" in res.stderr
+
+
+@pytest.mark.parametrize("name", ["deeply-nested", "5000-digit-size", "utf16-bom"])
+def test_undecodable_relation_file_exit_3_on_certify(tmp_path, name):
+    res = run_on_file(tmp_path, MALFORMED_RELATIONS[name], "certify")
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "not valid JSON" in res.stderr
 
 
 @pytest.mark.parametrize("name", sorted(OVERSIZED_RELATIONS))

@@ -26,7 +26,7 @@ from expd.instances import (
     rectangle_incidence,
 )
 from expd.cuttings import _planar_points, _rank_plane, _transition_cuts
-from expd.relations import FiniteRelation2, Universe, _iter_bits, build_relation2
+from expd.relations import FiniteRelation2, Universe, _columns, _iter_bits, build_relation2
 
 
 def cover_from_cells(rel, cells, D=1):
@@ -460,7 +460,75 @@ class TestBoxGridCutting:
             box_grid_cutting(rel, Subset.full(rel.u), 2)
 
 
+def signature_greedy_cutting(rel, a, r):
+    """The greedy cutter as it was before it read the shared transpose: each
+    point's trace is a bit vector over positions in A, built by walking A's
+    fibers."""
+    max_cells = 4 * r
+    a_list = sorted(a.members())
+    n_fib = len(a_list)
+    sig = [0] * rel.v.size
+    for pos, i in enumerate(a_list):
+        for v in _iter_bits(rel.rows[i]):
+            sig[v] |= 1 << pos
+    classes = {}
+    for v in range(rel.v.size):
+        classes[sig[v]] = classes.get(sig[v], 0) | 1 << v
+    full_mask = (1 << n_fib) - 1
+    if len(classes) <= max_cells:
+        return CuttingCover(cells=tuple(classes.values()), claimed_exponent=1)
+    cells = []
+    cur_bits, cur_in, cur_out = 0, full_mask, full_mask
+    for sg, bits in classes.items():
+        new_in, new_out = cur_in & sg, cur_out & ~sg
+        if cur_bits and (n_fib - (new_in | new_out).bit_count()) * r > n_fib:
+            cells.append(cur_bits)
+            cur_bits, cur_in, cur_out = bits, full_mask & sg, full_mask & ~sg
+        else:
+            cur_bits |= bits
+            cur_in, cur_out = new_in, new_out
+    if cur_bits:
+        cells.append(cur_bits)
+    return None if len(cells) > max_cells else CuttingCover(cells=tuple(cells), claimed_exponent=1)
+
+
 class TestGreedyCutting:
+    def test_matches_position_signature_greedy_fuzz(self):
+        # random partial A, empty A, empty fibers and r in 1..6; the trace
+        # classes come from the shared transpose, which must give the same
+        # cells in the same order as the walk over A's fibers
+        rng = random.Random(97)
+        outcomes = Counter()
+        for trial in range(240):
+            m, n = rng.randint(0, 40), rng.randint(0, 40)
+            density = rng.choice([0.05, 0.2, 0.5, 0.9])
+            rows = [
+                0 if rng.random() < 0.2 else sum(1 << j for j in range(n) if rng.random() < density)
+                for _ in range(m)
+            ]
+            rel = FiniteRelation2(Universe("U", m), Universe("V", n), rows)
+            a = Subset(rel.u, rng.choice([0, (1 << m) - 1, rng.getrandbits(m) if m else 0]))
+            r = rng.randint(1, 6)
+            expected = signature_greedy_cutting(rel, a, r)
+            outcomes["none" if expected is None else "cover"] += 1
+            outcomes["empty A"] += a.bits == 0
+            assert greedy_cutting(rel, a, r) == expected, trial
+        assert min(outcomes.values()) > 10, outcomes
+
+    def test_transpose_kept_per_relation(self):
+        # rel2 has rel1's sizes and other rows
+        rel1 = random_interval_incidence(5, 30, 60)
+        rel2 = random_interval_incidence(6, 30, 60)
+        covers = []
+        for rel in (rel1, rel2, rel1):
+            covers.append(greedy_cutting(rel, Subset.full(rel.u), 3))
+        fresh = []
+        for rel in (rel1, rel2, rel1):
+            _columns.cache_clear()
+            fresh.append(greedy_cutting(rel, Subset.full(rel.u), 3))
+        assert covers == fresh
+        assert None not in covers and covers[0] != covers[1]
+
     def test_few_trace_classes_returned_with_zero_crossing(self):
         # fibers induce 4 trace classes over V: {0,1}, {2}, {3}, {4,5}
         rel = build_relation2(

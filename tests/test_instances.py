@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from expd import InputError, Subset
+from expd import InputError, Subset, build_relation2
 from expd.instances import (
     Rect,
+    identity_matching,
     interval_incidence,
     pg_incidence,
     random_bipartite,
@@ -108,3 +109,35 @@ class TestRandomBipartite:
     def test_requested_edges_capped(self):
         rel = random_bipartite(3, 3, 3, 100)
         assert rel.edge_count == 9
+
+
+class TestRowsMatchPairBuilder:
+    """The binary generators build rows directly; build_relation2 over each
+    one's own pair list, as the generators used to build it, is the oracle."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_pg_incidence(self, q):
+        pg = pg_incidence(q)
+        reps = [tuple(map(int, label.split(":"))) for label in pg.u.labels]
+        pairs = [
+            (i, j)
+            for i, p in enumerate(reps)
+            for j, l in enumerate(reps)
+            if sum(a * b for a, b in zip(p, l)) % q == 0
+        ]
+        assert pg == build_relation2(pg.u, pg.v, pairs)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 200])
+    def test_identity_matching(self, n):
+        rel = identity_matching(n)
+        assert rel == build_relation2(rel.u, rel.v, [(i, i) for i in range(n)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_bipartite(self, seed):
+        m, n, edges = 3 + 5 * seed, 40 - 6 * seed, 17 * seed
+        rng = random.Random(seed)
+        chosen = set()
+        while len(chosen) < min(edges, m * n):
+            chosen.add((rng.randrange(m), rng.randrange(n)))
+        rel = random_bipartite(seed, m, n, edges)
+        assert rel == build_relation2(rel.u, rel.v, sorted(chosen))
