@@ -3,15 +3,16 @@ pair relation.
 
 For F ⊆ X×Y×Z the operations here compute, exactly:
 
-  * the per-pairing fiber maxima, counted from the packed keys, and the
-    bounded degree d (every pair of coordinates determines the third up to at
-    most d values);
+  * the per-pairing fiber maxima, read through FiniteRelation3.axis_pairs,
+    and the bounded degree d (every pair of coordinates determines the third
+    up to at most d values);
   * complete k x k blocks after flattening one axis against the product of
     the other two (the finite test for cylindricality);
   * the derived relation on ordered pairs,
       G = {(y,y',z,z') : ∃x (x,y,z) ∈ F and (x,y',z') ∈ F},
     viewed as a bipartite relation over Y² x Z²;
-  * |G ∩ B²×C²| and its largest fibers, without enumerating G;
+  * |G ∩ B²×C²| and its largest fibers, from F ∩ X×B×C (one
+    FiniteRelation3.restrict call) without enumerating G;
   * in one check, from one such count, the fiber law
     |{z' : (y,y',z,z') ∈ G}| <= d² (and symmetrically), which implies its
     summed form |G ∩ ({(y,y')} x C²)| <= d²|C|, and the count transfer
@@ -31,7 +32,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product, repeat, starmap
+from itertools import groupby, product, starmap
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .dsl import GridSpec, _compile, _solved, instantiate3, parse, parse_grid
@@ -44,7 +46,6 @@ from .relations import (
     Subset,
     Universe,
     _cells,
-    _grid_counts_by_x,
     _iter_bits,
     build_relation3,
     pair_universe,
@@ -66,16 +67,11 @@ class DeltaDegree:
 
 
 def pairing_maxima(rel: FiniteRelation3) -> tuple[int, int, int]:
-    """The most triples of F sharing an (x,y), an (x,z) and a (y,z) pair,
-    counted straight from the packed keys (i·|Y| + j)·|Z| + k."""
-    keys, nz = rel.keys, rel.z.size
-    nyz = rel.y.size * nz
-    pairs = (
-        (key // nz for key in keys),
-        (key // nyz * nz + key % nz for key in keys),
-        (key % nyz for key in keys),
+    """The most triples of F sharing an (x,y), an (x,z) and a (y,z) pair: the
+    largest fibers of axes 3, 2 and 1 over the pairs of the other two."""
+    return tuple(
+        max(Counter(map(itemgetter(1), rel.axis_pairs(axis))).values(), default=0) for axis in (3, 2, 1)
     )
-    return tuple(max(Counter(p).values(), default=0) for p in pairs)
 
 
 def delta_degree(rel: FiniteRelation3, threshold: int) -> DeltaDegree:
@@ -98,18 +94,9 @@ class CylindricalWitness:
 
 def _axis_flatten(rel: FiniteRelation3, axis: int) -> FiniteRelation2:
     nx, ny, nz = rel.x.size, rel.y.size, rel.z.size
-    nyz = ny * nz
-    if axis == 1:
-        left, rn, rs = rel.x, "Y*Z", nyz
-        edges = map(divmod, rel.keys, repeat(nyz))
-    elif axis == 2:
-        left, rn, rs = rel.y, "X*Z", nx * nz
-        edges = ((key // nz % ny, key // nyz * nz + key % nz) for key in rel.keys)
-    else:
-        left, rn, rs = rel.z, "X*Y", nx * ny
-        edges = ((key % nz, key // nz) for key in rel.keys)
+    left, rn, rs = ((rel.x, "Y*Z", ny * nz), (rel.y, "X*Z", nx * nz), (rel.z, "X*Y", nx * ny))[axis - 1]
     rows = [0] * left.size
-    for a, b in edges:
+    for a, b in rel.axis_pairs(axis):
         rows[a] |= 1 << b
     return FiniteRelation2(Universe(left.name, left.size), Universe(rn, rs), rows)
 
@@ -144,22 +131,21 @@ def _union(rows: list[dict[int, int]], xs: int) -> dict[int, int]:
     return merged
 
 
-def _g_fibers(rel: FiniteRelation3, bbits: int, cbits: int) -> Iterator[tuple[list, dict, dict]]:
-    """The one walk of F that G is read from, restricted to X×B×C: for each
-    distinct x-set X_yz = {x : (x,y,z) ∈ F}, its (y,z) pairs, its merged
-    (y,y',z) fibers {y': ∪_{x∈X_yz} F_{x,y'} as a Z mask} and its merged
-    (z,z',y) fibers {z': ∪_{x∈X_yz} F_{x,·,z'} as a Y mask}.  An x-set is a
-    mask over x-run ordinals, so it has at most |F| bits whatever |X| is."""
-    keys, nz, nyz = rel.keys, rel.z.size, rel.y.size * rel.z.size
+def _g_fibers(rel: FiniteRelation3) -> Iterator[tuple[list, dict, dict]]:
+    """The one walk of F that G is read from: for each distinct x-set
+    X_yz = {x : (x,y,z) ∈ F}, its (y,z) pairs, its merged (y,y',z) fibers
+    {y': ∪_{x∈X_yz} F_{x,y'} as a Z mask} and its merged (z,z',y) fibers
+    {z': ∪_{x∈X_yz} F_{x,·,z'} as a Y mask}.  An x-set is a mask over x-run
+    ordinals, so it has at most |F| bits whatever |X| is."""
+    nz = rel.z.size
     z_rows, y_rows, x_sets = [], [], {}  # per x-run {y': Z mask}, {z': Y mask}; (y,z) -> X_yz
-    for t, (_, lo, hi) in enumerate(rel.x_runs()):
+    for t, (_, run) in enumerate(groupby(rel.axis_pairs(1), itemgetter(0))):
         z_rows.append(by_y := {})
         y_rows.append(by_z := {})
-        for j, k in (divmod(key % nyz, nz) for key in keys[lo:hi]):
-            if bbits >> j & 1 and cbits >> k & 1:
-                by_y[j] = by_y.get(j, 0) | 1 << k
-                by_z[k] = by_z.get(k, 0) | 1 << j
-                x_sets[(j, k)] = x_sets.get((j, k), 0) | 1 << t
+        for j, k in (divmod(jk, nz) for _, jk in run):
+            by_y[j] = by_y.get(j, 0) | 1 << k
+            by_z[k] = by_z.get(k, 0) | 1 << j
+            x_sets[(j, k)] = x_sets.get((j, k), 0) | 1 << t
     classes: dict[int, list[tuple[int, int]]] = {}
     for yz, xs in x_sets.items():
         classes.setdefault(xs, []).append(yz)
@@ -173,7 +159,7 @@ def derive_g(rel: FiniteRelation3, budget_cells: int = DEFAULT_BUDGET_CELLS) -> 
     if _cells(ny * ny, nz * nz) > budget_cells:
         raise CapacityError(f"pair relation needs {ny * ny} x {nz * nz} cells; budget is {budget_cells}")
     rows = [0] * (ny * ny)
-    for pairs, zz, _ in _g_fibers(rel, (1 << ny) - 1, (1 << nz) - 1):
+    for pairs, zz, _ in _g_fibers(rel):
         for j, k in pairs:
             base, shift = j * ny, k * nz
             for j2, mask in zz.items():
@@ -187,12 +173,8 @@ def g_edge_count(
     """(|G ∩ B²×C²|, max (y,y',z) fiber, max (z,z',y) fiber), read from the G
     kernel without enumerating G.  B and C default to all of Y and Z;
     restricting F to X×B×C restricts G to B²×C²."""
-    if (b is not None and b.universe != rel.y) or (c is not None and c.universe != rel.z):
-        raise InputError("g_edge_count: subsets must match the relation's universes")
-    bbits = (1 << rel.y.size) - 1 if b is None else b.bits
-    cbits = (1 << rel.z.size) - 1 if c is None else c.bits
     count = max_zz = max_yy = 0
-    for pairs, zz, yy in _g_fibers(rel, bbits, cbits):
+    for pairs, zz, yy in _g_fibers(rel.restrict(b=b, c=c)):
         sizes = [mask.bit_count() for mask in zz.values()]
         count += len(pairs) * sum(sizes)
         max_zz = max(max_zz, *sizes)
@@ -236,11 +218,9 @@ def cauchy_schwarz_check(
     law holds.  The three inequalities are tested in exact integer arithmetic
     (squared forms); the reported rhs is the float evaluation for humans.
     """
-    if a.universe != rel.x or b.universe != rel.y or c.universe != rel.z:
-        raise InputError("cauchy_schwarz_check: subsets must match the relation's universes")
+    per_x = [hi - lo for _, lo, hi in rel.restrict(a, b, c).x_runs()]
     if d < 0:
         raise ParameterError(f"the bounded degree d must be >= 0, got {d}")
-    per_x = list(_grid_counts_by_x(rel, a.bits, b.bits, c.bits))
     f_count = sum(per_x)
     w_count = sum(v * v for v in per_x)
     g_count, max_zz, max_yy = g_edge_count(rel, b, c)

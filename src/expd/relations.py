@@ -3,11 +3,12 @@
 A Universe is an indexed finite set 0..size-1, optionally carrying element
 labels.  Binary relations are stored as dense bit matrices (one Python int
 per left element, bit j set iff (i, j) is an edge); ternary relations as one
-sorted, duplicate-free array('q') of packed keys (i·|Y| + j)·|Z| + k, read by
-key arithmetic.  All counting here is pure integer arithmetic.
+sorted, duplicate-free array('q') of packed keys (i·|Y| + j)·|Z| + k, which
+other modules read only through FiniteRelation3.axis_pairs and restrict.  All
+counting here is pure integer arithmetic.
 
 Subsets of a universe are bit vectors.  Grid counts |E ∩ A×B| and
-|F ∩ A×B×C| are exact and deterministic.
+|F ∩ A×B×C| (the size of a restriction) are exact and deterministic.
 
 Everything is immutable after construction.
 """
@@ -204,11 +205,6 @@ class FiniteRelation2:
         return f"FiniteRelation2({self.u.name}:{self.u.size} x {self.v.name}:{self.v.size}, {self.edge_count} edges)"
 
 
-def _decode_keys(keys: Iterable[int], ny: int, nz: int) -> Iterator[tuple[int, int, int]]:
-    """The triples (i, j, k) packed as (i·ny + j)·nz + k, in key order."""
-    return ((i, *divmod(jk, nz)) for i, jk in map(divmod, keys, repeat(ny * nz)))
-
-
 class FiniteRelation3:
     """A ternary relation F ⊆ X×Y×Z as one sorted, duplicate-free array of
     packed keys (i·|Y| + j)·|Z| + k.
@@ -235,7 +231,19 @@ class FiniteRelation3:
     @property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         """The sorted triples, decoded from the keys on every access."""
-        return tuple(_decode_keys(self.keys, self.y.size, self.z.size))
+        return tuple((i, *divmod(jk, self.z.size)) for i, jk in self.axis_pairs(1))
+
+    def axis_pairs(self, axis: int) -> Iterator[tuple[int, int]]:
+        """(a, b) for each triple, in key order: a is its coordinate on axis 1, 2
+        or 3 (X, Y or Z), b the row-major index of the other two in X, Y, Z order."""
+        keys, ny, nz = self.keys, self.y.size, self.z.size
+        if axis == 1:
+            return map(divmod, keys, repeat(ny * nz))
+        if axis == 2:
+            return ((key // nz % ny, key // (ny * nz) * nz + key % nz) for key in keys)
+        if axis == 3:
+            return ((key % nz, key // nz) for key in keys)
+        raise InputError(f"axis must be 1, 2 or 3, got {axis!r}")
 
     def x_runs(self) -> Iterator[tuple[int, int, int]]:
         """(i, lo, hi) for each x = i present in F: keys[lo:hi] are its keys."""
@@ -246,6 +254,23 @@ class FiniteRelation3:
             hi = bisect_left(keys, (i + 1) * nyz, lo)
             yield i, lo, hi
             lo = hi
+
+    def restrict(
+        self, a: Optional[Subset] = None, b: Optional[Subset] = None, c: Optional[Subset] = None
+    ) -> "FiniteRelation3":
+        """F ∩ A×B×C, where a missing subset stands for its whole universe; F
+        itself when no subset leaves an element out.  A is tested once per
+        x-run, and no mask of a whole universe is built (-1 holds every bit)."""
+        for sub, universe in zip((a, b, c), (self.x, self.y, self.z)):
+            if sub is not None:
+                _check_universe(sub, universe, "restrict")
+        abits, bbits, cbits = (-1 if s is None or s.bits.bit_count() == s.universe.size else s.bits for s in (a, b, c))
+        if abits == bbits == cbits == -1:
+            return self
+        keys, ny, nz = self.keys, self.y.size, self.z.size
+        runs = (keys[lo:hi] for i, lo, hi in self.x_runs() if abits >> i & 1)
+        kept = [key for run in runs for key in run if cbits >> key % nz & 1 and bbits >> key // nz % ny & 1]
+        return FiniteRelation3(self.x, self.y, self.z, kept)
 
     def __eq__(self, other) -> bool:
         return (
@@ -316,25 +341,8 @@ def count_grid2(rel: FiniteRelation2, a: Subset, b: Subset) -> int:
 
 
 def count_grid3(rel: FiniteRelation3, a: Subset, b: Subset, c: Subset) -> int:
-    """Exact |F ∩ A×B×C|."""
-    _check_universe(a, rel.x, "count_grid3")
-    _check_universe(b, rel.y, "count_grid3")
-    _check_universe(c, rel.z, "count_grid3")
-    return sum(_grid_counts_by_x(rel, a.bits, b.bits, c.bits))
-
-
-def _grid_counts_by_x(rel: FiniteRelation3, abits: int, bbits: int, cbits: int) -> Iterator[int]:
-    """|F ∩ {x}×B×C| for each x in A that F touches, in x order."""
-    keys, ny, nz = rel.keys, rel.y.size, rel.z.size
-    full_bc = bbits == (1 << ny) - 1 and cbits == (1 << nz) - 1
-    for i, lo, hi in rel.x_runs():
-        if abits >> i & 1:
-            if full_bc:
-                yield hi - lo
-            else:
-                yield sum(
-                    1 for key in keys[lo:hi] if cbits >> key % nz & 1 and bbits >> key // nz % ny & 1
-                )
+    """Exact |F ∩ A×B×C|, the size of the restriction."""
+    return len(rel.restrict(a, b, c))
 
 
 # --- relation file format -------------------------------------------------
@@ -403,7 +411,8 @@ def _write_relation(
     if isinstance(rel, FiniteRelation2):
         kind, field, universes, entries = "rel2", "pairs", (rel.u, rel.v), rel.edges()
     else:
-        entries = _decode_keys(rel.keys, rel.y.size, rel.z.size)
+        nz = rel.z.size
+        entries = ((i, *divmod(jk, nz)) for i, jk in rel.axis_pairs(1))
         kind, field, universes = "rel3", "triples", (rel.x, rel.y, rel.z)
     # sorted keys: "kind" < "pairs" | "triples" < "universes"
     fh.write(f'{{"kind"{key}"{kind}"{item}"{field}"{key}[')

@@ -149,7 +149,7 @@ def find_kst(rel: FiniteRelation2, s: int, t: int) -> Optional[KstWitness]:
         raise ParameterError(f"find_kst needs s, t >= 1, got s={s}, t={t}")
     m = rel.u.size
     rows = rel.rows
-    if s > m:
+    if s > m or t > rel.v.size:
         return None
     nodes = 0
     cols = None  # the relation's transpose, fetched at the first column-counted node

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from expd import Universe, build_relation2, build_relation3, cli, pipeline, write_relation
+from expd import Universe, build_relation2, build_relation3, cli, pipeline, write_relation, zarankiewicz
 from expd.instances import random_bipartite
 from expd.relations import _columns
 
@@ -310,6 +310,26 @@ def test_derive_g_huge_x_universe(tmp_path, capsys):
     src.write_text(json.dumps({"kind": "rel3", "universes": universes, "triples": [[last, 0, 0], [last, 1, 1]]}))
     assert cli.main(["derive-g", "--rel", str(src)]) == 0
     assert capsys.readouterr().out.endswith("\ng_edges=4 max_zz_fiber=1 max_yy_fiber=1\n")
+
+
+def test_certify_t_beyond_right_universe(tmp_path, capsys):
+    # t > |V| = 0 admits no K_{s,t}, so the search never builds its t-long column list
+    src = tmp_path / "empty-v.json"
+    src.write_text(json.dumps({"kind": "rel2", "universes": [{"name": "U", "size": 5}, {"name": "V", "size": 0}]}))
+    argv = ["certify", "--rel", str(src), "--s", "1", "--t", "1000000000", "--D", "1", "--epsilon", "1/100000000000000"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith(",0,0,0,,,,ok\n")
+
+
+def test_pipeline3_single_column_flattening(tmp_path, capsys, monkeypatch):
+    # |Y|·|Z| = 1: the X flattening has one column, so K_{2,2} is ruled out without a search
+    monkeypatch.setattr(zarankiewicz, "MAX_KST_NODES", 0)
+    src = tmp_path / "one-column.json"
+    universes = [{"name": "X", "size": 10}, {"name": "Y", "size": 1}, {"name": "Z", "size": 1}]
+    src.write_text(json.dumps({"kind": "rel3", "universes": universes, "triples": [[0, 0, 0], [9, 0, 0]]}))
+    assert cli.main(["pipeline3", "--rel", str(src)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cylindrical_witness"] is None and report["checks_ok"] is True
 
 
 # malformed numbers and generator sizes on the command line

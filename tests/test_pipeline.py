@@ -280,11 +280,17 @@ class TestDeriveG:
             derive_g(rel, budget_cells=100)
 
     def test_huge_x_universe(self):
-        # x-sets are masks over the x-runs of F, so |X| = 10^15 costs nothing
+        # x-sets are masks over the x-runs of F, and restricting F to X×B×C
+        # builds no mask over X, so |X| = 10^15 costs nothing
         last = 10**15 - 1
         rel = build_relation3(u(10**15, "X"), u(2, "Y"), u(2, "Z"), [(last, 0, 0), (last, 1, 1)])
         assert derive_g(rel).edge_count == 4
         assert g_edge_count(rel) == (4, 1, 1)
+        y, z = u(4, "Y"), u(4, "Z")
+        rel = build_relation3(u(10**15, "X"), y, z, [(0, 2, 2), (5, 3, 3), (last, 0, 0), (last, 1, 1)])
+        b = Subset.from_indices(y, [0, 1, 2])
+        assert g_edge_count(rel, b, Subset.full(z)) == (5, 1, 1)
+        assert g_edge_count(rel, b) == (5, 1, 1)
 
 
 class TestGKernel:

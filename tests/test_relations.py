@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -272,19 +273,17 @@ class TupleRelation3:
     def group_by_x(self):
         return self.fiber_map(lambda i, j, k: (i, (j, k)))
 
-    def x_counts(self, abits, bbits, cbits):
-        counts = {}
-        for i, j, k in self.triples:
-            if abits >> i & 1 and bbits >> j & 1 and cbits >> k & 1:
-                counts[i] = counts.get(i, 0) + 1
-        return counts
+    def restrict(self, abits, bbits, cbits):
+        return [(i, j, k) for i, j, k in self.triples if abits >> i & 1 and bbits >> j & 1 and cbits >> k & 1]
+
+    def axis_pairs(self, axis):
+        ny, nz = self.y.size, self.z.size
+        return [{1: (i, j * nz + k), 2: (j, i * nz + k), 3: (k, i * ny + j)}[axis] for i, j, k in self.triples]
 
     def flatten_rows(self, axis):
-        ny, nz = self.y.size, self.z.size
         left = (self.x, self.y, self.z)[axis - 1].size
         rows = [0] * left
-        for i, j, k in self.triples:
-            a, b = {1: (i, j * nz + k), 2: (j, i * nz + k), 3: (k, i * ny + j)}[axis]
+        for a, b in self.axis_pairs(axis):
             rows[a] |= 1 << b
         return tuple(rows)
 
@@ -316,9 +315,8 @@ class TestPackedCore:
 
     def test_matches_tuple_oracle_fuzz(self):
         from expd.pipeline import _axis_flatten, pairing_maxima
-        from expd.relations import _grid_counts_by_x
 
-        seen_empty = seen_dupes = seen_unit = 0
+        seen_empty = seen_dupes = seen_unit = seen_same = 0
         for seed in range(200):
             rng = random.Random(seed)
             (x, y, z), triples = self.random_input(rng)
@@ -338,22 +336,36 @@ class TestPackedCore:
                 for i, lo, hi in rel.x_runs()
             } == oracle.group_by_x()
             for axis in (1, 2, 3):
+                assert list(rel.axis_pairs(axis)) == oracle.axis_pairs(axis)
                 assert _axis_flatten(rel, axis).rows == oracle.flatten_rows(axis)
-            for _ in range(4):
+            for _ in range(6):
+                # each subset is missing (None), empty, partial or whole
                 a, b, c = (
-                    Subset(w, rng.getrandbits(w.size) if rng.random() < 0.7 else (1 << w.size) - 1)
+                    rng.choice([None, Subset.empty(w), Subset(w, rng.getrandbits(w.size)), Subset.full(w)])
                     for w in (x, y, z)
                 )
-                expected = oracle.x_counts(a.bits, b.bits, c.bits)
-                assert count_grid3(rel, a, b, c) == sum(expected.values())
-                got = [n for n in _grid_counts_by_x(rel, a.bits, b.bits, c.bits) if n]
-                assert got == list(expected.values())
+                abits, bbits, cbits = (-1 if s is None else s.bits for s in (a, b, c))
+                expected = oracle.restrict(abits, bbits, cbits)
+                sub = rel.restrict(a, b, c)
+                assert sub.triples == tuple(expected)
+                assert (sub.x, sub.y, sub.z) == (x, y, z)
+                if all(s is None or s.bits == (1 << s.universe.size) - 1 for s in (a, b, c)):
+                    assert sub is rel
+                    seen_same += 1
+                if None not in (a, b, c):
+                    assert count_grid3(rel, a, b, c) == len(expected)
+                per_x = Counter(i for i, _, _ in expected)
+                assert [hi - lo for _, lo, hi in sub.x_runs()] == list(per_x.values())
             assert relation_to_obj(rel) == oracle.to_obj()
             assert rel == build_relation3(x, y, z, sorted(set(triples)))
             if triples:
                 assert rel != build_relation3(x, y, z, oracle.triples[1:])
                 assert rel != build_relation3(u(x.size + 1, "X"), y, z, triples)
-        assert seen_empty and seen_dupes and seen_unit
+        assert seen_empty and seen_dupes and seen_unit and seen_same
+        with pytest.raises(InputError):
+            rel.axis_pairs(4)
+        with pytest.raises(InputError):
+            rel.restrict(b=Subset.full(x))
 
 
 class TestPairUniverse:

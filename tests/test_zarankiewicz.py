@@ -211,6 +211,12 @@ class TestFindKst:
         with pytest.raises(BudgetError, match="more than 1651 nodes"):
             find_kst(pg, 2, 2)
 
+    def test_t_beyond_right_universe(self, monkeypatch):
+        # no K_{s,t} fits when t > |V|: the search answers before charging a node
+        assert find_kst(FiniteRelation2(Universe("U", 5), Universe("V", 0), [0] * 5), 1, 10**9) is None
+        monkeypatch.setattr(zarankiewicz, "MAX_KST_NODES", 0)
+        assert find_kst(FiniteRelation2(Universe("U", 10), Universe("V", 1), [1] * 10), 2, 2) is None
+
     def test_matches_loop_only_search_fuzz(self, monkeypatch):
         # sparse rows over many left elements take the column-counted last
         # level, dense rows the row loop; the witness and the node charge
