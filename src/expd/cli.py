@@ -13,15 +13,18 @@ them):
   scan       a family; --sizes --seed --format --out --budget-cells
 
 A family is --family F [--twists identity|seeded], F one of cyclic,
-unitmod:P, cylindrical[:K], dsl or topz; only cyclic and unitmod:P take
-seeded twists, dsl and topz take --expr, and dsl the grids --grid-x/y/z.  A ternary instance is one of --rel FILE, a family
-with --n SIZE, or --expr with --grid-x, --grid-y and --grid-z.  A binary
-instance is one of --rel FILE, --pg Q, --identity N, --interval COUNT:POINTS
-or --box COUNT:GRIDSIDE.
+unitmod:P, cylindrical[:K], dsl or topz, and becomes one pipeline.FamilySpec
+of the flags given; make_family refuses a flag its kind does not read (only
+cyclic and unitmod:P take seeded twists, dsl and topz take --expr, and dsl
+the grids --grid-x/y/z).  A ternary instance is one of --rel FILE, a family
+with --n SIZE, or --expr with --grid-x, --grid-y and --grid-z; --n and
+--twists apply to a family only.  A binary instance is one of --rel FILE,
+--pg Q, --identity N, --interval COUNT:POINTS or --box COUNT:GRIDSIDE.
 
 Exit codes: 0 all checks passed, 2 a checked inequality failed, 3 input
 error (a malformed or unknown flag, an abbreviated flag, a flag the
-subcommand does not read, a second instance source), 4 budget exceeded.
+subcommand does not read, a second instance source, a flag the instance
+does not read), 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -100,36 +103,26 @@ def _two_ints(text: str, usage: str) -> tuple[int, int]:
 
 
 def _family_from_args(args) -> pipeline.RelationFamily:
+    """One FamilySpec of the flags as given; make_family refuses those the kind does not read."""
     spec_text = args.family
     if not spec_text:
         raise InputError("no family given (use --family)")
-    if args.expr and spec_text not in ("dsl", "topz"):
-        raise InputError(f"--expr defines a dsl or topz family, not --family {spec_text}")
-    twists = ("identity", "identity", "identity")
+    twists = pipeline.FamilySpec.twists
     if args.twists == "seeded":
         seed = _require_seed(args)
         twists = (("seeded", seed), ("seeded", seed + 1), ("seeded", seed + 2))
-    # each family builder reads only the spec fields of its kind
-    common = dict(twists=twists, seed=args.seed or 0, budget_cells=args.budget_cells)
+    grids = tuple(g or d for g, d in zip((args.grid_x, args.grid_y, args.grid_z), pipeline.FamilySpec.grids))
+    common = dict(twists=twists, seed=args.seed or 0, expr=args.expr, grids=grids, budget_cells=args.budget_cells)
     if spec_text == "cyclic":
         spec = pipeline.FamilySpec(kind="group_like", group=("cyclic", None), **common)
     elif spec_text.startswith("unitmod:"):
         p = _int(spec_text.split(":", 1)[1], "--family unitmod:P")
         spec = pipeline.FamilySpec(kind="group_like", group=("unit_group_mod", p), **common)
     elif spec_text == "cylindrical" or spec_text.startswith("cylindrical:"):
-        block = None
-        if ":" in spec_text:
-            block = _int(spec_text.split(":", 1)[1], "--family cylindrical:K")
+        block = _int(spec_text.split(":", 1)[1], "--family cylindrical:K") if ":" in spec_text else None
         spec = pipeline.FamilySpec(kind="cylindrical", block=block, **common)
     elif spec_text in ("dsl", "topz"):
-        if not args.expr:
-            raise InputError(f"--family {spec_text} needs --expr")
-        if spec_text == "topz":
-            if args.twists != "identity":
-                raise InputError("twists apply to group-like families only, not to topz")
-            return pipeline.top_frequent_family(args.expr, args.budget_cells)
-        grids = tuple(grid or "range:0:{n}:1" for grid in (args.grid_x, args.grid_y, args.grid_z))
-        spec = pipeline.FamilySpec(kind="dsl", expr=args.expr, grids=grids, **common)
+        spec = pipeline.FamilySpec(kind=spec_text, **common)
     else:
         raise InputError(f"unknown family {spec_text!r}")
     return pipeline.make_family(spec)
@@ -137,9 +130,11 @@ def _family_from_args(args) -> pipeline.RelationFamily:
 
 def _rel3_from_args(args) -> tuple[str, FiniteRelation3]:
     """(name, relation) of the one ternary instance given, named by its source."""
+    if not args.family and (args.n is not None or args.twists != "identity"):
+        raise InputError("--n and --twists apply to --family only; --rel and --expr are whole instances")
     if args.rel:
-        if args.family or args.expr:
-            raise InputError("--rel is a whole instance; drop --family and --expr")
+        if args.family or args.expr or args.grid_x or args.grid_y or args.grid_z:
+            raise InputError("--rel is a whole instance; drop --family, --expr and the grids")
         rel = read_relation(args.rel)
         if not isinstance(rel, FiniteRelation3):
             raise InputError(f"{args.rel} does not hold a ternary relation")
@@ -162,7 +157,8 @@ def _rel3_from_args(args) -> tuple[str, FiniteRelation3]:
 
 
 def cmd_count(args) -> int:
-    if args.expr and not (args.rel or args.family or args.grid_x) and args.grid_y and args.grid_z:
+    ternary_flags = (args.rel, args.family, args.grid_x, args.n is not None, args.twists != "identity")
+    if args.expr and args.grid_y and args.grid_z and not any(ternary_flags):
         expr = dsl.parse(args.expr, variables=dsl.BINARY_VARS)
         grids = [dsl.parse_grid(grid, seed=args.seed) for grid in (args.grid_y, args.grid_z)]
         rel2 = dsl.instantiate2(expr, *grids, budget_cells=args.budget_cells)

@@ -72,15 +72,12 @@ def interval_incidence(intervals: list[tuple[int, int]], n_points: int) -> Finit
     return FiniteRelation2(u, v, rows)
 
 
-def random_interval_incidence(
-    seed: int, n_intervals: int, n_points: int, max_len: int | None = None
-) -> FiniteRelation2:
+def random_interval_incidence(seed: int, n_intervals: int, n_points: int) -> FiniteRelation2:
     if n_intervals < 0 or n_points < 1:
         raise InputError(f"need >= 0 intervals on >= 1 points, got {n_intervals} on {n_points}")
     _check_rel2_cells("interval instance", n_intervals, n_points)
     rng = random.Random(seed)
-    if max_len is None:
-        max_len = max(1, n_points // 3)
+    max_len = max(1, n_points // 3)
     intervals = []
     for _ in range(n_intervals):
         length = rng.randint(1, max_len)
@@ -119,16 +116,13 @@ def rectangle_incidence(rects: list[Rect], points: list[tuple[int, int]]) -> Fin
     return FiniteRelation2(u, v, rows)
 
 
-def random_rectangle_incidence(
-    seed: int, n_rects: int, grid_side: int, max_extent: int | None = None
-) -> FiniteRelation2:
+def random_rectangle_incidence(seed: int, n_rects: int, grid_side: int) -> FiniteRelation2:
     """Rectangles with seeded corners over the full grid_side x grid_side point grid."""
     if n_rects < 0 or grid_side < 1:
         raise InputError(f"need >= 0 rectangles on a grid side >= 1, got {n_rects} on {grid_side}")
     _check_rel2_cells("rectangle instance", n_rects, grid_side * grid_side)
     rng = random.Random(seed)
-    if max_extent is None:
-        max_extent = max(1, grid_side // 4)
+    max_extent = max(1, grid_side // 4)
     points = [(x, y) for x in range(grid_side) for y in range(grid_side)]
     rects = []
     for _ in range(n_rects):

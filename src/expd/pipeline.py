@@ -24,11 +24,13 @@ For F ⊆ X×Y×Z the operations here compute, exactly:
 Instance families for scaling experiments live here too: abelian-group
 graphs (x+y+z = 0 in Z/n, or x·y·z = 1 in the units mod p) composed with
 per-coordinate bijective twists, planted-block cylindrical relations with
-sparse noise, and DSL-defined polynomial grids.
+sparse noise, DSL-defined polynomial grids and top-frequency grids.  Each is
+a FamilySpec kind, and make_family alone decides which fields a kind reads.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -156,15 +158,16 @@ def _g_fibers(rel: FiniteRelation3) -> Iterator[tuple[list, dict, dict]]:
 def derive_g(rel: FiniteRelation3, budget_cells: int = DEFAULT_BUDGET_CELLS) -> FiniteRelation2:
     """Materialize G over Y² x Z² (row-major pair indices) from the G kernel."""
     ny, nz = rel.y.size, rel.z.size
-    if _cells(ny * ny, nz * nz) > budget_cells:
-        raise CapacityError(f"pair relation needs {ny * ny} x {nz * nz} cells; budget is {budget_cells}")
-    rows = [0] * (ny * ny)
+    u, v = pair_universe(rel.y), pair_universe(rel.z)  # base caps before any allocation
+    if _cells(u.size, v.size) > budget_cells:
+        raise CapacityError(f"pair relation needs {u.size} x {v.size} cells; budget is {budget_cells}")
+    rows = [0] * u.size
     for pairs, zz, _ in _g_fibers(rel):
         for j, k in pairs:
             base, shift = j * ny, k * nz
             for j2, mask in zz.items():
                 rows[base + j2] |= mask << shift
-    return FiniteRelation2(pair_universe(rel.y), pair_universe(rel.z), rows)
+    return FiniteRelation2(u, v, rows)
 
 
 def g_edge_count(
@@ -248,7 +251,7 @@ def cauchy_schwarz_check(
 @dataclass(frozen=True)
 class FamilySpec:
     """kind 'group_like' (cyclic or unit group mod a prime, with twists),
-    'cylindrical' (planted k x k block plus sparse noise), or 'dsl'."""
+    'cylindrical' (planted k x k block plus sparse noise), 'dsl' or 'topz'."""
 
     kind: str
     group: Optional[tuple] = None  # ("cyclic", None) or ("unit_group_mod", p)
@@ -353,9 +356,18 @@ def _dsl_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     return instantiate3(expr, *grids, budget_cells=spec.budget_cells)[0]
 
 
+# the FamilySpec fields each kind reads; seed and budget_cells belong to every run
+_READS = {"group_like": ("group", "twists"), "cylindrical": ("block",), "dsl": ("expr", "grids"), "topz": ("expr",)}
+
+
 def make_family(spec: FamilySpec) -> RelationFamily:
-    if spec.kind != "group_like" and spec.twists != FamilySpec.twists:
-        raise InputError(f"twists apply to group-like families only, not to {spec.kind}")
+    """The family a spec names; a field its kind does not read must keep its default."""
+    if spec.kind not in _READS:
+        raise InputError(f"unknown family kind {spec.kind!r}")
+    for field in ("group", "twists", "block", "expr", "grids"):
+        if field not in _READS[spec.kind] and getattr(spec, field) != getattr(FamilySpec, field):
+            readers = " and ".join(kind.replace("_", "-") for kind, reads in _READS.items() if field in reads)
+            raise InputError(f"{field} apply to {readers} families only, not to {spec.kind}")
     if spec.kind == "group_like":
         if spec.group is None:
             raise InputError("group_like family needs a group")
@@ -364,13 +376,13 @@ def make_family(spec: FamilySpec) -> RelationFamily:
         if spec.block is not None and spec.block < 1:
             raise InputError(f"cylindrical block side must be >= 1, got {spec.block}")
         name, builder = "cylindrical", _cylindrical_relation
-    elif spec.kind == "dsl":
-        if spec.expr is None:
-            raise InputError("dsl family needs an expression")
+    elif not spec.expr:
+        raise InputError(f"{spec.kind} family needs an expression")
+    elif spec.kind == "topz":
+        return top_frequent_family(spec.expr, spec.budget_cells)
+    else:
         parse(spec.expr)  # fail fast on syntax errors
         name, builder = f"dsl:{spec.expr}", _dsl_relation
-    else:
-        raise InputError(f"unknown family kind {spec.kind!r}")
     return RelationFamily(name, lambda n: builder(spec, n), spec.budget_cells)
 
 
@@ -389,8 +401,7 @@ def top_frequent_family(expr_text: str, budget_cells: int = DEFAULT_BUDGET_CELLS
         grid = list(range(n))
         value = _compile(side, ("x", "y"), expr.modulus, {"x": grid, "y": grid})
         counts = Counter(starmap(value, product(grid, repeat=2)))
-        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-        c_values = sorted(v for v, _ in top)
+        c_values = sorted(heapq.nsmallest(n, counts, key=lambda v: (-counts[v], v)))
         rel, _ = instantiate3(
             expr,
             GridSpec.range_(0, n),

@@ -236,19 +236,6 @@ class BoundCertificate:
             obj["degraded"] = True
         return obj
 
-    @staticmethod
-    def from_obj(obj: dict) -> "BoundCertificate":
-        return BoundCertificate(
-            case=obj["case"],
-            m=obj["m"],
-            n=obj["n"],
-            r=obj["r"],
-            contribution=obj["contribution"],
-            children=tuple(BoundCertificate.from_obj(c) for c in obj.get("children", [])),
-            total=obj["total"],
-            degraded=obj.get("degraded", False),
-        )
-
 
 def _case2_applies(params: ExponentParams, r: int, m: int, n: int) -> bool:
     # r^(D/(1-alpha)) * m >= n^t, compared in log space

@@ -2,6 +2,8 @@
 
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -485,6 +487,44 @@ def test_twists_on_a_family_that_ignores_them_exit_3(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--family", "cyclic", "--n", "5", "--grid-x", "range:0:3:1"),
+        ("count", "--family", "unitmod:7", "--n", "6", "--grid-x", "list:9"),
+        ("scan", "--family", "cylindrical", "--sizes", "4,8,16", "--grid-y", "range:0:2:1"),
+        ("count", "--family", "topz", "--expr", "x+y=z", "--n", "5", "--grid-z", "list:1,2"),
+    ],
+    ids=["cyclic", "unitmod", "cylindrical", "topz"],
+)
+def test_grids_on_a_family_that_ignores_them_exit_3(capsys, argv):
+    assert cli.main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("expd: input error: grids apply to dsl families only, not to ")
+    assert err.count("\n") == 1
+
+
+def test_derive_g_pair_base_cap_before_allocating(tmp_path):
+    # |Y|² = 2^42 cells fit this budget; the pair-universe base cap must refuse |Y| = 2^21 first
+    src = tmp_path / "wide-y.json"
+    universes = [{"name": "X", "size": 1}, {"name": "Y", "size": 1 << 21}, {"name": "Z", "size": 1}]
+    src.write_text(json.dumps({"kind": "rel3", "universes": universes, "triples": [[0, 0, 0], [0, 1, 0]]}))
+    res = run_cli("derive-g", "--rel", str(src), "--budget-cells", str(10**13), "--out", str(tmp_path / "g.json"))
+    assert res.returncode == 4, res.stderr
+    assert res.stderr == "expd: capacity: pair universe over 'Y' needs 2097152^2 indices; base cap is 1048576\n"
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = pathlib.Path(__file__).parent.parent.joinpath("README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.startswith("expd ")]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    write_relation("f.json", pipeline.make_family(pipeline.FamilySpec(kind="group_like", group=("cyclic", None))).build(8).rel)
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+
+
 def test_huge_power_mod_m_runs():
     res = run_cli("count", "--expr", "x^99999999 = z mod 7", *SMALL_GRIDS[:4], "--grid-z", "fullmod")
     assert res.returncode == 0, res.stderr
@@ -718,6 +758,27 @@ def test_help_exit_0(capsys, command):
 def test_second_instance_source_exit_3(capsys, argv):
     assert cli.main(list(argv)) == 3
     assert "input error" in capsys.readouterr().err
+
+
+SMALL_XYZ = ("--grid-x", "list:1", "--grid-y", "list:1", "--grid-z", "list:2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--rel", GOLDEN_REL3, "--n", "5"),
+        ("count", "--rel", GOLDEN_REL3, "--grid-x", "list:1"),
+        ("count", "--rel", GOLDEN_REL3, "--twists", "seeded", "--seed", "1"),
+        ("count", "--expr", "x+y=z", *SMALL_XYZ, "--n", "7"),
+        ("count", "--expr", "x+y=z", *SMALL_XYZ, "--twists", "seeded", "--seed", "2"),
+        ("count", "--expr", "y=z", "--grid-y", "list:1", "--grid-z", "list:1", "--twists", "seeded", "--seed", "2"),
+    ],
+    ids=["rel-n", "rel-grid", "rel-twists", "expr-n", "expr-twists", "binary-expr-twists"],
+)
+def test_family_flags_on_a_whole_instance_exit_3(capsys, argv):
+    assert cli.main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("expd: input error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

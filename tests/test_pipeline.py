@@ -590,6 +590,30 @@ class TestFamilies:
             make_family(FamilySpec(**{**vars(spec), "twists": seeded}))
         assert len(make_family(spec).build(4).rel) > 0
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            (FamilySpec(kind="group_like", group=("cyclic", None), grids=("range:0:3:1", *FamilySpec.grids[1:])), "grids"),
+            (FamilySpec(kind="group_like", group=("cyclic", None), expr="x + y = z"), "expr"),
+            (FamilySpec(kind="group_like", group=("cyclic", None), block=2), "block"),
+            (FamilySpec(kind="cylindrical", group=("cyclic", None)), "group"),
+            (FamilySpec(kind="dsl", expr="x + y = z", block=2), "block"),
+            (FamilySpec(kind="topz", expr="x + y = z", grids=("list:1", "list:1", "list:1")), "grids"),
+        ],
+        ids=["cyclic-grids", "cyclic-expr", "cyclic-block", "cylindrical-group", "dsl-block", "topz-grids"],
+    )
+    def test_a_field_the_kind_does_not_read_is_refused(self, spec, field):
+        with pytest.raises(InputError, match=f"^{field} apply to .* families only, not to {spec.kind}$"):
+            make_family(spec)
+
+    def test_topz_is_a_family_kind(self):
+        fam = make_family(FamilySpec(kind="topz", expr="x^2 + y^3 = z", seed=7, budget_cells=99))
+        assert fam.name == "topz:x^2 + y^3 = z" and fam.budget_cells == 99
+        assert fam.build(9).rel == top_frequent_family("x^2 + y^3 = z").build(9).rel
+        for kind in ("dsl", "topz"):
+            with pytest.raises(InputError, match=f"{kind} family needs an expression"):
+                make_family(FamilySpec(kind=kind))
+
     @pytest.mark.parametrize("p", [4, 9, 15])
     def test_unit_group_needs_a_prime_modulus(self, p):
         fam = make_family(FamilySpec(kind="group_like", group=("unit_group_mod", p)))
