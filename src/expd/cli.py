@@ -24,7 +24,9 @@ with --n SIZE, or --expr with --grid-x, --grid-y and --grid-z; --n and
 Exit codes: 0 all checks passed, 2 a checked inequality failed, 3 input
 error (a malformed or unknown flag, an abbreviated flag, a flag the
 subcommand does not read, a second instance source, a flag the instance
-does not read), 4 budget exceeded.
+does not read), 4 budget exceeded.  Beyond the flags, the CLI checks no
+precondition of its own: the library refuses a missing --seed where a path
+draws, a bad size list before scan's first build, and every budget.
 """
 
 from __future__ import annotations
@@ -53,12 +55,6 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise InputError("this path is randomized; --seed is mandatory")
-    return args.seed
-
-
 def _emit(args, rows, extra_header: Optional[dict] = None) -> None:
     header = {"subcommand": args.command, "seed": args.seed, **(extra_header or {})}
     sys.stdout.write(reports.emit_report(rows, args.format, args.out, header))
@@ -80,11 +76,11 @@ def _load_rel2(args) -> tuple[str, FiniteRelation2]:
         return f"identity:{args.identity}", instances.identity_matching(args.identity)
     if args.interval is not None:
         count, points = _two_ints(args.interval, "--interval COUNT:POINTS")
-        rel = instances.random_interval_incidence(_require_seed(args), count, points)
+        rel = instances.random_interval_incidence(args.seed, count, points)
         return f"interval:{args.interval}", rel
     if args.box is not None:
         count, side = _two_ints(args.box, "--box COUNT:GRIDSIDE")
-        return f"box:{args.box}", instances.random_rectangle_incidence(_require_seed(args), count, side)
+        return f"box:{args.box}", instances.random_rectangle_incidence(args.seed, count, side)
     raise InputError("no instance given (use --rel, --pg, --identity, --interval or --box)")
 
 
@@ -108,11 +104,10 @@ def _family_from_args(args) -> pipeline.RelationFamily:
     if not spec_text:
         raise InputError("no family given (use --family)")
     twists = pipeline.FamilySpec.twists
-    if args.twists == "seeded":
-        seed = _require_seed(args)
-        twists = (("seeded", seed), ("seeded", seed + 1), ("seeded", seed + 2))
+    if args.twists == "seeded":  # a missing --seed is refused where the twists are drawn
+        twists = tuple(("seeded", None if args.seed is None else args.seed + i) for i in range(3))
     grids = tuple(g or d for g, d in zip((args.grid_x, args.grid_y, args.grid_z), pipeline.FamilySpec.grids))
-    common = dict(twists=twists, seed=args.seed or 0, expr=args.expr, grids=grids, budget_cells=args.budget_cells)
+    common = dict(twists=twists, seed=args.seed, expr=args.expr, grids=grids, budget_cells=args.budget_cells)
     if spec_text == "cyclic":
         spec = pipeline.FamilySpec(kind="group_like", group=("cyclic", None), **common)
     elif spec_text.startswith("unitmod:"):
@@ -254,23 +249,10 @@ def cmd_cutting(args) -> int:
 
 def cmd_pipeline3(args) -> int:
     instance, rel = _rel3_from_args(args)
-    bundle: dict = {"instance": instance}
     dd = pipeline.delta_degree(rel, args.threshold)
-    bundle["delta_degree"] = {
-        "d": dd.d,
-        "pairing_maxima": list(dd.pairing_maxima),
-        "threshold": dd.threshold,
-    }
+    bundle: dict = {"instance": instance, "delta_degree": vars(dd)}  # tuples dump as JSON lists
     witness = pipeline.cylindrical_witness(rel, args.k, budget_cells=args.budget_cells)
-    bundle["cylindrical_witness"] = (
-        None
-        if witness is None
-        else {
-            "axis": witness.axis,
-            "s_side": list(witness.block.s_side),
-            "t_side": list(witness.block.t_side),
-        }
-    )
+    bundle["cylindrical_witness"] = None if witness is None else {"axis": witness.axis, **vars(witness.block)}
     checks_ok = True
     if dd.d is None:
         bundle["fiber_report"] = {"status": "skipped:d-absent"}
@@ -279,10 +261,6 @@ def cmd_pipeline3(args) -> int:
         cs = pipeline.cauchy_schwarz_check(
             rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z), dd.d
         )
-        if cs.g_count > args.budget_cells:
-            raise BudgetError(
-                f"|G| = {cs.g_count} exceeds the cell budget {args.budget_cells}"
-            )
         bundle["g_edges"] = cs.g_count
         bundle["fiber_report"] = {
             "bound": cs.bound,
@@ -290,16 +268,8 @@ def cmd_pipeline3(args) -> int:
             "max_yy_fiber": cs.max_yy_fiber,
             "ok": cs.fiber_law_ok,
         }
-        bundle["cauchy_schwarz"] = {
-            "f_count": cs.f_count,
-            "w_count": cs.w_count,
-            "g_count": cs.g_count,
-            "d": cs.d,
-            "rhs": cs.rhs,
-            "cs_ok": cs.cs_ok,
-            "fiber_ok": cs.fiber_ok,
-            "composed_ok": cs.composed_ok,
-        }
+        cs_fields = ("f_count", "w_count", "g_count", "d", "rhs", "cs_ok", "fiber_ok", "composed_ok")
+        bundle["cauchy_schwarz"] = {field: getattr(cs, field) for field in cs_fields}
         checks_ok = cs.ok
     bundle["checks_ok"] = bool(checks_ok)
     text = json.dumps(bundle, sort_keys=True, indent=2) + "\n"

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FamilyError, InputError, ParameterError
-from .relations import FiniteRelation2, Subset, Universe, _columns, _iter_bits
+from .relations import FiniteRelation2, Subset, Universe, _check_universe, _columns, _iter_bits
 
 __all__ = [
     "CuttingCover",
@@ -87,8 +87,7 @@ class CuttingReport:
 
 
 def _check_cut(rel: FiniteRelation2, a: Subset, r: int, who: str) -> None:
-    if a.universe != rel.u:
-        raise InputError(f"{who}: A must be a subset of the relation's left universe")
+    _check_universe(a, rel.u, who)
     if r < 1:
         raise ParameterError(f"cutting parameter r must be >= 1, got {r}")
 

@@ -25,13 +25,14 @@ fullmod (all residues 0..m-1; needs a declared modulus).
 
 from __future__ import annotations
 
-import random
+import sys
 from dataclasses import dataclass
 from itertools import product, starmap
 from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from .errors import BudgetError, InputError, SyntaxError_
+from .instances import require_seed, seeded_rng
 from .relations import (
     DEFAULT_BUDGET_CELLS,
     FiniteRelation2,
@@ -373,14 +374,14 @@ class GridSpec:
                 raise InputError("explicit grid values must be pairwise distinct")
             return values
         if self.kind == "random":
-            if self.seed is None:
-                raise InputError("random grid needs a seed")
+            rng = seeded_rng(self.seed)
             span = self.hi - self.lo + 1
             if not 0 <= self.count <= span:
                 raise InputError(
                     f"cannot draw {self.count} distinct values from [{self.lo}, {self.hi}]"
                 )
-            rng = random.Random(self.seed)
+            if span > sys.maxsize:  # random.sample takes the len() of its range
+                raise InputError(f"cannot draw from [{self.lo}, {self.hi}]: more than {sys.maxsize} values")
             return rng.sample(range(self.lo, self.hi + 1), self.count)
         return list(range(size))  # full_mod
 
@@ -397,9 +398,7 @@ def parse_grid(text: str, seed: Optional[int] = None) -> GridSpec:
         if kind == "list" and len(parts) == 2:
             return GridSpec.explicit(int(v) for v in parts[1].split(","))
         if kind == "rand" and len(parts) == 4:
-            if seed is None:
-                raise InputError("rand:... grid requires --seed")
-            return GridSpec.random_(seed, int(parts[1]), int(parts[2]), int(parts[3]))
+            return GridSpec.random_(require_seed(seed), int(parts[1]), int(parts[2]), int(parts[3]))
         if kind == "fullmod" and len(parts) == 1:
             return GridSpec.full_mod()
     except ValueError as exc:

@@ -1,7 +1,10 @@
 """Concrete incidence instances used by experiments and tests.
 
 All generators are deterministic given their arguments; randomized ones take
-an explicit seed.  Planar point universes carry coordinate labels "x,y" so
+an explicit seed.  seeded_rng builds every random stream of the package (these
+generators, the seeded twists and cylindrical noise of pipeline.py, and rand:
+grids), and require_seed refuses a missing seed: no path that draws falls
+back to a default.  Planar point universes carry coordinate labels "x,y" so
 the rectangle machinery can recover geometry from the relation alone.
 """
 
@@ -9,9 +12,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import InputError
 from .relations import FiniteRelation2, Universe, _check_rel2_cells
+
+
+def require_seed(seed: Optional[int]) -> int:
+    """The seed of a path that draws; a missing one is an input error."""
+    if seed is None:
+        raise InputError("this path is randomized; --seed is mandatory")
+    return seed
+
+
+def seeded_rng(seed: Optional[int], child: Optional[int] = None) -> random.Random:
+    """The one random stream constructor: the stream of seed itself, or its
+    child stream int(seed)·1000003 + child."""
+    seed = require_seed(seed)
+    return random.Random(seed if child is None else int(seed) * 1000003 + child)
 
 
 def is_prime(q: int) -> bool:
@@ -76,7 +94,7 @@ def random_interval_incidence(seed: int, n_intervals: int, n_points: int) -> Fin
     if n_intervals < 0 or n_points < 1:
         raise InputError(f"need >= 0 intervals on >= 1 points, got {n_intervals} on {n_points}")
     _check_rel2_cells("interval instance", n_intervals, n_points)
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     max_len = max(1, n_points // 3)
     intervals = []
     for _ in range(n_intervals):
@@ -121,7 +139,7 @@ def random_rectangle_incidence(seed: int, n_rects: int, grid_side: int) -> Finit
     if n_rects < 0 or grid_side < 1:
         raise InputError(f"need >= 0 rectangles on a grid side >= 1, got {n_rects} on {grid_side}")
     _check_rel2_cells("rectangle instance", n_rects, grid_side * grid_side)
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     max_extent = max(1, grid_side // 4)
     points = [(x, y) for x in range(grid_side) for y in range(grid_side)]
     rects = []
@@ -136,7 +154,7 @@ def random_rectangle_incidence(seed: int, n_rects: int, grid_side: int) -> Finit
 
 def random_bipartite(seed: int, m: int, n: int, edges: int) -> FiniteRelation2:
     """A seeded random bipartite graph with exactly min(edges, m*n) distinct edges."""
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     edges = min(edges, m * n)
     u = Universe("U", m)
     v = Universe("V", n)

@@ -31,7 +31,6 @@ a FamilySpec kind, and make_family alone decides which fields a kind reads.
 from __future__ import annotations
 
 import heapq
-import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, product, starmap
@@ -40,7 +39,7 @@ from typing import Callable, Iterator, Optional
 
 from .dsl import GridSpec, _compile, _solved, instantiate3, parse, parse_grid
 from .errors import BudgetError, CapacityError, InputError, ParameterError
-from .instances import is_prime
+from .instances import is_prime, seeded_rng
 from .relations import (
     DEFAULT_BUDGET_CELLS,
     FiniteRelation2,
@@ -257,7 +256,7 @@ class FamilySpec:
     group: Optional[tuple] = None  # ("cyclic", None) or ("unit_group_mod", p)
     twists: tuple = ("identity", "identity", "identity")
     block: Optional[int] = None  # cylindrical block side; None means k(n) = n
-    seed: int = 0
+    seed: Optional[int] = 0  # the draws of cylindrical noise and rand: grids refuse None
     expr: Optional[str] = None
     grids: tuple[str, str, str] = ("range:0:{n}:1", "range:0:{n}:1", "range:0:{n}:1")
     budget_cells: int = DEFAULT_BUDGET_CELLS  # cap on n², and on a dsl grid and its points
@@ -294,7 +293,7 @@ def _twist_map(descriptor, size: int, child_seed: int) -> list[int]:
     if descriptor == "identity":
         return list(range(size))
     if isinstance(descriptor, tuple) and len(descriptor) == 2 and descriptor[0] == "seeded":
-        rng = random.Random(int(descriptor[1]) * 1000003 + child_seed)
+        rng = seeded_rng(descriptor[1], child_seed)
         perm = list(range(size))
         rng.shuffle(perm)
         return perm
@@ -343,7 +342,7 @@ def _group_like_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
 def _cylindrical_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     k = n if spec.block is None else min(spec.block, n)
     triples = [(i, j, j) for i in range(k) for j in range(k)]
-    rng = random.Random(spec.seed * 1000003 + n)
+    rng = seeded_rng(spec.seed, n)
     for _ in range(n):
         triples.append((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
     ux, uy, uz = Universe("X", n), Universe("Y", n), Universe("Z", n)

@@ -48,14 +48,18 @@ class ExponentFit:
     residual_max: float
 
 
-def fit_loglog(sizes: Sequence[int], counts: Sequence[int]) -> ExponentFit:
-    """Least-squares slope of log(count) vs log(n) over >= 3 sizes."""
+def _check_sizes(sizes: Sequence[int]) -> None:
     if len(sizes) < 3:
         raise InputError(f"scaling fit needs at least 3 sizes, got {len(sizes)}")
-    if len(sizes) != len(counts):
-        raise InputError("sizes and counts must have equal length")
     if any(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:])):
         raise InputError("sizes must be strictly increasing")
+
+
+def fit_loglog(sizes: Sequence[int], counts: Sequence[int]) -> ExponentFit:
+    """Least-squares slope of log(count) vs log(n) over >= 3 sizes."""
+    _check_sizes(sizes)
+    if len(sizes) != len(counts):
+        raise InputError("sizes and counts must have equal length")
     if any(c <= 0 for c in counts):
         raise InputError("scaling fit needs positive counts at every size")
     xs = [math.log(s) for s in sizes]
@@ -78,7 +82,9 @@ def fit_loglog(sizes: Sequence[int], counts: Sequence[int]) -> ExponentFit:
 
 
 def run_scaling(family: RelationFamily, sizes: Sequence[int]) -> ExponentFit:
-    """Exact full-grid counts of the family at each size, then the log-log fit."""
+    """Exact full-grid counts of the family at each size, then the log-log fit;
+    a size list the fit would refuse is refused before the first build."""
+    _check_sizes(sizes)
     counts = []
     for n in sizes:
         inst = family.build(n)

@@ -34,14 +34,15 @@ relations._columns, which greedy_cutting shares.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Optional
 
 from .cuttings import CuttingCover, verify_cutting
-from .errors import BudgetError, InputError, ParameterError
-from .relations import FiniteRelation2, Subset, _columns, _iter_bits
+from .errors import BudgetError, ParameterError
+from .relations import FiniteRelation2, Subset, _check_universe, _columns, _iter_bits
 
 # --- exponent arithmetic ----------------------------------------------------
 
@@ -79,7 +80,8 @@ class ExponentParams:
 
 def exponent_params(D: int, t: int, s: int, epsilon) -> ExponentParams:
     """Validated exponent parameters; epsilon (a rational or its text, such as
-    "1/12") must lie in the open interval."""
+    "1/12") must lie in the open interval, and the float evaluations downstream
+    must not overflow or divide by zero."""
     if D < 1:
         raise ParameterError(f"cutting exponent D must be >= 1, got {D}")
     if t < 2:
@@ -96,6 +98,11 @@ def exponent_params(D: int, t: int, s: int, epsilon) -> ExponentParams:
             f"epsilon = {epsilon} outside the admissible interval (0, {sup}) for D={D}, t={t}"
         )
     alpha, beta, delta = exponent_triple(D, t, epsilon)
+    # kst_bound and _case2_applies evaluate s, t, D and 1 - alpha as floats
+    if max(D, t, s) > sys.float_info.max:
+        raise ParameterError(f"D, t and s must be at most {sys.float_info.max:.6g}, the largest float")
+    if float(1 - alpha) == 0:
+        raise ParameterError(f"1 - alpha is below the smallest float for D={D}, t={t}, epsilon={epsilon}")
     return ExponentParams(D=D, t=t, s=s, epsilon=epsilon, alpha=alpha, beta=beta, delta=delta)
 
 
@@ -263,8 +270,8 @@ def certified_count(
     raises NotKstFreeError carrying the witness.  Cutter failures degrade the
     node to an exact count, which keeps the certificate sound.
     """
-    if rel.u != a.universe or rel.v != b.universe:
-        raise InputError("certified_count: subsets do not match the relation's universes")
+    _check_universe(a, rel.u, "certified_count")
+    _check_universe(b, rel.v, "certified_count")
     if r <= 1:
         raise ParameterError(f"cutting parameter r must be > 1, got {r}")
     if leaf_size < 1:

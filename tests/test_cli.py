@@ -394,7 +394,7 @@ def test_unreadable_definition_exit_3(name):
         ("count", "--expr", "x^99999999 = z", "--grid-x", "list:2,3", "--grid-y", "list:2,3",
          "--grid-z", "list:2,3"),
         ("count", "--expr", "y^99999999 = z", "--grid-y", "list:2,3", "--grid-z", "list:2,3"),
-        ("scan", "--family", "topz", "--expr", "x^99999999 = z", "--sizes", "2,3"),
+        ("scan", "--family", "topz", "--expr", "x^99999999 = z", "--sizes", "2,3,4"),
         ("count", "--expr", "(x^99999999)^0 = z", *SMALL_GRIDS),  # x^e is still computed
     ],
 )
@@ -438,7 +438,7 @@ def test_oversized_grid_exit_4_before_building(capsys, argv):
         ("pipeline3", "--family", "cyclic", "--n", "3000"),
         ("derive-g", "--family", "cyclic", "--n", "3000"),
         ("count", "--family", "cylindrical", "--n", "3000"),
-        ("scan", "--family", "topz", "--expr", "x^2 + y^3 = z", "--sizes", "3000,6000"),
+        ("scan", "--family", "topz", "--expr", "x^2 + y^3 = z", "--sizes", "3000,6000,9000"),
     ],
     ids=["count-cyclic", "pipeline3-cyclic", "derive-g-cyclic", "count-cylindrical", "scan-topz"],
 )
@@ -448,6 +448,48 @@ def test_family_over_budget_exit_4_before_building(capsys, argv):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err == "expd: budget exceeded: family size 3000 needs 9000000 cells; budget is 1000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--family", "cylindrical", "--n", "6"),
+        ("count", "--family", "dsl", "--expr", "x + y = z", "--grid-x", "rand:3:0:10", "--n", "4"),
+        ("count", "--family", "cyclic", "--twists", "seeded", "--n", "6"),
+    ],
+    ids=["cylindrical", "dsl-rand-grid", "seeded-twists"],
+)
+def test_a_path_that_draws_needs_a_seed(capsys, argv):
+    assert cli.main(list(argv)) == 3
+    assert capsys.readouterr().err == "expd: input error: this path is randomized; --seed is mandatory\n"
+    assert cli.main([*argv, "--seed", "1"]) == 0
+
+
+HUGE = str(10**400)
+
+
+# values past the float range: each ends in a documented exit code, never a traceback
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--pg", "7", "--s", HUGE),
+        ("certify", "--pg", "7", "--t", HUGE, "--epsilon", f"1/{10**802}"),
+        ("certify", "--pg", "7", "--D", HUGE, "--epsilon", f"1/{10**802}"),
+        ("certify", "--pg", "7", "--D", "1", "--epsilon", f"1/{HUGE}"),
+        ("certify", "--pg", "7", "--r", HUGE),
+        ("certify", "--pg", "7", "--leaf-size", HUGE),
+        ("pipeline3", "--family", "cyclic", "--n", "4", "--k", HUGE),
+        ("pipeline3", "--family", "cyclic", "--n", "4", "--threshold", HUGE),
+        ("count", "--family", "cyclic", "--n", HUGE),
+        ("count", "--expr", "x+y=z", "--seed", "1", "--grid-x", f"rand:3:0:{10**23}", "--grid-y", "list:1",
+         "--grid-z", "list:1"),
+    ],
+    ids=["s", "t", "D", "epsilon", "r", "leaf-size", "k", "threshold", "n", "rand-span"],
+)
+def test_huge_numeric_flag_no_traceback(capsys, argv):
+    assert cli.main(list(argv)) in (0, 2, 3, 4)  # any other exception is a traceback
+    err = capsys.readouterr().err
+    assert err == "" or (err.startswith("expd: ") and err.count("\n") == 1), err
 
 
 # generated binary instances far above MAX_FILE_CELLS: uncapped, --pg hangs in
@@ -571,6 +613,17 @@ class TestPipeline3:
         assert tight.stdout == default.stdout
         assert json.loads(tight.stdout)["checks_ok"] is True
 
+    def test_g_above_the_budget_is_no_refusal(self, capsys):
+        # pipeline3 counts G from its kernel and never materializes it: |G| = 8^4 = 4096
+        # above --budget-cells 1000 gives the default budget's bundle
+        args = ["pipeline3", "--expr", "x*0 = 0 mod 8", "--grid-x", "list:0,1", "--grid-y", "fullmod",
+                "--grid-z", "fullmod"]
+        assert cli.main(args) == 0
+        default = capsys.readouterr().out
+        assert cli.main([*args, "--budget-cells", "1000"]) == 0
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["g_edges"] == 4096
+
     def test_hard_budget_exit_4(self):
         res = run_cli(
             "pipeline3",
@@ -652,6 +705,12 @@ class TestScan:
     def test_too_few_sizes_exit_3(self):
         res = run_cli("scan", "--family", "cyclic", "--sizes", "8,16")
         assert res.returncode == 3
+
+    def test_bad_size_list_refused_before_the_first_build(self, capsys):
+        start = time.perf_counter()
+        assert cli.main(["scan", "--family", "cyclic", "--sizes", "1500,1500,1000"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "expd: input error: sizes must be strictly increasing\n"
 
 
 # --- the parser: each subcommand accepts exactly the flags it reads ----------

@@ -1,6 +1,7 @@
 """Relation DSL: parsing, canonical printing, grids, instantiation."""
 
 import random
+import sys
 
 import pytest
 
@@ -160,6 +161,14 @@ class TestGrids:
             parse_grid("range:0:8")
         with pytest.raises(InputError):
             parse_grid("rand:4:0:50")  # no seed
+
+    def test_random_span_up_to_maxsize(self):
+        # random.sample takes the len() of its range, which stops at sys.maxsize
+        assert GridSpec.random_(1, 3, 0, sys.maxsize - 1).resolve() == random.Random(1).sample(range(sys.maxsize), 3)
+        with pytest.raises(InputError, match="more than"):
+            GridSpec.random_(1, 3, 0, sys.maxsize).resolve()
+        with pytest.raises(InputError, match="--seed is mandatory"):
+            GridSpec.random_(None, 3, 0, 9).resolve()
 
 
 class TestGridBudget:

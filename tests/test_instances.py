@@ -141,3 +141,14 @@ class TestRowsMatchPairBuilder:
             chosen.add((rng.randrange(m), rng.randrange(n)))
         rel = random_bipartite(seed, m, n, edges)
         assert rel == build_relation2(rel.u, rel.v, sorted(chosen))
+
+
+@pytest.mark.parametrize(
+    "generator, args",
+    [(random_interval_incidence, (5, 10)), (random_rectangle_incidence, (5, 4)), (random_bipartite, (4, 4, 6))],
+    ids=["interval", "rectangle", "bipartite"],
+)
+def test_a_generator_that_draws_refuses_a_missing_seed(generator, args):
+    with pytest.raises(InputError, match="^this path is randomized; --seed is mandatory$"):
+        generator(None, *args)
+    assert generator(0, *args) == generator(0, *args)

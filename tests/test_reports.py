@@ -64,6 +64,13 @@ class TestRunScaling:
         assert fit.counts == (25, 25, 25)
         assert abs(fit.slope) < 1e-12
 
+    @pytest.mark.parametrize("sizes", [(8, 16), (8, 8, 16), (16, 8, 32)])
+    def test_bad_size_list_refused_before_the_first_build(self, sizes):
+        built = []
+        with pytest.raises(InputError):
+            run_scaling(RelationFamily("watched", built.append), sizes)
+        assert built == []
+
     def test_sum_family_slope(self):
         fam = make_family(FamilySpec(kind="dsl", expr="x + y = z"))
         fit = run_scaling(fam, (16, 32, 64, 128))
