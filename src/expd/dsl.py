@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import product, starmap
+from itertools import compress, islice, product, starmap
 from operator import itemgetter
 from typing import Callable, Optional, Union
 
@@ -486,9 +486,12 @@ def _instantiate(
     pick = itemgetter(*(free.index(name) if name in free else len(free) for name in names))
     free_values = [values[name] for name in free]
     found = map(index.get, starmap(evaluate, product(*free_values)))
+    cells = product(*(range(len(v)) for v in free_values))
     points = []
-    for point, ks in zip(product(*(range(len(v)) for v in free_values)), found):
-        if ks:
+    # lookups a chunk at a time: only the hits reach the Python loop, and memory
+    # stays bounded by the chunk however far apart the hits are
+    while chunk := list(islice(found, 8192)):
+        for point, ks in zip(compress(islice(cells, len(chunk)), chunk), filter(None, chunk)):
             points.extend(pick((*point, k)) for k in ks)
     universes = [Universe(name.upper(), len(values[name]), tuple(values[name])) for name in names]
     return values, universes, points

@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, product, starmap
+from itertools import chain, groupby, product, repeat, starmap
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
@@ -42,6 +42,7 @@ from .errors import BudgetError, CapacityError, InputError, ParameterError
 from .instances import is_prime, seeded_rng
 from .relations import (
     DEFAULT_BUDGET_CELLS,
+    MAX_KEYS,
     FiniteRelation2,
     FiniteRelation3,
     Subset,
@@ -284,6 +285,8 @@ class RelationFamily:
             raise InputError(f"family size must be >= 1, got {n}")
         if n * n > self.budget_cells:  # any family of size n is charged n² cells
             raise BudgetError(f"family size {n} needs {n * n} cells; budget is {self.budget_cells}")
+        if n * n * n >= MAX_KEYS:  # build_relation3's key range, which no budget lifts
+            raise CapacityError(f"family size {n} needs {n * n * n} triple keys, past the 64-bit key range")
         rel = self.builder(n)
         return FamilyInstance(rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z))
 
@@ -301,42 +304,34 @@ def _twist_map(descriptor, size: int, child_seed: int) -> list[int]:
 
 
 def _group_like_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
-    gkind, gparam = spec.group
+    """(i, j, k) ∈ F iff g(i)·g(j)·g(k) is the identity, where g maps indices
+    through the twists to group elements.  Both groups are read as Z/n through
+    a log map (discrete logs to the least primitive root for the units), so F
+    is log g(i) + log g(j) + log g(k) ≡ 0 (mod n)."""
+    gkind, p = spec.group
     if gkind == "cyclic":
-        size = n
-        elements = list(range(n))
-        def third(e1: int, e2: int) -> int:
-            return (-e1 - e2) % n
+        log = range(n)
     elif gkind == "unit_group_mod":
-        p = gparam
         if n != p - 1:
-            raise InputError(
-                f"unit_group_mod({p}) family has the single size {p - 1}, got {n}"
-            )
+            raise InputError(f"unit_group_mod({p}) family has the single size {p - 1}, got {n}")
         if not is_prime(p):
             raise InputError(f"unit_group_mod needs a prime modulus, got {p}")
-        size = p - 1
-        elements = list(range(1, p))
-        def third(e1: int, e2: int) -> int:
-            return pow(e1 * e2, p - 2, p)
+        for g in range(1, p):  # the least g whose powers g^0..g^(p-2) are pairwise distinct
+            powers = [pow(g, e, p) for e in range(n)]
+            if len(set(powers)) == n:
+                break
+        log = sorted(range(n), key=powers.__getitem__)  # element index m (value m + 1) -> its log
     else:
         raise InputError(f"unknown group kind {gkind!r}")
-    maps = [
-        _twist_map(spec.twists[i], size, child_seed=i) for i in range(3)
-    ]
-    # triple (i, j, k) is in F iff g(i) * g(j) * g(k) = identity, where g maps
-    # indices through the twist to group elements
-    elem_of = [[elements[m] for m in mp] for mp in maps]
-    inv3 = {elements[mp]: idx for idx, mp in enumerate(maps[2])}
-    triples = (
-        (i, j, inv3[third(e1, e2)])
-        for i, e1 in enumerate(elem_of[0])
-        for j, e2 in enumerate(elem_of[1])
+    maps = [_twist_map(spec.twists[i], n, child_seed=i) for i in range(3)]
+    lx, ly, lz = ([log[m] for m in mp] for mp in maps)
+    z_of = sorted(range(n), key=lz.__getitem__)  # log -> z index
+    table = [z_of[-s % n] for s in range(2 * n - 1)]  # row i reads table[lx[i] : lx[i] + n] at the y logs
+    triples = chain.from_iterable(
+        zip(repeat(i), range(n), map(table[a : a + n].__getitem__, ly)) for i, a in enumerate(lx)
     )
-    ux = Universe("X", size, tuple(elem_of[0]) if gkind == "unit_group_mod" else None)
-    uy = Universe("Y", size, tuple(elem_of[1]) if gkind == "unit_group_mod" else None)
-    uz = Universe("Z", size, tuple(elem_of[2]) if gkind == "unit_group_mod" else None)
-    return build_relation3(ux, uy, uz, triples)
+    labels = [None] * 3 if gkind == "cyclic" else [tuple(m + 1 for m in mp) for mp in maps]
+    return build_relation3(*map(Universe, "XYZ", repeat(n), labels), triples)
 
 
 def _cylindrical_relation(spec: FamilySpec, n: int) -> FiniteRelation3:

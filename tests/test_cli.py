@@ -450,6 +450,27 @@ def test_family_over_budget_exit_4_before_building(capsys, argv):
     assert err == "expd: budget exceeded: family size 3000 needs 9000000 cells; budget is 1000\n"
 
 
+# a raised --budget-cells does not lift the 64-bit key range: the size is
+# refused before the builder allocates (an OverflowError, a MemoryError and a
+# run of 10^20 noise draws without the check)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pipeline3", "--family", "cyclic", "--n", "100000000000000000000"),
+        ("derive-g", "--family", "cyclic", "--n", "100000000000000000000"),
+        ("count", "--family", "cylindrical", "--n", "1000000000", "--seed", "1"),
+        ("count", "--family", "cylindrical:1", "--n", "100000000000000000000", "--seed", "1"),
+    ],
+    ids=["pipeline3-cyclic", "derive-g-cyclic", "count-cylindrical", "count-cylindrical-block-1"],
+)
+def test_family_past_the_key_range_exit_4_whatever_the_budget(argv):
+    res = run_cli(*argv, "--budget-cells", "1" + "0" * 40)
+    assert res.returncode == 4, res.stderr
+    assert "Traceback" not in res.stderr
+    n = int(argv[argv.index("--n") + 1])
+    assert res.stderr == f"expd: capacity: family size {n} needs {n**3} triple keys, past the 64-bit key range\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -93,3 +93,13 @@ def test_written_rel3_matches_golden(tmp_path):
     out = tmp_path / "rel3.json"
     write_relation(str(out), inst.rel)
     assert out.read_bytes() == golden("cylindrical-4-n12-seed5.rel3.json")
+
+
+def test_written_unit_group_rel3_matches_golden(tmp_path):
+    # scan counts of a group-like family are always n², so only the written
+    # triples and labels pin the unit-group builder
+    twists = (("seeded", 3), ("seeded", 4), ("seeded", 5))
+    inst = make_family(FamilySpec(kind="group_like", group=("unit_group_mod", 31), twists=twists)).build(30)
+    out = tmp_path / "rel3.json"
+    write_relation(str(out), inst.rel)
+    assert out.read_bytes() == golden("unit-group-mod31-twisted-n30.rel3.json")

@@ -25,7 +25,7 @@ from expd import (
     pair_encode,
     top_frequent_family,
 )
-from expd.pipeline import RelationFamily, pairing_maxima
+from expd.pipeline import RelationFamily, _twist_map, pairing_maxima
 
 
 def u(n, name):
@@ -491,6 +491,41 @@ class TestFamilies:
         assert set(inst.rel.triples) == set(units_product_relation(7).triples)
         with pytest.raises(InputError):
             fam.build(5)
+
+    TWISTS = {
+        "identity": ("identity", "identity", "identity"),
+        "seeded": (("seeded", 5), ("seeded", 6), ("seeded", 7)),
+        "mixed": (("seeded", 2), "identity", ("seeded", 9)),
+    }
+
+    @pytest.mark.parametrize("twists", TWISTS, ids=str)
+    @pytest.mark.parametrize(
+        "group, n",
+        [(("cyclic", None), n) for n in (1, 2, 3, 5, 16, 33)]
+        + [(("unit_group_mod", p), p - 1) for p in (2, 3, 5, 7, 11, 13, 101, 211)],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_group_like_matches_brute_force(self, group, n, twists):
+        # oracle: twist i maps index -> group element; (i, j, k) ∈ F iff the
+        # three elements sum to 0 mod n (cyclic) or multiply to 1 mod p (units)
+        gkind, p = group
+        maps = [_twist_map(t, n, child_seed=i) for i, t in enumerate(self.TWISTS[twists])]
+        if gkind == "cyclic":
+            elems, op, modulus, unit = maps, int.__add__, n, 0
+        else:
+            elems, op, modulus, unit = [[m + 1 for m in mp] for mp in maps], int.__mul__, p, 1
+        # the law depends on (a, b) only through a∘b mod the modulus: tabulate
+        # the matching k of every residue by brute force, then read one per (i, j)
+        ks = [[k for k, c in enumerate(elems[2]) if op(r, c) % modulus == unit] for r in range(modulus)]
+        brute = tuple(
+            (i, j, k)
+            for (i, a), (j, b) in itertools.product(enumerate(elems[0]), enumerate(elems[1]))
+            for k in ks[op(a, b) % modulus]
+        )
+        rel = make_family(FamilySpec(kind="group_like", group=group, twists=self.TWISTS[twists])).build(n).rel
+        assert rel.triples == brute
+        labels = (None,) * 3 if gkind == "cyclic" else tuple(map(tuple, elems))
+        assert (rel.x.labels, rel.y.labels, rel.z.labels) == labels
 
     def test_twisted_counts_match_identity(self):
         spec = FamilySpec(
