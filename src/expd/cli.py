@@ -24,9 +24,9 @@ with --n SIZE, or --expr with --grid-x, --grid-y and --grid-z; --n and
 Exit codes: 0 all checks passed, 2 a checked inequality failed, 3 input
 error (a malformed or unknown flag, an abbreviated flag, a flag the
 subcommand does not read, a second instance source, a flag the instance
-does not read), 4 budget exceeded.  Beyond the flags, the CLI checks no
-precondition of its own: the library refuses a missing --seed where a path
-draws, a bad size list before scan's first build, and every budget.
+does not read), 4 budget exceeded or out of memory.  Beyond the flags, the
+CLI checks no precondition of its own: the library refuses a missing --seed
+where a path draws, a bad size list before scan's first build, and any budget.
 """
 
 from __future__ import annotations
@@ -379,8 +379,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
-    except BudgetError as exc:
-        print(f"expd: budget exceeded: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:  # a MemoryError usually carries no message
+        print(f"expd: budget exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except CapacityError as exc:
         print(f"expd: capacity: {exc}", file=sys.stderr)

@@ -38,6 +38,7 @@ from .relations import (
     FiniteRelation2,
     FiniteRelation3,
     Universe,
+    _charge,
     build_relation2,
     build_relation3,
 )
@@ -468,11 +469,9 @@ def _instantiate(
     points = 1
     for name, grid in zip(names, grids):
         size = grid.size(expr.modulus)
-        if size > budget_cells:
-            raise BudgetError(f"grid for {name} has {size} values; budget is {budget_cells}")
+        _charge(f"grid for {name}", size, budget_cells)
         points *= size if name in free else 1
-    if points > budget_cells:
-        raise BudgetError(f"grids give {points} points to evaluate; budget is {budget_cells}")
+    _charge("the grid of points to evaluate", points, budget_cells)
     values: dict[str, list[int]] = {}
     for name, grid in zip(names, grids):
         values[name] = grid.resolve(expr.modulus)

@@ -38,16 +38,17 @@ from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .dsl import GridSpec, _compile, _solved, instantiate3, parse, parse_grid
-from .errors import BudgetError, CapacityError, InputError, ParameterError
+from .errors import InputError, ParameterError
 from .instances import is_prime, seeded_rng
 from .relations import (
     DEFAULT_BUDGET_CELLS,
-    MAX_KEYS,
     FiniteRelation2,
     FiniteRelation3,
     Subset,
     Universe,
     _cells,
+    _charge,
+    _check_keys,
     _iter_bits,
     build_relation3,
     pair_universe,
@@ -110,9 +111,7 @@ def cylindrical_witness(
     two, scanning axes 1, 2, 3 in order; None when every split is K_{k,k}-free."""
     if k < 2:
         raise ParameterError(f"cylindrical witness needs k >= 2, got {k}")
-    product = _cells(rel.x.size, rel.y.size, rel.z.size)
-    if product > budget_cells:
-        raise CapacityError(f"flattened axis relations need {product} cells; budget is {budget_cells}")
+    _charge("each flattened axis relation", _cells(rel.x.size, rel.y.size, rel.z.size), budget_cells)
     for axis in (1, 2, 3):
         flat = _axis_flatten(rel, axis)
         witness = find_kst(flat, k, k)
@@ -159,8 +158,7 @@ def derive_g(rel: FiniteRelation3, budget_cells: int = DEFAULT_BUDGET_CELLS) -> 
     """Materialize G over Y² x Z² (row-major pair indices) from the G kernel."""
     ny, nz = rel.y.size, rel.z.size
     u, v = pair_universe(rel.y), pair_universe(rel.z)  # base caps before any allocation
-    if _cells(u.size, v.size) > budget_cells:
-        raise CapacityError(f"pair relation needs {u.size} x {v.size} cells; budget is {budget_cells}")
+    _charge(f"pair relation {u.size} x {v.size}", _cells(u.size, v.size), budget_cells)
     rows = [0] * u.size
     for pairs, zz, _ in _g_fibers(rel):
         for j, k in pairs:
@@ -283,10 +281,8 @@ class RelationFamily:
     def build(self, n: int) -> FamilyInstance:
         if n < 1:
             raise InputError(f"family size must be >= 1, got {n}")
-        if n * n > self.budget_cells:  # any family of size n is charged n² cells
-            raise BudgetError(f"family size {n} needs {n * n} cells; budget is {self.budget_cells}")
-        if n * n * n >= MAX_KEYS:  # build_relation3's key range, which no budget lifts
-            raise CapacityError(f"family size {n} needs {n * n * n} triple keys, past the 64-bit key range")
+        _charge(f"family size {n}", n * n, self.budget_cells)  # any family of size n is charged n² cells
+        _check_keys(f"family size {n}", n, n, n)  # build_relation3's key range, before the builder allocates
         rel = self.builder(n)
         return FamilyInstance(rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z))
 
@@ -396,12 +392,7 @@ def top_frequent_family(expr_text: str, budget_cells: int = DEFAULT_BUDGET_CELLS
         value = _compile(side, ("x", "y"), expr.modulus, {"x": grid, "y": grid})
         counts = Counter(starmap(value, product(grid, repeat=2)))
         c_values = sorted(heapq.nsmallest(n, counts, key=lambda v: (-counts[v], v)))
-        rel, _ = instantiate3(
-            expr,
-            GridSpec.range_(0, n),
-            GridSpec.range_(0, n),
-            GridSpec.explicit(c_values),
-        )
-        return rel
+        xy = GridSpec.range_(0, n)
+        return instantiate3(expr, xy, xy, GridSpec.explicit(c_values), budget_cells=budget_cells)[0]
 
     return RelationFamily(f"topz:{expr_text}", build, budget_cells)

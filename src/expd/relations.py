@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import CapacityError, InputError
+from .errors import BudgetError, CapacityError, InputError
 
 Label = Union[int, str]
 
@@ -102,6 +102,18 @@ def pair_decode(base_size: int, p: int) -> tuple[int, int]:
 def _cells(*sizes: int) -> int:
     """Cells a size cap charges for a product of universes; an empty one counts as one."""
     return math.prod(max(size, 1) for size in sizes)
+
+
+def _charge(what: str, cells: int, budget: int) -> None:
+    """The one --budget-cells comparison: refuse what, charged cells, above budget."""
+    if cells > budget:
+        raise BudgetError(f"{what} needs {cells} cells; budget is {budget}")
+
+
+def _check_keys(what: str, nx: int, ny: int, nz: int) -> None:
+    """Refuse nx·ny·nz triple keys past the signed 64-bit range, which no budget lifts."""
+    if nx * ny * nz >= MAX_KEYS:
+        raise CapacityError(f"{what} needs {nx * ny * nz} triple keys, past the 64-bit key range")
 
 
 def _check_rel2_cells(what: str, m: int, n: int) -> None:
@@ -310,10 +322,7 @@ def build_relation3(
     not fit in a signed 64-bit integer.
     """
     nx, ny, nz = x.size, y.size, z.size
-    if nx * ny * nz >= MAX_KEYS:
-        raise CapacityError(
-            f"{nx} x {ny} x {nz} = {nx * ny * nz} triple keys exceed the 64-bit key range"
-        )
+    _check_keys(f"{nx} x {ny} x {nz}", nx, ny, nz)
     keys = []
     append = keys.append
     for t in triples:

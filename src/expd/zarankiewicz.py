@@ -114,6 +114,8 @@ def kst_bound(s: int, t: int, m: int, n: int) -> float:
         raise ParameterError(f"kst_bound needs m, n >= 0, got m={m}, n={n}")
     if m == 0 or n == 0:
         return 0.0
+    if t * m > sys.float_info.max:  # t far past any capped |V|: find_kst returned without searching
+        raise ParameterError(f"t * m is past the largest float, {sys.float_info.max:.6g}, for m={m}")
     return s ** (1.0 / t) * m ** (1.0 - 1.0 / t) * n + t * m
 
 
@@ -245,9 +247,7 @@ class BoundCertificate:
 
 
 def _case2_applies(params: ExponentParams, r: int, m: int, n: int) -> bool:
-    # r^(D/(1-alpha)) * m >= n^t, compared in log space
-    if m == 0:
-        return False
+    # r^(D/(1-alpha)) * m >= n^t, compared in log space; certified_count calls it with m > r >= 2
     one_minus_alpha = float(1 - params.alpha)
     lhs = (params.D / one_minus_alpha) * math.log(r) + math.log(m)
     return lhs >= params.t * math.log(n) - 1e-12

@@ -302,7 +302,9 @@ def test_one_sided_universes_exit_4(tmp_path, capsys, name):
     universes = [{"name": f"U{a}", "size": size} for a, size in enumerate(sizes)]
     src.write_text(json.dumps({"kind": kind, "universes": universes}))
     assert cli.main([command, "--rel", str(src)]) == 4
-    assert "capacity" in capsys.readouterr().err
+    # a rel2 file is refused by the fixed file cap, pipeline3 by the budget charge of its flattened axes
+    prefix = "expd: capacity: " if kind == "rel2" else "expd: budget exceeded: "
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_derive_g_huge_x_universe(tmp_path, capsys):
@@ -448,6 +450,41 @@ def test_family_over_budget_exit_4_before_building(capsys, argv):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err == "expd: budget exceeded: family size 3000 needs 9000000 cells; budget is 1000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--family", "cyclic", "--n", "40"),
+        ("derive-g", "--family", "cyclic", "--n", "30"),
+        ("pipeline3", "--family", "cyclic", "--n", "30"),
+        ("count", "--expr", "x + y = z", "--grid-x", "list:1,2", "--grid-y", "list:1,2",
+         "--grid-z", "range:0:2000:1"),
+        ("count", "--expr", "x + y = z", "--grid-x", "range:0:100:1", "--grid-y", "range:0:100:1",
+         "--grid-z", "list:1"),
+    ],
+    ids=["family", "derive-g-pairs", "pipeline3-flattened-axes", "dsl-grid", "dsl-free-points"],
+)
+def test_every_budget_refusal_is_budget_exceeded(capsys, argv):
+    assert cli.main([*argv, "--budget-cells", "1000"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("expd: budget exceeded: ") and err.count("\n") == 1, err
+
+
+def test_memory_error_exit_4(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "derive_g", out_of_memory)
+    assert cli.main(["derive-g", "--family", "cyclic", "--n", "4"]) == 4
+    assert capsys.readouterr().err == "expd: budget exceeded: out of memory\n"
+
+
+def test_t_times_m_past_the_float_range_exit_3(capsys):
+    # Case 2 applies at the root of PG(2,7), whose 57 rows times t pass the largest float
+    assert cli.main(["certify", "--pg", "7", "--D", "1", "--t", str(10**307), "--epsilon", f"1/{10**308}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("expd: input error: t * m is past the largest float") and err.count("\n") == 1, err
 
 
 # a raised --budget-cells does not lift the 64-bit key range: the size is

@@ -1,4 +1,5 @@
-"""relations.py owns the packed ternary keys: no other module reads them."""
+"""relations.py owns the packed ternary keys and every size refusal: no other
+module reads the keys, names MAX_KEYS or compares against a budget_cells."""
 
 import ast
 import os
@@ -9,10 +10,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py") and name != "relations.py")
 
 
+def parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
 def key_reads(path):
     """Line numbers of `.keys` attributes that are not the callee of a `.keys()` call."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
+    tree = parse(path)
     called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     return [
         node.lineno
@@ -34,3 +39,37 @@ def test_finds_a_key_read(tmp_path):
     path = tmp_path / "reader.py"
     path.write_text("def f(rel, d):\n    return d.keys(), rel.keys\n")
     assert key_reads(str(path)) == [2]
+
+
+def names(node, name):
+    """Whether node is the name, an attribute or an imported alias called name."""
+    return (
+        isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name
+    )
+
+
+def size_decisions(path):
+    """Line numbers that name MAX_KEYS or compare against a budget_cells."""
+    return [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if names(node, "MAX_KEYS")
+        or isinstance(node, ast.Compare) and any(names(side, "budget_cells") for side in (node.left, *node.comparators))
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_decides_no_size_refusal(module):
+    assert size_decisions(os.path.join(SRC, module)) == [], f"{module} decides a size; use relations._charge or _check_keys"
+
+
+def test_finds_a_size_decision(tmp_path):
+    path = tmp_path / "sizer.py"
+    path.write_text(
+        "from .relations import MAX_KEYS\n"
+        "def f(n, spec, budget_cells):\n"
+        "    return n >= relations.MAX_KEYS, n > spec.budget_cells, budget_cells < n, n == budget_cells(n)\n"
+    )
+    assert size_decisions(str(path)) == [1, 3, 3, 3]

@@ -21,10 +21,12 @@ from expd import (
     delta_degree,
     derive_g,
     g_edge_count,
+    instantiate3,
     make_family,
     pair_encode,
     top_frequent_family,
 )
+from expd import pipeline
 from expd.pipeline import RelationFamily, _twist_map, pairing_maxima
 
 
@@ -613,6 +615,18 @@ class TestFamilies:
         assert top_frequent_family("x + y = z", budget_cells=99).build(9).rel.z.size == 9
         with pytest.raises(BudgetError):
             top_frequent_family("x + y = z", budget_cells=99).build(10)
+
+    @pytest.mark.parametrize("kind", ["topz", "dsl"])
+    def test_the_family_budget_reaches_instantiate3(self, monkeypatch, kind):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("budget_cells", "default"))
+            return instantiate3(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "instantiate3", spy)
+        make_family(FamilySpec(kind=kind, expr="x + y = z", budget_cells=10**9)).build(4)
+        assert seen == [10**9]
 
     @pytest.mark.parametrize(
         "spec",

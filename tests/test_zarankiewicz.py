@@ -114,6 +114,12 @@ class TestKstBound:
         with pytest.raises(ParameterError):
             kst_bound(2, 2, -1, 3)
 
+    def test_t_times_m_past_the_float_range(self):
+        t = 10**307
+        assert kst_bound(2, t, 17, 3) == float(17 * t)  # the s·m·n term is below one ulp
+        with pytest.raises(ParameterError, match="t \\* m is past the largest float"):
+            kst_bound(2, t, 18, 3)
+
 
 def brute_force_kst_free(rel, s, t):
     """Oracle: enumerate all s-subsets of the left side."""
