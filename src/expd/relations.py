@@ -200,11 +200,6 @@ class FiniteRelation2:
         self.rows = tuple(rows)
         self.edge_count = sum(row.bit_count() for row in self.rows)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for i, row in enumerate(self.rows):
-            for j in _iter_bits(row):
-                yield (i, j)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteRelation2)
@@ -360,8 +355,9 @@ def count_grid3(rel: FiniteRelation3, a: Subset, b: Subset, c: Subset) -> int:
 #   {"kind": "rel2"|"rel3",
 #    "universes": [{"name":..., "size":..., "labels": [...]?}, ...],
 #    "pairs": [[i,j],...]  or  "triples": [[i,j,k],...]}
-# Indices, never labels.  Readers reject out-of-range indices.  Writers stream
-# the entries in chunks; the bytes are those of one sort_keys json.dumps.
+# Indices, never labels.  Readers reject out-of-range indices.  Writers join
+# the entries of one first index as text, a slice at a time; the bytes are
+# those of one sort_keys json.dumps.
 
 
 def _universe_to_obj(u: Universe) -> dict:
@@ -405,8 +401,8 @@ def relation_from_obj(obj: dict) -> Union[FiniteRelation2, FiniteRelation3]:
     return build_relation3(*us, entries)
 
 
-# Entries per encoder call: each chunk goes through the C encoder in one call,
-# and no more than one chunk of entries is held at a time.
+# Entries per str.join: a run of entries with one first index is joined as text
+# in slices of this many, so no more than one slice is held at a time.
 _CHUNK = 8192
 
 
@@ -414,24 +410,28 @@ def _write_relation(
     fh, rel: Union[FiniteRelation2, FiniteRelation3], separators: tuple[str, str]
 ) -> None:
     """Write rel as one JSON line, the bytes of json.dumps(obj, sort_keys=True,
-    separators=separators) for the file object, but streamed chunk by chunk."""
+    separators=separators) for the file object, but streamed slice by slice."""
     item, key = separators
-    encode = json.JSONEncoder(separators=separators, sort_keys=True).encode
     if isinstance(rel, FiniteRelation2):
-        kind, field, universes, entries = "rel2", "pairs", (rel.u, rel.v), rel.edges()
+        kind, field, universes = "rel2", "pairs", (rel.u, rel.v)
+        runs = ((i, map(str, _iter_bits(row))) for i, row in enumerate(rel.rows) if row)
     else:
-        nz = rel.z.size
-        entries = ((i, *divmod(jk, nz)) for i, jk in rel.axis_pairs(1))
         kind, field, universes = "rel3", "triples", (rel.x, rel.y, rel.z)
+        nz, pairs = rel.z.size, rel.axis_pairs(1)
+        runs = (
+            (i, (f"{jk // nz}{item}{jk % nz}" for _, jk in islice(pairs, hi - lo)))
+            for i, lo, hi in rel.x_runs()
+        )
     # sorted keys: "kind" < "pairs" | "triples" < "universes"
     fh.write(f'{{"kind"{key}"{kind}"{item}"{field}"{key}[')
     sep = ""
-    while chunk := list(islice(entries, _CHUNK)):
-        fh.write(sep)
-        fh.write(encode(chunk)[1:-1])
-        sep = item
+    for i, rest in runs:
+        glue = f"]{item}[{i}{item}"
+        while chunk := list(islice(rest, _CHUNK)):
+            fh.write(f"{sep}[{i}{item}{glue.join(chunk)}]")
+            sep = item
     fh.write(f']{item}"universes"{key}')
-    fh.write(encode([_universe_to_obj(w) for w in universes]))
+    fh.write(json.dumps([_universe_to_obj(w) for w in universes], separators=separators, sort_keys=True))
     fh.write("}\n")
 
 

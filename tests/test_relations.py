@@ -10,6 +10,7 @@ import pytest
 from expd import (
     InputError,
     CapacityError,
+    FiniteRelation2,
     Subset,
     Universe,
     build_relation2,
@@ -427,8 +428,9 @@ class TestRelationFiles:
 
 
 class TestStreamedWriter:
-    """write_relation streams chunks of entries through the C encoder; its
-    bytes must equal one json.dumps of the whole file object."""
+    """write_relation joins each run of entries with one first index as text,
+    in slices of 8,192; its bytes must equal one json.dumps of the whole file
+    object, also for runs longer than one slice."""
 
     LABELS = ("é", "雪", "😀", '"', "\\", 'a"b\\c', "\n\t", " ", "", "x y", -7, 0, 2**70)
     SIZES = (0, 0, 1, 2, 3, 7)
@@ -462,6 +464,18 @@ class TestStreamedWriter:
                 yield self.random_relation(rng, arity, count)
         for _ in range(188):
             yield self.random_relation(rng, rng.choice((2, 3)))
+        yield from self.long_runs(rng)
+
+    @classmethod
+    def long_runs(cls, rng):
+        """Runs past one slice: a row of 20,000 bits, rows of 8,192 and 8,193
+        bits around an empty one, and an x-run of 20,000 triples."""
+        v = cls.universe(rng, "V", 25000)
+        yield build_relation2(u(1), v, ((0, j) for j in rng.sample(range(v.size), 20000)))
+        rows = ((0, 8192), (2, 8193))
+        yield build_relation2(u(3), u(9000, "V"), ((i, j) for i, n in rows for j in rng.sample(range(9000), n)))
+        x, y, z = u(2, "X"), cls.universe(rng, "Y", 200), u(150, "Z")
+        yield build_relation3(x, y, z, ((1, *divmod(c, 150)) for c in rng.sample(range(30000), 20000)))
 
     def test_bytes_match_one_shot_dumps(self, tmp_path):
         import io
@@ -483,4 +497,20 @@ class TestStreamedWriter:
             seen["labels"] += any(set(w.get("labels", ())) & set(self.LABELS[:6]) for w in obj["universes"])
             seen["big"].add(entries)
         assert seen["empty"] and seen["zero_size"] and seen["labels"]
-        assert {1, 8191, 8192, 8193, 16384} <= seen["big"]
+        assert {1, 8191, 8192, 8193, 16384, 16385, 20000} <= seen["big"]
+
+    def test_memory_stays_within_one_slice(self, tmp_path):
+        """A 1 x 400,000 full row is a file of about 4.3 MB; the writer holds
+        one slice of it at a time, never the row's text or its entry list."""
+        import tracemalloc
+
+        rel = FiniteRelation2(u(1), u(400_000, "V"), [(1 << 400_000) - 1])
+        path = tmp_path / "wide.json"
+        tracemalloc.start()
+        try:
+            write_relation(str(path), rel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4_000_000
+        assert peak < 4_000_000

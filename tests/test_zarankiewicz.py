@@ -461,6 +461,25 @@ class TestCertifiedCount:
             certified_count(rel, a, b, params, None, r=4, leaf_size=0)
 
 
+class TestSmallestArguments:
+    """The least values the parameter checks admit: leaf_size 1 and n = 0."""
+
+    def test_leaf_size_one_certifies(self):
+        rel = random_interval_incidence(11, 60, 200)
+        a, b = Subset.full(rel.u), Subset.full(rel.v)
+        params = free_params_for(rel, 1)
+        cert = certified_count(rel, a, b, params, interval_cutting, r=2, leaf_size=1)
+        assert cert.total >= count_grid2(rel, a, b)
+        with pytest.raises(ParameterError):
+            certified_count(rel, a, b, params, interval_cutting, r=2, leaf_size=0)
+
+    def test_distal_delta_bound_at_zero(self):
+        params = exponent_params(2, 2, 2, Fraction(1, 12))
+        assert distal_delta_bound(params, 0) == 0.0
+        with pytest.raises(ParameterError):
+            distal_delta_bound(params, -1)
+
+
 class TestDistalDeltaBound:
     def test_d2_eps_1_12(self):
         params = exponent_params(2, 2, 2, Fraction(1, 12))
