@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive):
 
 Ternary definitions use variables {x, y, z}; binary ones use {y, z}.  A
 definition has at most MAX_TOKENS tokens.  Instantiation compiles it once to a
-Python function in exact integer arithmetic, with powers and the result
+loop nest over the grids, in exact integer arithmetic, that evaluates each
+subterm where its variables change, with powers and every computed value
 reduced mod m when a modulus is declared; without one, values that may exceed
 MAX_VALUE_BITS on the grids are refused (BudgetError) before evaluation, as are
 grids of more values or points than the cell budget and geom: grids whose
@@ -26,14 +27,16 @@ fullmod (all residues 0..m-1; needs a declared modulus).
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress, islice, product, starmap
+from itertools import chain, compress, count, islice, product
 from operator import itemgetter
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import BudgetError, InputError, SyntaxError_
 from .instances import require_seed, seeded_rng
 from .relations import (
+    _CHUNK,
     DEFAULT_BUDGET_CELLS,
     FiniteRelation2,
     FiniteRelation3,
@@ -242,8 +245,8 @@ class _Parser:
 
 # Longest accepted definition: 256 tokens nest at most 126 parentheses (4 parser
 # frames each, half of Python's 1000-frame recursion limit) and 128 tree levels
-# (one frame each in the printer and the compiler), and the compiled source
-# nests at most 128 parentheses, below the 200 that Python's parser allows.
+# (one frame each in the printer and the compiler), and a line of the compiled
+# source nests at most 131 brackets, below the 200 that Python's parser allows.
 MAX_TOKENS = 256
 
 
@@ -261,24 +264,21 @@ def parse(expr_text: str, variables: tuple[str, ...] = TERNARY_VARS) -> Relation
 _PREC = {"+": 1, "-": 1, "*": 2}
 
 
-def _print_node(node: Node, parent_prec: int, modulus: Optional[int] = None) -> str:
-    """Canonical text of node; with a modulus, powers print as pow(b, e, m).
-    The ":d" formats let only ints into the compiled source."""
+def _print_node(node: Node, parent_prec: int) -> str:
+    """Canonical text of node."""
     if isinstance(node, Const):
         return f"{node.value:d}"
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Pow):
-        if modulus is not None:
-            return f"pow({_print_node(node.base, 0, modulus)}, {node.exponent:d}, {modulus:d})"
         # a base that is itself a sum, product or power keeps its parentheses
         text = f"{_print_node(node.base, 4)}^{node.exponent:d}"
         return f"({text})" if parent_prec > 3 else text
     prec = _PREC[node.op]
     # chains associate left; a right child of equal precedence keeps parens
     # so the reparse reproduces the tree
-    left = _print_node(node.left, prec, modulus)
-    right = _print_node(node.right, prec + 1, modulus)
+    left = _print_node(node.left, prec)
+    right = _print_node(node.right, prec + 1)
     sep = f" {node.op} " if node.op in "+-" else node.op
     text = f"{left}{sep}{right}"
     return f"({text})" if prec < parent_prec else text
@@ -436,20 +436,60 @@ def _bit_bound(node: Node, bits: dict[str, int]) -> int:
 
 def _compile(
     node: Node, names: tuple[str, ...], modulus: Optional[int], grids: dict[str, list[int]]
-) -> Callable[..., int]:
-    """node as a Python function of the variables names, reduced mod modulus
-    (powers too, which keeps each residue class).  Without a modulus, refuses
-    values on the grids that may exceed MAX_VALUE_BITS."""
+) -> Callable[..., Iterator[list[int]]]:
+    """node as a generator of its values on the grids of names, in product order
+    and reduced mod modulus (each computed value too, which keeps its residue
+    class): a loop nest whose innermost loop yields rows of at most _CHUNK values,
+    with a constant computed once, a subterm of one variable once per grid value
+    and one of more once per iteration of its innermost loop.  Without a
+    modulus, refuses values on the grids that may exceed MAX_VALUE_BITS."""
     if not variables_in(node) <= set(names):
         raise InputError(f"expression uses variables outside {', '.join(names)}")
     if modulus is None:
         bits = {name: max((abs(v).bit_length() for v in grids[name]), default=0) for name in names}
         if _bit_bound(node, bits) > MAX_VALUE_BITS:
             raise BudgetError(f"values may exceed {MAX_VALUE_BITS} bits on these grids; declare a modulus")
-        body = _print_node(node, 0).replace("^", "**")
-    else:
-        body = f"({_print_node(node, 0, modulus)}) % {modulus:d}"
-    return eval(f"lambda {', '.join(names)}: {body}", {"__builtins__": {}, "pow": pow})
+    mod, pow_mod = ("", "") if modulus is None else (f" % {modulus:d}", f", {modulus:d}")
+    temps = count()
+    hoisted: defaultdict[int, dict[str, str]] = defaultdict(dict)  # place -> {code: its temporary}
+
+    def emit(node: Node, at: int) -> str:
+        """node's code as read at place at: itself if it is a literal or lives there,
+        else a temporary computed where it lives (its mask of loops, if one or none;
+        minus its innermost loop's depth, if more)."""
+        mask = sum(1 << names.index(name) for name in variables_in(node))
+        here = mask if mask & (mask - 1) == 0 else -mask.bit_length()
+        if isinstance(node, Const):
+            return f"{node.value:d}"
+        if isinstance(node, BinOp):
+            code = f"({emit(node.left, here)} {node.op} {emit(node.right, here)})"
+        elif isinstance(node, Pow):
+            code = f"pow({emit(node.base, here)}, {node.exponent:d}{pow_mod})"
+        else:
+            code = node.name
+        return code if here == at else hoisted[here].setdefault(code + mod, f"t{next(temps)}")
+
+    inner = len(names) - 1
+    body = emit(node, -1 - inner) + mod
+    grids_in = [f"t{next(temps)}" for _ in names]
+    head, nest = [f"def rows({', '.join(grids_in)}):", *(f" {t} = {c}" for c, t in hoisted[0].items())], []
+    for i, (name, grid) in enumerate(zip(names, grids_in)):
+        items, pad = hoisted[1 << i], " " * (i + 1)
+        table = f"[({', '.join(items)}) for {name} in {grid}]" if items else grid
+        target = ", ".join(items.values()) or name
+        if i < inner:
+            head += [f" {grid} = {table}"] * bool(items)
+            nest.append(f"{pad}for {target} in {grid}:")
+            nest += [f"{pad} {t} = {c}" for c, t in hoisted[-1 - i].items()]
+        else:  # the rows, a slice at a time; per point only what reads this loop and more
+            row = f"t{next(temps)}"
+            head.append(f" {grid} = _slices({table})")
+            body = row if body == target else f"[{body} for {target} in {row}]"
+            nest += [f"{pad}for {row} in {grid}:", f"{pad} yield {body}"]
+    slices = lambda v: [v[i : i + _CHUNK] for i in range(0, len(v), _CHUNK)]
+    scope = {"__builtins__": {}, "pow": pow, "_slices": slices}
+    exec("\n".join(head + nest), scope)
+    return scope.pop("rows")
 
 
 def _instantiate(
@@ -459,6 +499,7 @@ def _instantiate(
     order) of the points where the definition holds: the side opposite the
     solved variable, evaluated on the other grids, is looked up among the
     solved variable's values; with none solved, lhs - rhs is looked up as 0.
+    The values come from the loop nest of _compile, a row slice at a time.
 
     Raises BudgetError, before any grid is built, when a grid has more values
     than budget_cells or the free grids have more points than that together."""
@@ -477,19 +518,19 @@ def _instantiate(
         values[name] = grid.resolve(expr.modulus)
         if not values[name]:
             raise InputError(f"grid for {name} is empty")
-    evaluate = _compile(side, free, expr.modulus, values)
+    rows = _compile(side, free, expr.modulus, values)
     index: dict[int, list[int]] = {}
     for k, v in enumerate(values[solved] if solved else [0]):
         index.setdefault(v if expr.modulus is None else v % expr.modulus, []).append(k)
     # a point is (free indices..., solved index); pick puts it in names order
     pick = itemgetter(*(free.index(name) if name in free else len(free) for name in names))
     free_values = [values[name] for name in free]
-    found = map(index.get, starmap(evaluate, product(*free_values)))
+    found = map(index.get, chain.from_iterable(rows(*free_values)))
     cells = product(*(range(len(v)) for v in free_values))
     points = []
     # lookups a chunk at a time: only the hits reach the Python loop, and memory
     # stays bounded by the chunk however far apart the hits are
-    while chunk := list(islice(found, 8192)):
+    while chunk := list(islice(found, _CHUNK)):
         for point, ks in zip(compress(islice(cells, len(chunk)), chunk), filter(None, chunk)):
             points.extend(pick((*point, k)) for k in ks)
     universes = [Universe(name.upper(), len(values[name]), tuple(values[name])) for name in names]

@@ -30,10 +30,9 @@ a FamilySpec kind, and make_family alone decides which fields a kind reads.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby, product, repeat, starmap
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
@@ -380,7 +379,7 @@ def top_frequent_family(expr_text: str, budget_cells: int = DEFAULT_BUDGET_CELLS
     """A = B = {0..n-1}; C = the n most frequent values of the solved side.
 
     The expression must isolate z on one side; ties in the frequency order
-    break by value, so instances are deterministic.
+    break by value (the sorts are stable), so instances are deterministic.
     """
     expr = parse(expr_text)
     solved, side = _solved(expr)
@@ -389,9 +388,9 @@ def top_frequent_family(expr_text: str, budget_cells: int = DEFAULT_BUDGET_CELLS
 
     def build(n: int) -> FiniteRelation3:
         grid = list(range(n))
-        value = _compile(side, ("x", "y"), expr.modulus, {"x": grid, "y": grid})
-        counts = Counter(starmap(value, product(grid, repeat=2)))
-        c_values = sorted(heapq.nsmallest(n, counts, key=lambda v: (-counts[v], v)))
+        rows = _compile(side, ("x", "y"), expr.modulus, {"x": grid, "y": grid})
+        counts = Counter(chain.from_iterable(rows(grid, grid)))
+        c_values = sorted(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:n])
         xy = GridSpec.range_(0, n)
         return instantiate3(expr, xy, xy, GridSpec.explicit(c_values), budget_cells=budget_cells)[0]
 

@@ -1,12 +1,14 @@
 """Relation DSL: parsing, canonical printing, grids, instantiation."""
 
 import random
+import re
 import sys
+from itertools import product
 
 import pytest
 
 from expd import GridSpec, InputError, instantiate2, instantiate3, parse, parse_grid, to_text
-from expd.dsl import BINARY_VARS, MAX_GRID_BITS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _solved, _tokenize
+from expd.dsl import BINARY_VARS, MAX_GRID_BITS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _compile, _solved, _tokenize
 from expd.errors import BudgetError, SyntaxError_
 
 
@@ -382,6 +384,79 @@ class TestCompiledEvaluatorFuzz:
                         rows[j] |= 1 << k
             assert rel.rows == tuple(rows), to_text(expr)
         assert seen == {"y", "z", None}
+
+
+class TestLoopNest:
+    """The loop nest of _compile on hand-picked definitions, one per placement of
+    a subterm, against eval_node and the brute-force relation."""
+
+    DEFINITIONS = [
+        "x^3 + 2*x = z",  # a subterm of x only, z solved
+        "x + y^2 - 3*y = z",  # of y only
+        "y - x = z^3 + 2*z",  # of z only, nothing solved
+        "x*y*z = 1",  # x*y under z
+        "(x + 1)*(y + 2)*z - x*y = y*z",
+        "(2 + 3)^2 * z + (4 - 1)^0 * x = y^2",  # constant subterms
+        "(x*y)^0 + z^0 + x^0*y = 3",  # exponent 0 over one and two variables
+        "x*(x + y)*(x + y + z) + x^2 = x*z",  # x read at every depth
+        "x*x*x + z = x",  # z alone per point
+        "y + 1 = 0",  # reads neither x nor z
+        "5 = 5",  # reads nothing
+    ]
+    # unequal lengths, negative values, an innermost grid one past a row slice
+    GRIDS = [([5, -1], [3], list(range(-4, 8189))), ([4, -3, 0, 6, 1, 2, 9], [2, -1, 7], [0, 3, -5, 1])]
+
+    @staticmethod
+    def rows_of(expr, names, grids):
+        solved, side = _solved(expr)
+        free = tuple(name for name in names if name != solved)
+        rows = list(_compile(side, free, expr.modulus, grids)(*(grids[name] for name in free)))
+        reduce = (lambda v: v) if expr.modulus is None else (lambda v: v % expr.modulus)
+        points = [reduce(eval_node(side, dict(zip(free, p)))) for p in product(*(grids[name] for name in free))]
+        return rows, points
+
+    @pytest.mark.parametrize("modulus", [None, 11])
+    @pytest.mark.parametrize("text", DEFINITIONS)
+    def test_ternary(self, text, modulus):
+        expr = parse(text + ("" if modulus is None else f" mod {modulus}"))
+        for vx, vy, vz in self.GRIDS:
+            rows, points = self.rows_of(expr, TERNARY_VARS, dict(zip(TERNARY_VARS, (vx, vy, vz))))
+            assert max(map(len, rows)) <= 8192 and [v for row in rows for v in row] == points
+            rel, _ = instantiate3(expr, *map(GridSpec.explicit, (vx, vy, vz)))
+            assert rel.triples == tuple(brute_force_triples(expr, vx, vy, vz)), text
+
+    @pytest.mark.parametrize("modulus", [None, 7])
+    @pytest.mark.parametrize("text", ["y = z^2 + 3*z", "y = z", "z^3 - 1 = y", "y*z + 2 = (z + 1)^0"])
+    def test_binary(self, text, modulus):
+        expr = parse(text + ("" if modulus is None else f" mod {modulus}"), variables=BINARY_VARS)
+        vy, vz = [-3, 4, 0], list(range(-2, 8191))
+        rows, points = self.rows_of(expr, BINARY_VARS, {"y": vy, "z": vz})
+        assert max(map(len, rows)) <= 8192 and [v for row in rows for v in row] == points
+        rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
+        pairs = [(j, k) for j, b in enumerate(vy) for k, c in enumerate(vz) if holds(expr, {"y": b, "z": c})]
+        assert sorted((j, k) for j, row in enumerate(rel.rows) for k in range(len(vz)) if row >> k & 1) == pairs
+
+    def test_nest_names_only_variables_temporaries_and_its_callables(self):
+        # the README's promise: built from the AST's integers, the variable names,
+        # numbered temporaries, + - * % and powers, with an empty __builtins__
+        expr = parse("x + x^2*y + y^3 + 2^5 - z*x*y*(x + y) + (2 + 3)^2 = 0 mod 13")
+        rows = _compile(BinOp("-", expr.lhs, expr.rhs), TERNARY_VARS, 13, {})
+        scope = rows.__globals__
+        assert scope["__builtins__"] == {} and scope["pow"] is pow
+        assert sorted(scope) == ["__builtins__", "_slices", "pow"]
+        codes, names, consts = [rows.__code__], set(), set()
+        while codes:
+            code = codes.pop()
+            names |= {*code.co_names, *code.co_varnames, *code.co_cellvars, *code.co_freevars}
+            codes += [c for c in code.co_consts if hasattr(c, "co_code")]
+            consts |= {c for c in code.co_consts if not hasattr(c, "co_code")}
+        assert {name for name in names if not re.fullmatch(r"t\d+|[xyz]|\.0", name)} == {"pow", "_slices"}
+        assert all(type(c) is int for c in consts - {None})
+        # the temporaries come from the tree's shape, not from set order, so they
+        # are the same under every PYTHONHASHSEED
+        assert sorted(names - {".0", "pow", "_slices", "x", "y", "z"}) == sorted(
+            f"t{i}" for i in (0, 1, 2, 3, 4, 5, 6, 11, 12, 13, 14, 15, 16)
+        )
 
 
 class TestPowerBudget:

@@ -1,5 +1,6 @@
 """Ternary pipeline: delta degree, cylinders, derived G, fiber laws, CS, families."""
 
+import heapq
 import itertools
 import random
 from collections import Counter
@@ -584,6 +585,21 @@ class TestFamilies:
                 counts[xv**2 + yv**3] = counts.get(xv**2 + yv**3, 0) + 1
         top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:8]
         assert count_grid3(inst.rel, inst.a, inst.b, inst.c) == sum(m for _, m in top)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_top_frequent_ranking_matches_nsmallest(self, seed):
+        # seeded definitions whose value counts tie often; C must hold the values
+        # that nsmallest picks by (-count, value)
+        rng = random.Random(seed)
+        a, b, e = rng.randrange(1, 4), rng.randrange(1, 4), rng.choice([1, 2, 3])
+        modulus = rng.choice([None, 12, 31, 257])
+        text = f"{a}*x^{e} + {b}*y = z" + ("" if modulus is None else f" mod {modulus}")
+        for n in (32, 64, 128, 256):
+            counts = Counter(a * x**e + b * y for x in range(n) for y in range(n))
+            if modulus is not None:
+                counts = Counter((v % modulus for v in counts.elements()))
+            expected = sorted(heapq.nsmallest(n, counts, key=lambda v: (-counts[v], v)))
+            assert list(top_frequent_family(text).build(n).rel.z.labels) == expected, (text, n)
 
     def test_top_frequent_needs_solved_z(self):
         with pytest.raises(InputError):
