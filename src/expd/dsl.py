@@ -9,15 +9,14 @@ Grammar (whitespace-insensitive):
     atom   := var | int | "(" poly ")"
 
 Ternary definitions use variables {x, y, z}; binary ones use {y, z}.  A
-definition has at most MAX_TOKENS tokens.  Instantiation compiles it once to a
-loop nest over the grids, in exact integer arithmetic, that evaluates each
-subterm where its variables change, with powers and every computed value
-reduced mod m when a modulus is declared; without one, values that may exceed
-MAX_VALUE_BITS on the grids are refused (BudgetError) before evaluation, as are
-grids of more values or points than the cell budget and geom: grids whose
-values may hold more than MAX_GRID_BITS bits in all, before any is built.  It
-produces FiniteRelation3 or FiniteRelation2 instances with grid values as
-element labels.
+definition has at most MAX_TOKENS tokens.  Instantiation solves it for a lone
+variable, else for a linear one, else by brute force, on a loop nest compiled
+once over the grids that evaluates each subterm where its variables change, in
+exact integers reduced mod m when a modulus is declared; without one, values
+that may exceed MAX_VALUE_BITS on the grids are refused (BudgetError) before
+evaluation, as are grids of more values or points than the cell budget and geom:
+grids whose values may hold more than MAX_GRID_BITS bits in all, before any is
+built.  Grid values label the FiniteRelation3 or FiniteRelation2 it produces.
 
 Grid mini-syntax (CLI):  range:lo:hi:step (half-open, like Python range),
 geom:base:count, list:v1,v2,..., rand:count:lo:hi (distinct, seeded),
@@ -31,7 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, product
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import BudgetError, InputError, SyntaxError_
 from .instances import require_seed, seeded_rng
@@ -434,6 +433,14 @@ def _bit_bound(node: Node, bits: dict[str, int]) -> int:
     return left + right if node.op == "*" else max(left, right) + 1
 
 
+def _degree(node: Node, name: str) -> int:
+    """A bound on node's degree in the variable name."""
+    if isinstance(node, BinOp):
+        left, right = _degree(node.left, name), _degree(node.right, name)
+        return left + right if node.op == "*" else max(left, right)
+    return node.exponent * _degree(node.base, name) if isinstance(node, Pow) else int(node == Var(name))
+
+
 def _compile(
     node: Node, names: tuple[str, ...], modulus: Optional[int], grids: dict[str, list[int]]
 ) -> Callable[..., Iterator[list[int]]]:
@@ -443,8 +450,6 @@ def _compile(
     with a constant computed once, a subterm of one variable once per grid value
     and one of more once per iteration of its innermost loop.  Without a
     modulus, refuses values on the grids that may exceed MAX_VALUE_BITS."""
-    if not variables_in(node) <= set(names):
-        raise InputError(f"expression uses variables outside {', '.join(names)}")
     if modulus is None:
         bits = {name: max((abs(v).bit_length() for v in grids[name]), default=0) for name in names}
         if _bit_bound(node, bits) > MAX_VALUE_BITS:
@@ -492,40 +497,65 @@ def _compile(
     return scope.pop("rows")
 
 
+def _linear_roots(modulus: Optional[int], grid: list[int], index: dict[int, list[int]]) -> Callable:
+    """From [b, a + b], the indices of grid's roots v of a·v + b = 0 (mod modulus), read in index."""
+    from math import gcd
+
+    def roots(row: list[int]) -> Optional[Iterable[int]]:
+        b, a = row[0], row[1] - row[0]
+        if modulus is None:  # every v when a = b = 0, else v = -b/a when a divides b
+            return range(len(grid)) if a == b == 0 else index.get(-b // a) if a and b % a == 0 else None
+        g = gcd(a, modulus)  # at most min(g, len(grid)) values of v are tried
+        if b % g:
+            return None
+        if g >= len(grid):  # g roots, no fewer than grid values (a ≡ 0 gives m): test each value
+            return [k for k, v in enumerate(grid) if (a * v + b) % modulus == 0]
+        step = modulus // g  # the g roots are v0 + t·step for t < g
+        v0 = -b // g * pow(a // g, -1, step) % step
+        return [k for r in range(v0, modulus, step) for k in index.get(r, ())]
+
+    return roots
+
+
 def _instantiate(
     expr: RelationExpr, names: tuple[str, ...], grids, budget_cells: int
 ) -> tuple[dict, list[Universe], list]:
-    """Each variable's grid values and universe, and the index tuples (in names
-    order) of the points where the definition holds: the side opposite the
-    solved variable, evaluated on the other grids, is looked up among the
-    solved variable's values; with none solved, lhs - rhs is looked up as 0.
-    The values come from the loop nest of _compile, a row slice at a time.
+    """Grid values, universes and the index tuples (in names order) of the points
+    where the definition holds, from _compile's loop nest a row slice at a time:
+    - lone variable v: the other side, on the other grids, is looked up among v's values;
+    - else linear variable v (z, y, then x): the roots of lhs - rhs = a·v + b, likewise;
+    - else brute force: lhs - rhs is looked up as 0 at every point.
 
     Raises BudgetError, before any grid is built, when a grid has more values
-    than budget_cells or the free grids have more points than that together."""
+    than budget_cells or the grids but a lone variable's have more points than that."""
     if tuple(expr.variables) != names:
         raise InputError(f"instantiate{len(names)} needs an expression over variables {', '.join(names)}")
     solved, side = _solved(expr)
-    free = tuple(name for name in names if name != solved)
     points = 1
     for name, grid in zip(names, grids):
         size = grid.size(expr.modulus)
         _charge(f"grid for {name}", size, budget_cells)
-        points *= size if name in free else 1
+        points *= 1 if name == solved else size
     _charge("the grid of points to evaluate", points, budget_cells)
     values: dict[str, list[int]] = {}
     for name, grid in zip(names, grids):
         values[name] = grid.resolve(expr.modulus)
         if not values[name]:
             raise InputError(f"grid for {name} is empty")
-    rows = _compile(side, free, expr.modulus, values)
+    linear = None if solved else next((name for name in reversed(names) if _degree(side, name) == 1), None)
+    solved = solved or linear
+    free = tuple(name for name in names if name != solved)
+    free_values = [values[name] for name in free]
     index: dict[int, list[int]] = {}
     for k, v in enumerate(values[solved] if solved else [0]):
         index.setdefault(v if expr.modulus is None else v % expr.modulus, []).append(k)
+    if linear:  # with linear's grid [0, 1] innermost, the nest yields [b, a + b] per point
+        rows = _compile(side, (*free, linear), expr.modulus, values)(*free_values, [0, 1])
+        found = map(_linear_roots(expr.modulus, values[linear], index), rows)
+    else:
+        found = map(index.get, chain.from_iterable(_compile(side, free, expr.modulus, values)(*free_values)))
     # a point is (free indices..., solved index); pick puts it in names order
     pick = itemgetter(*(free.index(name) if name in free else len(free) for name in names))
-    free_values = [values[name] for name in free]
-    found = map(index.get, chain.from_iterable(rows(*free_values)))
     cells = product(*(range(len(v)) for v in free_values))
     points = []
     # lookups a chunk at a time: only the hits reach the Python loop, and memory

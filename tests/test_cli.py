@@ -286,6 +286,27 @@ def test_oversized_relation_file_exit_4(tmp_path, name):
     assert "capacity" in res.stderr
 
 
+# An index equal to its universe's size is one past the last index: refused, never loaded.
+INDEX_AT_SIZE = {
+    "rel2-i-is-|U|": ("rel2", (2, 3), [2, 0]),
+    "rel2-j-is-|V|": ("rel2", (2, 3), [0, 3]),
+    "rel3-i-is-|X|": ("rel3", (2, 3, 4), [2, 0, 0]),
+    "rel3-j-is-|Y|": ("rel3", (2, 3, 4), [0, 3, 0]),
+    "rel3-k-is-|Z|": ("rel3", (2, 3, 4), [0, 0, 4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_AT_SIZE))
+def test_index_equal_to_universe_size_exit_3(tmp_path, capsys, name):
+    kind, sizes, entry = INDEX_AT_SIZE[name]
+    src = tmp_path / "index-at-size.json"
+    universes = [{"name": f"U{a}", "size": size} for a, size in enumerate(sizes)]
+    src.write_text(json.dumps({"kind": kind, "universes": universes, "pairs" if kind == "rel2" else "triples": [entry]}))
+    assert cli.main(["count", "--rel", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("expd: input error: ") and "not an index" in err and err.count("\n") == 1, err
+
+
 # An empty universe counts as one cell, so the other universes are still capped.
 ONE_SIDED_RELATIONS = {
     "certify-rel2-0x1e30": ("certify", "rel2", (0, 10**30)),
@@ -702,6 +723,19 @@ class TestPipeline3:
         assert bundle["delta_degree"]["d"] == 0
         assert bundle["g_edges"] == 0
         assert bundle["checks_ok"] is True
+
+    def test_d_absent_skips_both_checks_and_out_holds_the_stdout_bytes(self, tmp_path, capsys):
+        # every triple holds, so each pairing maximum is 3, past --threshold 1: d is absent
+        out = tmp_path / "bundle.json"
+        args = ["pipeline3", "--expr", "x*0 = 0 mod 3", "--grid-x", "fullmod", "--grid-y", "fullmod",
+                "--grid-z", "fullmod", "--threshold", "1", "--out", str(out)]
+        assert cli.main(args) == 0
+        stdout = capsys.readouterr().out
+        bundle = json.loads(stdout)
+        assert bundle["delta_degree"]["d"] is None and bundle["checks_ok"] is True
+        assert bundle["fiber_report"] == bundle["cauchy_schwarz"] == {"status": "skipped:d-absent"}
+        assert "g_edges" not in bundle
+        assert out.read_bytes() == stdout.encode()
 
     @pytest.mark.parametrize(
         "instance",

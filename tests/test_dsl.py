@@ -1,14 +1,16 @@
 """Relation DSL: parsing, canonical printing, grids, instantiation."""
 
+import math
 import random
 import re
 import sys
+import time
 from itertools import product
 
 import pytest
 
 from expd import GridSpec, InputError, instantiate2, instantiate3, parse, parse_grid, to_text
-from expd.dsl import BINARY_VARS, MAX_GRID_BITS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _compile, _solved, _tokenize
+from expd.dsl import BINARY_VARS, MAX_GRID_BITS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _compile, _degree, _solved, _tokenize
 from expd.errors import BudgetError, SyntaxError_
 
 
@@ -457,6 +459,137 @@ class TestLoopNest:
         assert sorted(names - {".0", "pow", "_slices", "x", "y", "z"}) == sorted(
             f"t{i}" for i in (0, 1, 2, 3, 4, 5, 6, 11, 12, 13, 14, 15, 16)
         )
+
+
+def square_free_node(rng, names, depth):
+    """A random polynomial whose degree bound in each of names is 0 or at least 2."""
+    if depth == 0 or rng.random() < 0.3:
+        if names and rng.random() < 0.7:
+            return Pow(Var(rng.choice(names)), rng.choice([0, 2, 3]))
+        return Const(rng.randrange(7))
+    return BinOp(rng.choice("+-*"), square_free_node(rng, names, depth - 1), square_free_node(rng, names, depth - 1))
+
+
+class TestLinearSolve:
+    """Definitions with no lone variable but one, v, of degree 1: a·v + b = 0 is
+    solved per point of the other grids, against the brute-force oracle."""
+
+    MODULI = [None, None, 6, 12, 30, 7]
+
+    def random_expr(self, rng, names, v):
+        rest = tuple(name for name in names if name != v)
+        a = rng.choice(
+            [
+                Const(0),  # a = 0, and a ≡ 0 under every modulus
+                Const(30),  # a ≡ 0 mod 6 and 30, gcd 6 with 12
+                BinOp("-", Pow(Var(rest[0]), 2), Pow(Var(rest[0]), 2)),  # cancels to 0
+                Const(rng.choice([1, 2, 3, 4, 5, 6, 10])),  # gcd(a, m) > 1 on composite m
+                square_free_node(rng, rest, 2),
+                square_free_node(rng, rest, 2),
+            ]
+        )
+        b = rng.choice([Const(0), square_free_node(rng, rest, 2), square_free_node(rng, rest, 2)])
+        lhs = rng.choice(
+            [
+                BinOp("+", BinOp("*", a, Var(v)), b),
+                BinOp("-", BinOp("*", Var(v), a), b),
+                BinOp("*", BinOp("+", Var(v), b), a),
+            ]
+        )
+        rhs = b if rng.random() < 0.25 else square_free_node(rng, rest, 2)  # b ≡ 0 when rhs repeats it
+        if rng.random() < 0.5:
+            lhs, rhs = rhs, lhs
+        return RelationExpr(lhs, rhs, rng.choice(self.MODULI), names)
+
+    @staticmethod
+    def random_grids(rng, names, modulus):
+        grids = []
+        for _ in names:
+            values = rng.sample(range(-15, 16), rng.randint(1, 7))
+            if modulus is not None and rng.random() < 0.5:
+                values = list(dict.fromkeys(values + [value + modulus for value in values[:2]]))  # congruent mod m
+            if modulus is not None and rng.random() < 0.3:
+                values = list(range(-1, modulus))  # every residue, so every root is in the grid
+            grids.append(values)
+        return grids
+
+    @staticmethod
+    def kinds(expr, v, grids):
+        """The cases the points of the other grids give, from lhs - rhs at v = 0 and 1."""
+        names, m = expr.variables, expr.modulus
+        others = [grids[i] for i, name in enumerate(names) if name != v]
+        seen = set()
+        for point in product(*others):
+            env = dict(zip([name for name in names if name != v], point))
+            b = eval_node(expr.lhs, {**env, v: 0}) - eval_node(expr.rhs, {**env, v: 0})
+            a = eval_node(expr.lhs, {**env, v: 1}) - eval_node(expr.rhs, {**env, v: 1}) - b
+            if m is None:
+                seen.add("Z, a = 0" if a == 0 else "Z, a does not divide b" if b % a else "Z, a divides b")
+            elif a % m == 0:
+                seen.add("a = 0 mod m, b = 0 mod m" if b % m == 0 else "a = 0 mod m, b != 0 mod m")
+            elif 1 < math.gcd(a, m) < len(grids[names.index(v)]) and b % math.gcd(a, m) == 0:
+                seen.add("1 < gcd(a, m) < |grid|, gcd divides b")
+        return seen
+
+    @pytest.mark.parametrize("names, cases", [(TERNARY_VARS, 450), (BINARY_VARS, 300)])
+    def test_matches_oracle(self, names, cases):
+        rng = random.Random(26 + len(names))
+        solved_for, kinds = set(), set()
+        for case in range(cases):
+            v = names[case % len(names)]
+            expr = self.random_expr(rng, names, v)
+            solved, side = _solved(expr)
+            assert solved is None
+            # the solve reads names from the last, so z before y before x
+            assert next(name for name in reversed(names) if _degree(side, name) == 1) == v, to_text(expr)
+            solved_for.add(v)
+            grids = self.random_grids(rng, names, expr.modulus)
+            kinds |= self.kinds(expr, v, grids)
+            if names == TERNARY_VARS:
+                rel, _ = instantiate3(expr, *map(GridSpec.explicit, grids))
+                assert rel.triples == tuple(brute_force_triples(expr, *grids)), to_text(expr)
+            else:
+                vy, vz = grids
+                rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
+                pairs = [(j, k) for j, b in enumerate(vy) for k, c in enumerate(vz) if holds(expr, {"y": b, "z": c})]
+                got = [(j, k) for j, row in enumerate(rel.rows) for k in range(len(vz)) if row >> k & 1]
+                assert got == pairs, to_text(expr)
+        assert solved_for == set(names)
+        assert kinds == {
+            "Z, a = 0",
+            "Z, a does not divide b",
+            "Z, a divides b",
+            "a = 0 mod m, b = 0 mod m",
+            "a = 0 mod m, b != 0 mod m",
+            "1 < gcd(a, m) < |grid|, gcd divides b",
+        }
+
+    @pytest.mark.parametrize(
+        "text, count",
+        [
+            ("x*y*z = 1 mod 12", 4 * 4),  # x, y among the 4 units, z = (x*y)^-1
+            ("6*z = x mod 12", 2 * 12 * 6),  # x in {0, 6}: 6 roots z, step 2, for each y
+            ("4*z + 2 = x + y mod 30", 30**2 // 2 * 2),  # x + y - 2 even: 2 roots, step 15
+            ("x*z = y - y", 12 * 12 + 11 * 12),  # over Z: x = 0 takes every z, else z = 0
+        ],
+    )
+    def test_hand_counted_roots(self, text, count):
+        expr = parse(text)
+        m = expr.modulus or 12
+        grid = GridSpec.explicit(range(m))
+        rel, _ = instantiate3(expr, grid, grid, grid)
+        assert len(rel) == count
+        assert rel.triples == tuple(brute_force_triples(expr, *[range(m)] * 3))
+
+    def test_zero_coefficient_under_a_large_modulus_tests_the_grid(self):
+        # a ≡ 0 has gcd(a, m) = m roots: walking 10^9 residues per point would take
+        # minutes, so the 50 grid values are tested instead
+        expr = parse("(y - y)*z + x = 0 mod 1000000007")
+        assert _solved(expr)[0] is None and _degree(_solved(expr)[1], "z") == 1
+        start = time.perf_counter()
+        rel, _ = instantiate3(expr, GridSpec.range_(0, 3), GridSpec.range_(0, 3), GridSpec.range_(0, 50))
+        assert time.perf_counter() - start < 1.0
+        assert rel.triples == tuple((0, j, k) for j in range(3) for k in range(50))
 
 
 class TestPowerBudget:

@@ -23,7 +23,7 @@ from expd import (
     read_relation,
     write_relation,
 )
-from expd.relations import MAX_PAIR_BASE, _write_relation, relation_from_obj
+from expd.relations import MAX_FILE_CELLS, MAX_PAIR_BASE, _write_relation, relation_from_obj
 
 
 def u(n, name="U"):
@@ -387,8 +387,27 @@ class TestPairUniverse:
         with pytest.raises(CapacityError):
             pair_universe(Universe("big", MAX_PAIR_BASE + 1))
 
+    def test_capacity_admits_the_cap(self):
+        assert pair_universe(Universe("edge", MAX_PAIR_BASE)).size == MAX_PAIR_BASE**2
+
 
 class TestRelationFiles:
+    @pytest.mark.parametrize(
+        "sizes, admitted",
+        [((1, MAX_FILE_CELLS), True), ((10**4, 10**4), True), ((1, MAX_FILE_CELLS + 1), False),
+         ((MAX_FILE_CELLS + 1, 1), False)],
+    )
+    def test_rel2_file_cells_at_the_cap(self, tmp_path, sizes, admitted):
+        src = tmp_path / "at-cap.json"
+        universes = [{"name": name, "size": size} for name, size in zip("UV", sizes)]
+        src.write_text(json.dumps({"kind": "rel2", "universes": universes, "pairs": [[0, 0]]}))
+        if admitted:
+            rel = read_relation(str(src))
+            assert (rel.u.size, rel.v.size, rel.edge_count) == (*sizes, 1)
+        else:
+            with pytest.raises(CapacityError, match=f"cap is {MAX_FILE_CELLS}"):
+                read_relation(str(src))
+
     def test_rel2_roundtrip(self, tmp_path):
         rel = build_relation2(
             Universe("U", 3, labels=("a", "b", "c")), u(4, "V"), [(0, 1), (2, 3)]
