@@ -527,10 +527,12 @@ def _instantiate(
     - else brute force: lhs - rhs is looked up as 0 at every point.
 
     Raises BudgetError, before any grid is built, when a grid has more values
-    than budget_cells or the grids but a lone variable's have more points than that."""
+    than budget_cells or the grids but the solved variable's have more points than that."""
     if tuple(expr.variables) != names:
         raise InputError(f"instantiate{len(names)} needs an expression over variables {', '.join(names)}")
     solved, side = _solved(expr)
+    linear = None if solved else next((name for name in reversed(names) if _degree(side, name) == 1), None)
+    solved = solved or linear
     points = 1
     for name, grid in zip(names, grids):
         size = grid.size(expr.modulus)
@@ -542,8 +544,6 @@ def _instantiate(
         values[name] = grid.resolve(expr.modulus)
         if not values[name]:
             raise InputError(f"grid for {name} is empty")
-    linear = None if solved else next((name for name in reversed(names) if _degree(side, name) == 1), None)
-    solved = solved or linear
     free = tuple(name for name in names if name != solved)
     free_values = [values[name] for name in free]
     index: dict[int, list[int]] = {}

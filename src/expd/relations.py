@@ -40,6 +40,11 @@ MAX_KEYS = 1 << 63
 # box), may not ask for a bit matrix of more cells than this.
 MAX_FILE_CELLS = 10**8
 
+# Entries per slice: build_relation3 packs keys, and the writer joins a run of
+# entries with one first index as text, this many at a time, so no more than
+# one slice is held at once.
+_CHUNK = 8192
+
 # Default cap on the cells or points one operation may build or evaluate
 # (--budget-cells): pair matrices, flattened axes, DSL grid points, and n²
 # for a family of size n, whatever the family.
@@ -218,19 +223,22 @@ class FiniteRelation3:
 
     Key order is lexicographic triple order, so the triples of one x form a
     contiguous run.  Build relations with build_relation3, which checks every
-    triple and the key range; the constructor trusts its keys.
+    triple and the key range; the constructor trusts its keys, and keeps an
+    array('q') as the strictly increasing keys, with no sort and no copy.
     """
 
     __slots__ = ("x", "y", "z", "keys")
 
     def __init__(self, x: Universe, y: Universe, z: Universe, keys: Iterable[int]):
-        keys = sorted(keys)  # linear when the keys arrive sorted
-        if any(map(operator.eq, keys, islice(keys, 1, None))):
-            keys = sorted(set(keys))
+        if type(keys) is not array:  # this module hands over only increasing arrays
+            keys = sorted(keys)  # linear when the keys arrive sorted
+            if any(map(operator.eq, keys, islice(keys, 1, None))):
+                keys = sorted(set(keys))
+            keys = array("q", keys)
         self.x = x
         self.y = y
         self.z = z
-        self.keys = array("q", keys)
+        self.keys = keys
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -277,7 +285,7 @@ class FiniteRelation3:
         keys, ny, nz = self.keys, self.y.size, self.z.size
         runs = (keys[lo:hi] for i, lo, hi in self.x_runs() if abits >> i & 1)
         kept = [key for run in runs for key in run if cbits >> key % nz & 1 and bbits >> key // nz % ny & 1]
-        return FiniteRelation3(self.x, self.y, self.z, kept)
+        return FiniteRelation3(self.x, self.y, self.z, array("q", kept))  # a subsequence stays increasing
 
     def __eq__(self, other) -> bool:
         return (
@@ -313,21 +321,35 @@ def build_relation3(
 ) -> FiniteRelation3:
     """Build F ⊆ X×Y×Z from index triples; duplicates collapse, bad indices raise.
 
+    Keys are packed into one array('q') a slice of _CHUNK at a time, 8 bytes a
+    key while building; strictly increasing triples hand the constructor that
+    array, any others a list for it to sort and deduplicate.
+
     Raises CapacityError, before reading any triple, when |X|·|Y|·|Z| keys do
     not fit in a signed 64-bit integer.
     """
     nx, ny, nz = x.size, y.size, z.size
     _check_keys(f"{nx} x {ny} x {nz}", nx, ny, nz)
-    keys = []
-    append = keys.append
-    for t in triples:
-        try:
-            i, j, k = t
-        except (TypeError, ValueError):
-            raise InputError(f"triple {t!r} is not a triple of indices") from None
-        if not (type(i) is type(j) is type(k) is int and 0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
-            raise InputError(f"triple {(i, j, k)} is not an index triple in range for {nx} x {ny} x {nz}")
-        append((i * ny + j) * nz + k)
+    triples = iter(triples)
+    keys, last, ordered = array("q"), -1, True
+    while True:
+        chunk = []
+        append = chunk.append
+        for t in islice(triples, _CHUNK):  # not list(islice(...)): a held slice of tuples wakes the collector
+            try:
+                i, j, k = t
+            except (TypeError, ValueError):
+                raise InputError(f"triple {t!r} is not a triple of indices") from None
+            if not (type(i) is type(j) is type(k) is int and 0 <= i < nx and 0 <= j < ny and 0 <= k < nz):
+                raise InputError(f"triple {(i, j, k)} is not an index triple in range for {nx} x {ny} x {nz}")
+            append((i * ny + j) * nz + k)
+        if not chunk:
+            break
+        ordered = ordered and last < chunk[0] and all(map(operator.lt, chunk, islice(chunk, 1, None)))
+        keys.fromlist(chunk)
+        last = chunk[-1]
+    if not ordered:
+        keys = keys.tolist()  # for the constructor to sort and deduplicate
     return FiniteRelation3(x, y, z, keys)
 
 
@@ -399,11 +421,6 @@ def relation_from_obj(obj: dict) -> Union[FiniteRelation2, FiniteRelation3]:
         _check_rel2_cells("rel2 file", us[0].size, us[1].size)
         return build_relation2(*us, entries)
     return build_relation3(*us, entries)
-
-
-# Entries per str.join: a run of entries with one first index is joined as text
-# in slices of this many, so no more than one slice is held at a time.
-_CHUNK = 8192
 
 
 def _write_relation(

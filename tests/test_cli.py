@@ -15,15 +15,11 @@ from expd.instances import random_bipartite
 from expd.relations import _columns
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "expd", *argv],
         capture_output=True,
         text=True,
-        env=env,
         timeout=120,
     )
 
@@ -428,14 +424,14 @@ def test_unbounded_power_exit_4_before_evaluating(capsys, argv):
     assert "budget exceeded" in capsys.readouterr().err
 
 
-RANGE_2000 = "range:0:2000:1"
+RANGE_2000, RANGE_20000 = "range:0:2000:1", "range:0:20000:1"
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         # nothing solved: 2000^3 = 8*10^9 points to evaluate
-        ("count", "--expr", "x*y*z = 1 mod 89", "--grid-x", RANGE_2000, "--grid-y", RANGE_2000,
+        ("count", "--expr", "x^2*y^2*z^2 = 1 mod 89", "--grid-x", RANGE_2000, "--grid-y", RANGE_2000,
          "--grid-z", RANGE_2000),
         # z solved, 4 free points, but a grid of 10^12 values
         ("count", "--expr", "x + y = z", "--grid-x", "list:1,2", "--grid-y", "list:1,2",
@@ -445,6 +441,9 @@ RANGE_2000 = "range:0:2000:1"
         # 10^6 values, under the cell budget, but the last one has 10^6 bits
         ("count", "--expr", "x + y = z mod 7", "--grid-x", "geom:2:1000000", "--grid-y", "list:1",
          "--grid-z", "fullmod"),
+        # z solved linearly: 20000^2 = 4*10^8 free points
+        ("count", "--expr", "x*y*z = 1 mod 89", "--grid-x", RANGE_20000, "--grid-y", RANGE_20000,
+         "--grid-z", RANGE_20000),
     ],
 )
 def test_oversized_grid_exit_4_before_building(capsys, argv):
@@ -452,6 +451,16 @@ def test_oversized_grid_exit_4_before_building(capsys, argv):
     assert cli.main(list(argv)) == 4
     assert time.perf_counter() - start < 1.0
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_linear_solve_charges_only_the_free_grids(capsys):
+    """z is solved at each of the 89^2 (x, y) points, so 89^2 cells are charged, not 89^3."""
+    argv = ["count", "--expr", "x*y*z = 1 mod 89", "--grid-x", "fullmod", "--grid-y", "fullmod", "--grid-z", "fullmod"]
+    assert cli.main([*argv, "--budget-cells", "7921"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[2] == str(88 * 88)
+    assert cli.main([*argv, "--budget-cells", "7920"]) == 4
+    err = capsys.readouterr().err
+    assert err == "expd: budget exceeded: the grid of points to evaluate needs 7921 cells; budget is 7920\n"
 
 
 @pytest.mark.parametrize(
@@ -780,11 +789,11 @@ class TestScan:
         run_cli(*args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
+    def test_cyclic_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("scan", "--family", "cyclic", "--sizes", "8,16,32")
-        run_cli(*args, "--out", str(a), env_extra={"EXPD_THREADS": "1"})
-        run_cli(*args, "--out", str(b), env_extra={"EXPD_THREADS": "4"})
+        run_cli(*args, "--out", str(a))
+        run_cli(*args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_json_format(self):

@@ -206,10 +206,15 @@ class TestGridBudget:
     def test_refused_before_any_grid_is_built(self):
         small = GridSpec.range_(0, 10)
         huge = GridSpec.range_(0, 10**30)  # resolving it would never finish
-        expr = parse("x*y*z = 1 mod 89")  # nothing solved: 10^3 free points
+        expr = parse("x^2*y^2*z^2 = 1 mod 89")  # nothing solved: 10^3 free points
         with pytest.raises(BudgetError, match="points to evaluate"):
             instantiate3(expr, small, small, small, budget_cells=999)
         rel, _ = instantiate3(expr, small, small, small, budget_cells=1000)
+        assert rel.triples == tuple(brute_force_triples(expr, *[range(10)] * 3))
+        expr = parse("x*y*z = 1 mod 89")  # z solved linearly: 10^2 free points
+        with pytest.raises(BudgetError, match="points to evaluate"):
+            instantiate3(expr, small, small, small, budget_cells=99)
+        rel, _ = instantiate3(expr, small, small, small, budget_cells=100)
         assert rel.triples == tuple(brute_force_triples(expr, *[range(10)] * 3))
         with pytest.raises(BudgetError, match="grid for z"):
             instantiate3(parse("x + y = z"), small, small, huge)  # z is solved, not free

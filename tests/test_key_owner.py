@@ -1,5 +1,7 @@
 """relations.py owns the packed ternary keys and every size refusal: no other
-module reads the keys, names MAX_KEYS or compares against a budget_cells."""
+module reads the keys, calls the FiniteRelation3 constructor (which keeps an
+array('q') it is handed as the keys), names MAX_KEYS or compares against a
+budget_cells."""
 
 import ast
 import os
@@ -39,6 +41,30 @@ def test_finds_a_key_read(tmp_path):
     path = tmp_path / "reader.py"
     path.write_text("def f(rel, d):\n    return d.keys(), rel.keys\n")
     assert key_reads(str(path)) == [2]
+
+
+def constructor_calls(path):
+    """Line numbers of calls to FiniteRelation3(...), by name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call) and names(node.func, "FiniteRelation3")
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_calls_no_relation3_constructor(module):
+    assert constructor_calls(os.path.join(SRC, module)) == [], f"{module} calls FiniteRelation3; use build_relation3"
+
+
+def test_finds_a_constructor_call(tmp_path):
+    path = tmp_path / "maker.py"
+    path.write_text(
+        "from .relations import FiniteRelation3\n"
+        "def f(x, keys):\n"
+        "    return FiniteRelation3(x, x, x, keys), relations.FiniteRelation3(x, x, x, keys), FiniteRelation3\n"
+    )
+    assert constructor_calls(str(path)) == [3, 3]
 
 
 def names(node, name):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -23,7 +24,7 @@ from expd import (
     read_relation,
     write_relation,
 )
-from expd.relations import MAX_FILE_CELLS, MAX_PAIR_BASE, _write_relation, relation_from_obj
+from expd.relations import _CHUNK, MAX_FILE_CELLS, MAX_PAIR_BASE, _write_relation, relation_from_obj
 
 
 def u(n, name="U"):
@@ -367,6 +368,96 @@ class TestPackedCore:
             rel.axis_pairs(4)
         with pytest.raises(InputError):
             rel.restrict(b=Subset.full(x))
+
+
+class TestSlicedBuild:
+    """build_relation3 packs keys a slice of _CHUNK at a time; order, duplicates
+    and errors at the slice boundaries must come out as for one whole list."""
+
+    X, Y, Z = u(160, "X"), u(16, "Y"), u(16, "Z")  # 40,960 keys, room for 2·_CHUNK + 1 even ones
+
+    @classmethod
+    def triples(cls, n):
+        """n sorted distinct triples, of the even keys 0, 2, 4, ..."""
+        return [(key // 256, key // 16 % 16, key % 16) for key in range(0, 2 * n, 2)]
+
+    @staticmethod
+    def keys_of(triples):
+        return array("q", sorted({(i * 16 + j) * 16 + k for i, j, k in triples}))
+
+    @staticmethod
+    def sizes():
+        """_CHUNK - 1, _CHUNK, _CHUNK + 1 and 2·_CHUNK + 1, each with its boundary b:
+        the first index of the second slice, or the last index when there is one slice."""
+        return [(n, min(_CHUNK, n - 1)) for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)]
+
+    def build(self, triples):
+        return build_relation3(self.X, self.Y, self.Z, triples)
+
+    def test_sorted(self):
+        for n, _ in self.sizes():
+            triples = self.triples(n)
+            rel = self.build(triples)
+            assert rel.keys == self.keys_of(triples) and len(rel) == n
+            assert rel == self.build(iter(triples))
+
+    def test_decrease_at_the_boundary(self):
+        for n, b in self.sizes():
+            triples = self.triples(n)
+            triples[b - 1], triples[b] = triples[b], triples[b - 1]
+            rel = self.build(triples)
+            assert rel.keys == self.keys_of(triples)
+            assert rel == self.build(sorted(triples))
+
+    def test_duplicate_straddles_the_boundary(self):
+        for n, b in self.sizes():
+            triples = self.triples(n)
+            triples[b] = triples[b - 1]
+            rel = self.build(triples)
+            assert rel.keys == self.keys_of(triples) and len(rel) == n - 1
+            assert rel == self.build(sorted(set(triples)))
+
+    def test_unsorted_equals_sorted(self):
+        rng = random.Random(7)
+        for n, _ in self.sizes():
+            triples = self.triples(n)
+            shuffled = triples + rng.sample(triples, 100)
+            rng.shuffle(shuffled)
+            rel = self.build(shuffled)
+            assert rel.keys == self.keys_of(triples)
+            assert rel == self.build(triples)
+
+    def test_bad_triple_first_in_the_second_slice(self):
+        for n, b in self.sizes():
+            for bad, message in (
+                ((0, 16, 0), "triple (0, 16, 0) is not an index triple in range for 160 x 16 x 16"),
+                ((0, 0, -1), "triple (0, 0, -1) is not an index triple in range for 160 x 16 x 16"),
+                ((0, 0, 1.0), "triple (0, 0, 1.0) is not an index triple in range for 160 x 16 x 16"),
+                ((0, 0), "triple (0, 0) is not a triple of indices"),
+                (None, "triple None is not a triple of indices"),
+            ):
+                triples = self.triples(n)
+                triples[b] = bad
+                with pytest.raises(InputError) as info:
+                    self.build(triples)
+                assert str(info.value) == message
+
+    def test_group_like_build_holds_its_keys_at_8_bytes(self):
+        """65,536 keys take 0.52 MB packed; held as a list of ints and sorted
+        into another before packing, they took over 3.7 MB."""
+        import tracemalloc
+
+        from expd.pipeline import FamilySpec, make_family
+
+        family = make_family(FamilySpec("group_like", group=("cyclic", None), twists=(("seeded", 1),) * 3, seed=1))
+        tracemalloc.start()
+        try:
+            rel = family.build(256).rel
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rel) == 256 * 256
+        assert peak < 1_500_000
 
 
 class TestPairUniverse:
