@@ -497,22 +497,32 @@ def _compile(
     return scope.pop("rows")
 
 
-def _linear_roots(modulus: Optional[int], grid: list[int], index: dict[int, list[int]]) -> Callable:
-    """From [b, a + b], the indices of grid's roots v of a·v + b = 0 (mod modulus), read in index."""
+def _linear_roots(modulus: Optional[int], grid: list[int], index: dict, name: str, budget: int) -> Callable:
+    """From [b, a + b], the indices of grid's roots v of a·v + b = 0 (mod modulus), read in index.
+    A point that tries or finds more than one value of v (named name) charges them all to budget."""
     from math import gcd
 
-    def roots(row: list[int]) -> Optional[Iterable[int]]:
+    tried = [0]
+
+    def roots(row: list[int]) -> Iterable[int]:
         b, a = row[0], row[1] - row[0]
+        g = gcd(a, modulus) if modulus else 1  # min(g, len(grid)) values of v are tried
         if modulus is None:  # every v when a = b = 0, else v = -b/a when a divides b
-            return range(len(grid)) if a == b == 0 else index.get(-b // a) if a and b % a == 0 else None
-        g = gcd(a, modulus)  # at most min(g, len(grid)) values of v are tried
-        if b % g:
-            return None
-        if g >= len(grid):  # g roots, no fewer than grid values (a ≡ 0 gives m): test each value
-            return [k for k, v in enumerate(grid) if (a * v + b) % modulus == 0]
-        step = modulus // g  # the g roots are v0 + t·step for t < g
-        v0 = -b // g * pow(a // g, -1, step) % step
-        return [k for r in range(v0, modulus, step) for k in index.get(r, ())]
+            hits = range(len(grid)) if a == b == 0 else index.get(-b // a, ()) if a and b % a == 0 else ()
+        elif b % g:
+            return ()
+        elif g == modulus:  # a ≡ 0 and b ≡ 0: every v is a root
+            hits = range(len(grid))
+        elif g >= len(grid):  # no fewer roots than grid values: test each value
+            hits = [k for k, v in enumerate(grid) if (a * v + b) % modulus == 0]
+        else:  # the g roots are v0 + t·step for t < g
+            step = modulus // g
+            v0 = -b // g * pow(a // g, -1, step) % step
+            hits = [k for r in range(v0, modulus, step) for k in index.get(r, ())]
+        if g > 1 or len(hits) > 1:  # a point's first try is paid by the free-point charge
+            tried[0] += max(min(g, len(grid)), len(hits))
+            _charge(f"trying values of {name}", tried[0], budget)
+        return hits
 
     return roots
 
@@ -526,8 +536,8 @@ def _instantiate(
     - else linear variable v (z, y, then x): the roots of lhs - rhs = a·v + b, likewise;
     - else brute force: lhs - rhs is looked up as 0 at every point.
 
-    Raises BudgetError, before any grid is built, when a grid has more values
-    than budget_cells or the grids but the solved variable's have more points than that."""
+    Raises BudgetError, before any grid is built, when a grid has more values than
+    budget_cells or the free grids more points, and a linear solve once it tries or finds more values."""
     if tuple(expr.variables) != names:
         raise InputError(f"instantiate{len(names)} needs an expression over variables {', '.join(names)}")
     solved, side = _solved(expr)
@@ -551,7 +561,7 @@ def _instantiate(
         index.setdefault(v if expr.modulus is None else v % expr.modulus, []).append(k)
     if linear:  # with linear's grid [0, 1] innermost, the nest yields [b, a + b] per point
         rows = _compile(side, (*free, linear), expr.modulus, values)(*free_values, [0, 1])
-        found = map(_linear_roots(expr.modulus, values[linear], index), rows)
+        found = map(_linear_roots(expr.modulus, values[linear], index, linear, budget_cells), rows)
     else:
         found = map(index.get, chain.from_iterable(_compile(side, free, expr.modulus, values)(*free_values)))
     # a point is (free indices..., solved index); pick puts it in names order

@@ -223,22 +223,25 @@ class FiniteRelation3:
 
     Key order is lexicographic triple order, so the triples of one x form a
     contiguous run.  Build relations with build_relation3, which checks every
-    triple and the key range; the constructor trusts its keys, and keeps an
-    array('q') as the strictly increasing keys, with no sort and no copy.
+    triple and the key range; the constructor trusts its keys to be in range
+    and sorts and deduplicates them.
     """
 
     __slots__ = ("x", "y", "z", "keys")
 
     def __init__(self, x: Universe, y: Universe, z: Universe, keys: Iterable[int]):
-        if type(keys) is not array:  # this module hands over only increasing arrays
-            keys = sorted(keys)  # linear when the keys arrive sorted
-            if any(map(operator.eq, keys, islice(keys, 1, None))):
-                keys = sorted(set(keys))
-            keys = array("q", keys)
-        self.x = x
-        self.y = y
-        self.z = z
-        self.keys = keys
+        keys = sorted(keys)  # linear when the keys arrive sorted
+        if any(map(operator.eq, keys, islice(keys, 1, None))):
+            keys = sorted(set(keys))
+        self.x, self.y, self.z, self.keys = x, y, z, array("q", keys)
+
+    @classmethod
+    def _from_increasing(cls, x: Universe, y: Universe, z: Universe, keys: array) -> "FiniteRelation3":
+        """The relation whose keys are keys, a strictly increasing array('q') (build_relation3's
+        ordered keys or a subsequence of a relation's), kept with no sort and no copy."""
+        rel = object.__new__(cls)
+        rel.x, rel.y, rel.z, rel.keys = x, y, z, keys
+        return rel
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -285,7 +288,7 @@ class FiniteRelation3:
         keys, ny, nz = self.keys, self.y.size, self.z.size
         runs = (keys[lo:hi] for i, lo, hi in self.x_runs() if abits >> i & 1)
         kept = [key for run in runs for key in run if cbits >> key % nz & 1 and bbits >> key // nz % ny & 1]
-        return FiniteRelation3(self.x, self.y, self.z, array("q", kept))  # a subsequence stays increasing
+        return FiniteRelation3._from_increasing(self.x, self.y, self.z, array("q", kept))
 
     def __eq__(self, other) -> bool:
         return (
@@ -321,9 +324,8 @@ def build_relation3(
 ) -> FiniteRelation3:
     """Build F ⊆ X×Y×Z from index triples; duplicates collapse, bad indices raise.
 
-    Keys are packed into one array('q') a slice of _CHUNK at a time, 8 bytes a
-    key while building; strictly increasing triples hand the constructor that
-    array, any others a list for it to sort and deduplicate.
+    Keys are packed into one array('q') a slice of _CHUNK at a time, 8 bytes a key
+    while building; a strictly increasing array is kept, any other sorted and deduplicated.
 
     Raises CapacityError, before reading any triple, when |X|·|Y|·|Z| keys do
     not fit in a signed 64-bit integer.
@@ -348,9 +350,7 @@ def build_relation3(
         ordered = ordered and last < chunk[0] and all(map(operator.lt, chunk, islice(chunk, 1, None)))
         keys.fromlist(chunk)
         last = chunk[-1]
-    if not ordered:
-        keys = keys.tolist()  # for the constructor to sort and deduplicate
-    return FiniteRelation3(x, y, z, keys)
+    return FiniteRelation3._from_increasing(x, y, z, keys) if ordered else FiniteRelation3(x, y, z, keys)
 
 
 def _check_universe(sub: Subset, universe: Universe, what: str) -> None:

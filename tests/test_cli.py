@@ -464,6 +464,31 @@ def test_linear_solve_charges_only_the_free_grids(capsys):
 
 
 @pytest.mark.parametrize(
+    "expr, grid, tries, count",
+    [
+        # gcd(a, m) = 10^6 is past |Z| = 10: z's 10 values are each tested at the
+        # 100 free points, and none is a root (z + x - 1 is odd)
+        ("1000000*z + 1000000*x + (y - y) = 1000000 mod 2000000", "range:0:20:2", 1000, 0),
+        # a ≡ b ≡ 0: every z is a root at each of the 49 free points
+        ("(x - x)*z + (y - y) = 0 mod 7", "fullmod", 343, 343),
+        ("(x - x)*z + (y - y) = 0", "range:0:7:1", 343, 343),
+        # g = 2 at the 32 points where x + y is even, and each of the two root
+        # residues mod 4 is held by two of z's values 0..7: 4 found, 4 charged
+        ("2*z + x + y = 0 mod 4", "range:0:8:1", 128, 128),
+    ],
+)
+def test_linear_solve_charges_the_values_it_tries(capsys, expr, grid, tries, count):
+    """A free point that tries or finds more than one value of z charges them
+    all, so the budget bounds the work however large gcd(a, m) is."""
+    argv = ["count", "--expr", expr, "--grid-x", grid, "--grid-y", grid.replace(":20:2", ":10:1"), "--grid-z", grid]
+    assert cli.main([*argv, "--budget-cells", str(tries)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[2] == str(count)
+    assert cli.main([*argv, "--budget-cells", str(tries - 1)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"expd: budget exceeded: trying values of z needs {tries} cells; budget is {tries - 1}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("count", "--family", "cyclic", "--n", "3000"),

@@ -12,6 +12,7 @@ from expd import (
     InputError,
     CapacityError,
     FiniteRelation2,
+    FiniteRelation3,
     Subset,
     Universe,
     build_relation2,
@@ -426,6 +427,15 @@ class TestSlicedBuild:
             rel = self.build(shuffled)
             assert rel.keys == self.keys_of(triples)
             assert rel == self.build(triples)
+
+    def test_constructor_sorts_any_array(self):
+        """Only build_relation3 and restrict hand over keys unchecked; the public
+        constructor sorts and deduplicates an array as it does any other keys."""
+        rel = FiniteRelation3(self.X, self.Y, self.Z, array("q", [300, 3, 300, 0]))
+        assert rel.keys == array("q", [0, 3, 300])
+        assert rel == self.build([(1, 2, 12), (0, 0, 3), (0, 0, 0)])
+        assert list(rel.x_runs()) == [(0, 0, 2), (1, 2, 3)]
+        assert rel.restrict(a=Subset(self.X, 1 << 1)).keys == array("q", [300])
 
     def test_bad_triple_first_in_the_second_slice(self):
         for n, b in self.sizes():
