@@ -49,8 +49,6 @@ from .relations import (
     build_relation3,
     count_grid2,
     count_grid3,
-    pair_decode,
-    pair_encode,
     pair_universe,
     read_relation,
     write_relation,

@@ -10,13 +10,13 @@ Grammar (whitespace-insensitive):
 
 Ternary definitions use variables {x, y, z}; binary ones use {y, z}.  A
 definition has at most MAX_TOKENS tokens.  Instantiation solves it for a lone
-variable, else for a linear one, else by brute force, on a loop nest compiled
-once over the grids that evaluates each subterm where its variables change, in
-exact integers reduced mod m when a modulus is declared; without one, values
-that may exceed MAX_VALUE_BITS on the grids are refused (BudgetError) before
-evaluation, as are grids of more values or points than the cell budget and geom:
-grids whose values may hold more than MAX_GRID_BITS bits in all, before any is
-built.  Grid values label the FiniteRelation3 or FiniteRelation2 it produces.
+variable, else a linear one, else joins a side of one variable to the other,
+else by brute force, on loop nests that evaluate each subterm where its
+variables change, in exact integers reduced mod m under a modulus; without one,
+values that may exceed MAX_VALUE_BITS on the grids are refused (BudgetError)
+before evaluation, as are grids of more values or points than the cell budget
+and geom: grids whose values may hold more than MAX_GRID_BITS bits in all,
+before any is built.  Grid values label the relation it produces.
 
 Grid mini-syntax (CLI):  range:lo:hi:step (half-open, like Python range),
 geom:base:count, list:v1,v2,..., rand:count:lo:hi (distinct, seeded),
@@ -28,8 +28,8 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, product
-from operator import itemgetter
+from itertools import chain, compress, count, islice, product, repeat
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import BudgetError, InputError, SyntaxError_
@@ -409,15 +409,19 @@ def parse_grid(text: str, seed: Optional[int] = None) -> GridSpec:
 # --- instantiation -----------------------------------------------------------
 
 
-def _solved(expr: RelationExpr) -> tuple[Optional[str], Node]:
-    """(v, s) when one side is a variable v absent from the other side s, else
-    (None, lhs - rhs); when both sides qualify, z before y before x."""
-    isolated = [
-        (side.name, other)
-        for side, other in ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs))
-        if isinstance(side, Var) and side.name not in variables_in(other)
-    ]
-    return max(isolated, key=lambda pair: pair[0], default=(None, BinOp("-", expr.lhs, expr.rhs)))
+def _solved(expr: RelationExpr) -> tuple[Optional[str], Optional[Node], Node]:
+    """(v, g, s), the definition read as g = s by the first path that applies, and
+    among its variables z before y before x:
+    - lone: g is the variable v, and the other side s does not read v;
+    - linear: g is None, and s = lhs - rhs has degree 1 in v;
+    - join: g reads v alone, and the other side s does not read v;
+    - brute force: (None, None, lhs - rhs)."""
+    diff, pairs = BinOp("-", expr.lhs, expr.rhs), ((expr.lhs, expr.rhs), (expr.rhs, expr.lhs))
+    sides = [(g, s) for g, s in pairs if len(variables_in(g)) == 1 and not variables_in(g) & variables_in(s)]
+    lone = [(g.name, g, s) for g, s in sides if isinstance(g, Var)]
+    linear = [(v, None, diff) for v in expr.variables if _degree(diff, v) == 1]
+    join = [(*variables_in(g), g, s) for g, s in sides]
+    return max(lone or linear or join or [(None, None, diff)], key=itemgetter(0))
 
 
 def _bit_bound(node: Node, bits: dict[str, int]) -> int:
@@ -498,19 +502,22 @@ def _compile(
 
 
 def _linear_roots(modulus: Optional[int], grid: list[int], index: dict, name: str, budget: int) -> Callable:
-    """From [b, a + b], the indices of grid's roots v of a·v + b = 0 (mod modulus), read in index.
+    """From [b, a + b], the indices of grid's roots v of a·v + b = 0 (mod modulus), read in index;
+    mod modulus, each residue pair (a, b) is solved once while a bounded cache holds it.
     A point that tries or finds more than one value of v (named name) charges them all to budget."""
+    from functools import lru_cache
     from math import gcd
 
     tried = [0]
 
-    def roots(row: list[int]) -> Iterable[int]:
-        b, a = row[0], row[1] - row[0]
+    @lru_cache(maxsize=_CHUNK)  # called mod modulus only: over ℤ, (a, b) is unbounded
+    def solve(a: int, b: int) -> tuple[int, Iterable[int]]:
+        """(the values a point charges, 0 for one or none; the roots' indices)."""
         g = gcd(a, modulus) if modulus else 1  # min(g, len(grid)) values of v are tried
         if modulus is None:  # every v when a = b = 0, else v = -b/a when a divides b
             hits = range(len(grid)) if a == b == 0 else index.get(-b // a, ()) if a and b % a == 0 else ()
         elif b % g:
-            return ()
+            return 0, ()
         elif g == modulus:  # a ≡ 0 and b ≡ 0: every v is a root
             hits = range(len(grid))
         elif g >= len(grid):  # no fewer roots than grid values: test each value
@@ -519,8 +526,14 @@ def _linear_roots(modulus: Optional[int], grid: list[int], index: dict, name: st
             step = modulus // g
             v0 = -b // g * pow(a // g, -1, step) % step
             hits = [k for r in range(v0, modulus, step) for k in index.get(r, ())]
-        if g > 1 or len(hits) > 1:  # a point's first try is paid by the free-point charge
-            tried[0] += max(min(g, len(grid)), len(hits))
+        # a point's first try is paid by the free-point charge
+        return max(min(g, len(grid)), len(hits)) if g > 1 or len(hits) > 1 else 0, hits
+
+    def roots(row: list[int]) -> Iterable[int]:
+        b, a = row[0], row[1] - row[0]
+        cost, hits = solve(a % modulus, b) if modulus else solve.__wrapped__(a, b)
+        if cost:
+            tried[0] += cost
             _charge(f"trying values of {name}", tried[0], budget)
         return hits
 
@@ -529,20 +542,20 @@ def _linear_roots(modulus: Optional[int], grid: list[int], index: dict, name: st
 
 def _instantiate(
     expr: RelationExpr, names: tuple[str, ...], grids, budget_cells: int
-) -> tuple[dict, list[Universe], list]:
-    """Grid values, universes and the index tuples (in names order) of the points
-    where the definition holds, from _compile's loop nest a row slice at a time:
-    - lone variable v: the other side, on the other grids, is looked up among v's values;
-    - else linear variable v (z, y, then x): the roots of lhs - rhs = a·v + b, likewise;
-    - else brute force: lhs - rhs is looked up as 0 at every point.
+) -> tuple[dict, list[Universe], Iterator[tuple[int, ...]]]:
+    """Grid values, universes and an iterator over the index tuples (in names order) of the points
+    where the definition holds, from _compile's loop nest a row slice at a time, by _solved's path:
+    - lone or join, g(v) = s: s, on the other grids, is looked up among g's values on v's grid;
+    - linear in v: the roots of lhs - rhs = a·v + b, likewise;
+    - brute force: lhs - rhs is looked up as 0 at every point.
 
     Raises BudgetError, before any grid is built, when a grid has more values than
-    budget_cells or the free grids more points, and a linear solve once it tries or finds more values."""
+    budget_cells or the free grids more points; and, as the points are read, once a
+    linear solve tries or finds more values, or lookups find more values past one per point."""
     if tuple(expr.variables) != names:
         raise InputError(f"instantiate{len(names)} needs an expression over variables {', '.join(names)}")
-    solved, side = _solved(expr)
-    linear = None if solved else next((name for name in reversed(names) if _degree(side, name) == 1), None)
-    solved = solved or linear
+    solved, key, side = _solved(expr)
+    linear = solved if key is None else None
     points = 1
     for name, grid in zip(names, grids):
         size = grid.size(expr.modulus)
@@ -556,8 +569,11 @@ def _instantiate(
             raise InputError(f"grid for {name} is empty")
     free = tuple(name for name in names if name != solved)
     free_values = [values[name] for name in free]
+    keyed = values.get(solved, [0])
+    if key is not None and not isinstance(key, Var):  # a join: g's values on v's grid
+        keyed = chain.from_iterable(_compile(key, (solved,), expr.modulus, values)(keyed))
     index: dict[int, list[int]] = {}
-    for k, v in enumerate(values[solved] if solved else [0]):
+    for k, v in enumerate(keyed):
         index.setdefault(v if expr.modulus is None else v % expr.modulus, []).append(k)
     if linear:  # with linear's grid [0, 1] innermost, the nest yields [b, a + b] per point
         rows = _compile(side, (*free, linear), expr.modulus, values)(*free_values, [0, 1])
@@ -566,15 +582,19 @@ def _instantiate(
         found = map(index.get, chain.from_iterable(_compile(side, free, expr.modulus, values)(*free_values)))
     # a point is (free indices..., solved index); pick puts it in names order
     pick = itemgetter(*(free.index(name) if name in free else len(free) for name in names))
-    cells = product(*(range(len(v)) for v in free_values))
-    points = []
-    # lookups a chunk at a time: only the hits reach the Python loop, and memory
-    # stays bounded by the chunk however far apart the hits are
-    while chunk := list(islice(found, _CHUNK)):
-        for point, ks in zip(compress(islice(cells, len(chunk)), chunk), filter(None, chunk)):
-            points.extend(pick((*point, k)) for k in ks)
+
+    def hits() -> Iterator[tuple[int, ...]]:  # a chunk of lookups at a time: only the hits reach Python
+        cells, extra = product(*(range(len(v)) for v in free_values)), 0
+        while chunk := list(islice(found, _CHUNK)):
+            kss = list(filter(None, chunk))
+            if not linear:  # a linear solve charges its own
+                extra += sum(map(len, kss)) - len(kss)
+                _charge(f"finding values of {solved} past one per point", extra, budget_cells)
+            reps = chain.from_iterable(map(repeat, compress(islice(cells, len(chunk)), chunk), map(len, kss)))
+            yield from map(pick, map(add, reps, zip(chain.from_iterable(kss))))
+
     universes = [Universe(name.upper(), len(values[name]), tuple(values[name])) for name in names]
-    return values, universes, points
+    return values, universes, hits()
 
 
 def instantiate3(

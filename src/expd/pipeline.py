@@ -36,7 +36,7 @@ from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
-from .dsl import GridSpec, _compile, _solved, instantiate3, parse, parse_grid
+from .dsl import GridSpec, Var, _compile, _solved, instantiate3, parse, parse_grid
 from .errors import InputError, ParameterError
 from .instances import is_prime, seeded_rng
 from .relations import (
@@ -331,12 +331,10 @@ def _group_like_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
 
 def _cylindrical_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     k = n if spec.block is None else min(spec.block, n)
-    triples = [(i, j, j) for i in range(k) for j in range(k)]
+    block = chain.from_iterable(zip(repeat(i), range(k), range(k)) for i in range(k))
     rng = seeded_rng(spec.seed, n)
-    for _ in range(n):
-        triples.append((rng.randrange(n), rng.randrange(n), rng.randrange(n)))
-    ux, uy, uz = Universe("X", n), Universe("Y", n), Universe("Z", n)
-    return build_relation3(ux, uy, uz, triples)
+    noise = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(n))
+    return build_relation3(Universe("X", n), Universe("Y", n), Universe("Z", n), chain(block, noise))
 
 
 def _dsl_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
@@ -382,8 +380,8 @@ def top_frequent_family(expr_text: str, budget_cells: int = DEFAULT_BUDGET_CELLS
     break by value (the sorts are stable), so instances are deterministic.
     """
     expr = parse(expr_text)
-    solved, side = _solved(expr)
-    if solved != "z":
+    _, key, side = _solved(expr)
+    if key != Var("z"):
         raise InputError("top-frequent family needs an expression solved for z")
 
     def build(n: int) -> FiniteRelation3:

@@ -74,10 +74,6 @@ class Universe:
             if len(set(self.labels)) != self.size:
                 raise InputError(f"universe {self.name!r}: labels are not pairwise distinct")
 
-    def label_of(self, index: int) -> Label:
-        self.check_index(index)
-        return self.labels[index] if self.labels is not None else index
-
     def check_index(self, index: int) -> None:
         if not 0 <= index < self.size:
             raise InputError(f"index {index} out of range for universe {self.name!r} of size {self.size}")
@@ -90,18 +86,6 @@ def pair_universe(u: Universe) -> Universe:
             f"pair universe over {u.name!r} needs {u.size}^2 indices; base cap is {MAX_PAIR_BASE}"
         )
     return Universe(name=f"{u.name}^2", size=u.size * u.size)
-
-
-def pair_encode(base_size: int, i: int, j: int) -> int:
-    if not (0 <= i < base_size and 0 <= j < base_size):
-        raise InputError(f"pair ({i},{j}) out of range for base size {base_size}")
-    return i * base_size + j
-
-
-def pair_decode(base_size: int, p: int) -> tuple[int, int]:
-    if not 0 <= p < base_size * base_size:
-        raise InputError(f"pair index {p} out of range for base size {base_size}")
-    return divmod(p, base_size)
 
 
 def _cells(*sizes: int) -> int:

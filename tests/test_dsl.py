@@ -5,12 +5,14 @@ import random
 import re
 import sys
 import time
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from expd import GridSpec, InputError, instantiate2, instantiate3, parse, parse_grid, to_text
-from expd.dsl import BINARY_VARS, MAX_GRID_BITS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _compile, _degree, _solved, _tokenize
+from expd import GridSpec, InputError, cli, instantiate2, instantiate3, parse, parse_grid, to_text
+from expd.dsl import BINARY_VARS, MAX_GRID_BITS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _compile, _solved, _tokenize
 from expd.errors import BudgetError, SyntaxError_
 
 
@@ -348,6 +350,12 @@ def random_grid(rng, modulus):
     return values
 
 
+def lone_variable(expr):
+    """The variable one side of expr is, when the other side does not read it."""
+    solved, key, _ = _solved(expr)
+    return solved if isinstance(key, Var) else None
+
+
 class TestCompiledEvaluatorFuzz:
     """The compiled evaluator against eval_node on seeded random definitions."""
 
@@ -369,7 +377,7 @@ class TestCompiledEvaluatorFuzz:
         seen = set()
         for _ in range(200):
             expr = self.random_expr(rng, TERNARY_VARS)
-            seen.add(_solved(expr)[0])
+            seen.add(lone_variable(expr))
             vals = [random_grid(rng, expr.modulus) for _ in range(3)]
             rel, maps = instantiate3(expr, *[GridSpec.explicit(v) for v in vals])
             assert maps == dict(zip(TERNARY_VARS, vals))
@@ -381,7 +389,7 @@ class TestCompiledEvaluatorFuzz:
         seen = set()
         for _ in range(100):
             expr = self.random_expr(rng, BINARY_VARS)
-            seen.add(_solved(expr)[0])
+            seen.add(lone_variable(expr))
             vy, vz = random_grid(rng, expr.modulus), random_grid(rng, expr.modulus)
             rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
             rows = [0] * len(vy)
@@ -415,8 +423,8 @@ class TestLoopNest:
 
     @staticmethod
     def rows_of(expr, names, grids):
-        solved, side = _solved(expr)
-        free = tuple(name for name in names if name != solved)
+        solved, key, side = _solved(expr)  # a linear solve's nest reads lhs - rhs on every grid
+        free = tuple(name for name in names if name != solved or key is None)
         rows = list(_compile(side, free, expr.modulus, grids)(*(grids[name] for name in free)))
         reduce = (lambda v: v) if expr.modulus is None else (lambda v: v % expr.modulus)
         points = [reduce(eval_node(side, dict(zip(free, p)))) for p in product(*(grids[name] for name in free))]
@@ -543,10 +551,8 @@ class TestLinearSolve:
         for case in range(cases):
             v = names[case % len(names)]
             expr = self.random_expr(rng, names, v)
-            solved, side = _solved(expr)
-            assert solved is None
-            # the solve reads names from the last, so z before y before x
-            assert next(name for name in reversed(names) if _degree(side, name) == 1) == v, to_text(expr)
+            # no lone variable, and the solve reads names from the last, so z before y before x
+            assert _solved(expr)[:2] == (v, None), to_text(expr)
             solved_for.add(v)
             grids = self.random_grids(rng, names, expr.modulus)
             kinds |= self.kinds(expr, v, grids)
@@ -590,11 +596,102 @@ class TestLinearSolve:
         # a ≡ 0 has gcd(a, m) = m roots: walking 10^9 residues per point would take
         # minutes, so the 50 grid values are tested instead
         expr = parse("(y - y)*z + x = 0 mod 1000000007")
-        assert _solved(expr)[0] is None and _degree(_solved(expr)[1], "z") == 1
+        assert _solved(expr)[:2] == ("z", None)
         start = time.perf_counter()
         rel, _ = instantiate3(expr, GridSpec.range_(0, 3), GridSpec.range_(0, 3), GridSpec.range_(0, 50))
         assert time.perf_counter() - start < 1.0
         assert rel.triples == tuple((0, j, k) for j in range(3) for k in range(50))
+
+
+class TestJoin:
+    """Definitions g(v) = f(rest) where g reads v alone and neither side has degree 1
+    in any variable: g is evaluated once per value of v's grid, and f, on the other
+    grids, is looked up among its residues, against the brute-force oracle."""
+
+    MODULI = [None, 6, 12, 30, 7]
+
+    def random_expr(self, rng, names, v):
+        """(expr, whether its g side is constant-valued)."""
+        rest = tuple(name for name in names if name != v)
+        sides = [
+            BinOp("+", Pow(Var(v), rng.choice([2, 3])), square_free_node(rng, (v,), 2)),
+            BinOp("*", Const(rng.randrange(1, 5)), Pow(Var(v), 2)),  # v and -v give one value
+            BinOp("+", BinOp("-", Pow(Var(v), 2), Pow(Var(v), 2)), Const(rng.randrange(4))),  # every v is a hit
+        ]
+        kind = rng.randrange(len(sides))
+        lhs, rhs = sides[kind], square_free_node(rng, rest, 3)
+        if rng.random() < 0.5:
+            lhs, rhs = rhs, lhs
+        return RelationExpr(lhs, rhs, rng.choice(self.MODULI), names), kind == 2
+
+    @pytest.mark.parametrize("names, cases", [(TERNARY_VARS, 300), (BINARY_VARS, 200)])
+    def test_matches_oracle(self, names, cases):
+        rng = random.Random(29 + len(names))
+        solved_for, constant, repeats = set(), 0, 0
+        for case in range(cases):
+            v = names[case % len(names)]
+            expr, constant_side = self.random_expr(rng, names, v)
+            solved, key, _ = _solved(expr)
+            # a join: on v, unless the other side reads a later variable alone
+            assert key is not None and not isinstance(key, Var) and solved >= v, to_text(expr)
+            solved_for.add(solved)
+            constant += constant_side and solved == v
+            grids = TestLinearSolve.random_grids(rng, names, expr.modulus)
+            if names == TERNARY_VARS:
+                rel, _ = instantiate3(expr, *map(GridSpec.explicit, grids))
+                expected = brute_force_triples(expr, *grids)
+                assert rel.triples == tuple(expected), to_text(expr)
+            else:
+                vy, vz = grids
+                rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
+                expected = [(j, k) for j, b in enumerate(vy) for k, c in enumerate(vz) if holds(expr, {"y": b, "z": c})]
+                got = [(j, k) for j, row in enumerate(rel.rows) for k in range(len(vz)) if row >> k & 1]
+                assert got == expected, to_text(expr)
+            # does a free point find more than one value of the joined variable?
+            axis = names.index(solved)
+            repeats += any(n > 1 for n in Counter(p[:axis] + p[axis + 1 :] for p in expected).values())
+        assert solved_for == set(names)
+        assert constant > 0 and repeats > 0
+
+
+@pytest.mark.parametrize(
+    "argv, budget, count, refusal",
+    [
+        # a join: y^2 and z^3 + 7 are evaluated on 401 values each, and only y's grid
+        # is charged as free points, not the 160,801 points of the product
+        (["--expr", "y^2 = z^3 + 7 mod 401", "--grid-y", "fullmod", "--grid-z", "fullmod"],
+         401, 401, "grid for y needs 401 cells"),
+        # a lookup: each of the 4 points finds 500 values of z, 499 past the first
+        (["--expr", "x + y = z mod 2", "--grid-x", "list:0,1", "--grid-y", "list:0,1", "--grid-z", "range:0:1000:1"],
+         1996, 2000, "finding values of z past one per point needs 1996 cells"),
+        # a join whose 10,000 points, two chunks of lookups, each find 3 values of z
+        (["--expr", "y^2 = z^2 mod 2", "--grid-y", "range:0:10000:1", "--grid-z", "list:0,1,2,3,4,5"],
+         20000, 30000, "finding values of z past one per point needs 20000 cells"),
+        # a linear solve: one residue pair (a, b) = (2, 0), solved once and charged
+        # its 2 roots at each of the 9 points
+        (["--expr", "x - x + y - y + 2*z = 0 mod 4", "--grid-x", "list:0,1,2", "--grid-y", "list:0,1,2",
+          "--grid-z", "fullmod"], 18, 18, "trying values of z needs 18 cells"),
+    ],
+    ids=["join", "lookup-extra-hits", "join-extra-hits", "linear-cached-pair"],
+)
+def test_budget_charges(capsys, argv, budget, count, refusal):
+    assert cli.main(["count", *argv, "--budget-cells", str(budget)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[2] == str(count)
+    assert cli.main(["count", *argv, "--budget-cells", str(budget - 1)]) == 4
+    assert capsys.readouterr().err == f"expd: budget exceeded: {refusal}; budget is {budget - 1}\n"
+
+
+def test_points_stream_to_the_builder():
+    # the 44,521 points reach build_relation3 a chunk at a time, not as one list of tuples
+    full = GridSpec.full_mod()
+    tracemalloc.start()
+    try:
+        rel, _ = instantiate3(parse("x^200 + y^3 = z mod 211"), full, full, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rel) == 211 * 211
+    assert peak < 1_500_000
 
 
 class TestPowerBudget:
@@ -608,6 +705,7 @@ class TestPowerBudget:
             ("x^21845 + y^21845 + 1 = z", True),
             ("x^11000 * y^11000 = z", True),  # a product adds the bits of its sides
             ("(x^30000)^0 = z", True),  # the base is computed even for exponent 0
+            ("x^21845 + y^21845 = z^21845", False),  # a join bounds each side on its own
         ],
     )
     def test_bit_bound(self, text, refused):

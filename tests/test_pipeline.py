@@ -24,7 +24,6 @@ from expd import (
     g_edge_count,
     instantiate3,
     make_family,
-    pair_encode,
     top_frequent_family,
 )
 from expd import pipeline
@@ -252,7 +251,7 @@ class TestDeriveG:
         rel = build_relation3(u(3, "X"), u(3, "Y"), u(3, "Z"), [(0, 1, 2)])
         g = derive_g(rel)
         assert g.edge_count == 1
-        assert g.rows[pair_encode(3, 1, 1)] == 1 << pair_encode(3, 2, 2)
+        assert g.rows[1 * 3 + 1] == 1 << 2 * 3 + 2  # row-major pairs (i, j) <-> i*3 + j
 
     def test_matches_quadruple_oracle_fuzz(self):
         # TestGKernel's input mix: empty, dense and degree-bounded relations
@@ -400,7 +399,7 @@ class TestFiberBounds:
                 rng.sample(range(nz), rng.randint(1, nz)) for _ in range(8)
             ]
             for chosen in choices:
-                csq = sum(1 << pair_encode(nz, i, j) for i in chosen for j in chosen)
+                csq = sum(1 << i * nz + j for i in chosen for j in chosen)
                 worst = max((row & csq).bit_count() for row in g.rows)
                 assert worst <= d * d * len(chosen)
 
@@ -604,6 +603,8 @@ class TestFamilies:
     def test_top_frequent_needs_solved_z(self):
         with pytest.raises(InputError):
             top_frequent_family("x + y + z = 0")
+        with pytest.raises(InputError, match="^top-frequent family needs an expression solved for z$"):
+            top_frequent_family("z^2 = x + y")  # a join on z, not a lone z
 
     @pytest.mark.parametrize("text", ["x = z", "z = x"])
     def test_top_frequent_solves_z_when_both_sides_are_variables(self, text):

@@ -19,8 +19,6 @@ from expd import (
     build_relation3,
     count_grid2,
     count_grid3,
-    pair_decode,
-    pair_encode,
     pair_universe,
     read_relation,
     write_relation,
@@ -59,10 +57,6 @@ class TestUniverse:
     def test_labels_must_be_distinct(self):
         with pytest.raises(InputError):
             Universe("U", 2, labels=("a", "a"))
-
-    def test_label_of_defaults_to_index(self):
-        assert Universe("U", 4).label_of(2) == 2
-        assert Universe("U", 2, labels=("p", "q")).label_of(1) == "q"
 
 
 class TestBuildRelation2:
@@ -475,14 +469,6 @@ class TestPairUniverse:
         assert pair_universe(u(3)).size == 9
         assert pair_universe(u(1)).size == 1
         assert pair_universe(u(5)).size == 25
-
-    def test_row_major_bijection(self):
-        assert pair_encode(3, 1, 2) == 5
-        assert pair_decode(3, 5) == (1, 2)
-        assert pair_encode(1, 0, 0) == 0
-        for p in range(25):
-            i, j = pair_decode(5, p)
-            assert pair_encode(5, i, j) == p
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
