@@ -29,7 +29,6 @@ from .pipeline import (
     CauchySchwarzReport,
     CylindricalWitness,
     DeltaDegree,
-    FamilyInstance,
     FamilySpec,
     RelationFamily,
     cauchy_schwarz_check,

@@ -137,7 +137,7 @@ def _rel3_from_args(args) -> tuple[str, FiniteRelation3]:
     if args.family:
         if args.n is None:
             raise InputError("--family needs --n SIZE")
-        return args.family, _family_from_args(args).build(args.n).rel
+        return args.family, _family_from_args(args).build(args.n)
     if args.expr:
         expr = dsl.parse(args.expr)
         if not (args.grid_x and args.grid_y and args.grid_z):

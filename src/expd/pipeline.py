@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import merge
 from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
@@ -261,29 +262,19 @@ class FamilySpec:
 
 
 @dataclass(frozen=True)
-class FamilyInstance:
-    rel: FiniteRelation3
-    a: Subset
-    b: Subset
-    c: Subset
-
-
-@dataclass(frozen=True)
 class RelationFamily:
-    """builder(n) returns the family's relation of size n; build checks n and
-    wraps the relation with full A, B and C."""
+    """builder(n) returns the family's relation of size n; build checks n first."""
 
     name: str
     builder: Callable[[int], FiniteRelation3]
     budget_cells: int = DEFAULT_BUDGET_CELLS
 
-    def build(self, n: int) -> FamilyInstance:
+    def build(self, n: int) -> FiniteRelation3:
         if n < 1:
             raise InputError(f"family size must be >= 1, got {n}")
         _charge(f"family size {n}", n * n, self.budget_cells)  # any family of size n is charged n² cells
         _check_keys(f"family size {n}", n, n, n)  # build_relation3's key range, before the builder allocates
-        rel = self.builder(n)
-        return FamilyInstance(rel, Subset.full(rel.x), Subset.full(rel.y), Subset.full(rel.z))
+        return self.builder(n)
 
 
 def _twist_map(descriptor, size: int, child_seed: int) -> list[int]:
@@ -333,8 +324,9 @@ def _cylindrical_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     k = n if spec.block is None else min(spec.block, n)
     block = chain.from_iterable(zip(repeat(i), range(k), range(k)) for i in range(k))
     rng = seeded_rng(spec.seed, n)
-    noise = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(n))
-    return build_relation3(Universe("X", n), Universe("Y", n), Universe("Z", n), chain(block, noise))
+    noise = sorted((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(n))
+    triples = map(itemgetter(0), groupby(merge(block, noise)))  # strictly increasing, so no sort follows
+    return build_relation3(Universe("X", n), Universe("Y", n), Universe("Z", n), triples)
 
 
 def _dsl_relation(spec: FamilySpec, n: int) -> FiniteRelation3:

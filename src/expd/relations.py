@@ -74,10 +74,6 @@ class Universe:
             if len(set(self.labels)) != self.size:
                 raise InputError(f"universe {self.name!r}: labels are not pairwise distinct")
 
-    def check_index(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise InputError(f"index {index} out of range for universe {self.name!r} of size {self.size}")
-
 
 def pair_universe(u: Universe) -> Universe:
     """The universe of ordered pairs of u, indexed row-major: (i,j) <-> i*size+j."""
@@ -140,33 +136,14 @@ class Subset:
             raise InputError(f"subset bits out of range for universe {self.universe.name!r}")
 
     @staticmethod
-    def from_indices(universe: Universe, indices: Iterable[int]) -> "Subset":
-        bits = 0
-        for i in indices:
-            universe.check_index(i)
-            bits |= 1 << i
-        return Subset(universe, bits)
-
-    @staticmethod
     def full(universe: Universe) -> "Subset":
         return Subset(universe, (1 << universe.size) - 1)
-
-    @staticmethod
-    def empty(universe: Universe) -> "Subset":
-        return Subset(universe, 0)
 
     def cardinality(self) -> int:
         return self.bits.bit_count()
 
     def members(self) -> Iterator[int]:
         return _iter_bits(self.bits)
-
-    def contains(self, index: int) -> bool:
-        self.universe.check_index(index)
-        return bool(self.bits >> index & 1)
-
-    def __len__(self) -> int:
-        return self.cardinality()
 
 
 class FiniteRelation2:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import InputError
 from .pipeline import RelationFamily
-from .relations import count_grid3
+from .relations import Subset, count_grid3
 
 CSV_COLUMNS = (
     "instance",
@@ -44,7 +44,6 @@ class ExponentFit:
     sizes: tuple[int, ...]
     counts: tuple[int, ...]
     slope: float
-    intercept: float
     residual_max: float
 
 
@@ -76,7 +75,6 @@ def fit_loglog(sizes: Sequence[int], counts: Sequence[int]) -> ExponentFit:
         sizes=tuple(sizes),
         counts=tuple(counts),
         slope=slope,
-        intercept=intercept,
         residual_max=residual_max,
     )
 
@@ -87,9 +85,9 @@ def run_scaling(family: RelationFamily, sizes: Sequence[int]) -> ExponentFit:
     _check_sizes(sizes)
     counts = []
     for n in sizes:
-        inst = family.build(n)
-        counts.append(count_grid3(inst.rel, inst.a, inst.b, inst.c))
-        del inst  # free it before the next build: peak memory is one instance
+        rel = family.build(n)
+        counts.append(count_grid3(rel, *map(Subset.full, (rel.x, rel.y, rel.z))))
+        del rel  # free it before the next build: peak memory is one relation
     return fit_loglog(tuple(sizes), tuple(counts))
 
 

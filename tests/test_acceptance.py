@@ -290,8 +290,8 @@ def test_criterion_group_like_counting():
     )
     for n in (5, 64, 101):
         for fam in (identity_fam, twisted_fam):
-            inst = fam.build(n)
-            assert count_grid3(inst.rel, inst.a, inst.b, inst.c) == n * n, (fam.name, n)
+            rel = fam.build(n)
+            assert count_grid3(rel, *map(Subset.full, (rel.x, rel.y, rel.z))) == n * n, (fam.name, n)
     for fam in (identity_fam, twisted_fam):
         fit = run_scaling(fam, (8, 16, 32, 64))
         assert abs(fit.slope - 2.0) <= 1e-9, fam.name

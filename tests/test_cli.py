@@ -234,6 +234,14 @@ MALFORMED_RELATIONS = {
     "deeply-nested": b"[" * 100_000,
     "5000-digit-size": b'{"kind": "rel2", "universes": [{"name": "U", "size": ' + b"1" * 5000 + b"}]}",
     "utf16-bom": b"\xff\xfe{}",
+    "universe-not-object": {"kind": "rel3", "universes": [2] + UNIVERSES3[1:], "triples": []},
+    "universe-without-size": {"kind": "rel3", "universes": [{"name": "X"}] + UNIVERSES3[1:], "triples": []},
+    "labels-not-list": {
+        "kind": "rel3",
+        "universes": [{"name": "X", "size": 2, "labels": "ab"}] + UNIVERSES3[1:],
+        "triples": [],
+    },
+    "pairs-not-list": {"kind": "rel2", "universes": UNIVERSES3[:2], "pairs": {"0": 0}},
 }
 
 
@@ -659,6 +667,39 @@ def test_grids_on_a_family_that_ignores_them_exit_3(capsys, argv):
     assert err.count("\n") == 1
 
 
+GRIDS_YZ = ("--grid-y", "range:0:5:1", "--grid-z", "range:0:5:1")
+
+# Each argv ends in a refusal that no other test reaches, with the stderr it
+# starts with; {rel2}, {rel3} and {letters} are files written by the test, the
+# last a rel2 whose points are labelled "a" and "b", not "x,y".
+REFUSALS = [
+    (("certify",), "expd: input error: no instance given (use --rel, --pg"),
+    (("certify", "--interval", "5"), "expd: input error: expected --interval COUNT:POINTS, got '5'"),
+    (("count",), "expd: input error: no instance given (use --rel, --family"),
+    (("count", "--family", "cyclic"), "expd: input error: --family needs --n SIZE"),
+    (("scan", "--family", "hexagonal", "--sizes", "4,8,16"), "expd: input error: unknown family 'hexagonal'"),
+    (("certify", "--rel", "{rel3}"), "expd: input error: {rel3} does not hold a binary relation"),
+    (("pipeline3", "--rel", "{rel2}"), "expd: input error: {rel2} does not hold a ternary relation"),
+    (("certify", "--rel", "{missing}"), "expd: [Errno 2] No such file or directory"),
+    (("cutting", "--pg", "7", "--r", "0"), "expd: input error: cutting parameter r must be >= 1, got 0"),
+    (("count", "--expr", "x+y=z", "--grid-x", "range:0:5:0", *GRIDS_YZ), "expd: input error: grid range step must be nonzero"),
+    (("count", "--expr", "x+y=z", "--grid-x", "geom:1:5", *GRIDS_YZ), "expd: input error: geometric grid base must be >= 2, got 1"),
+    (("cutting", "--cutter", "box", "--rel", "{letters}"), "expd: input error: point label 'a' is not of the form 'x,y'"),
+]
+
+
+@pytest.mark.parametrize("argv, prefix", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_refusal_exit_3(tmp_path, capsys, argv, prefix):
+    files = {name: str(tmp_path / f"{name}.json") for name in ("rel2", "rel3", "letters", "missing")}
+    write_relation(files["rel2"], build_relation2(Universe("U", 2), Universe("V", 2), [(0, 0)]))
+    write_relation(files["rel3"], build_relation3(*(Universe(n, 2) for n in "XYZ"), [(0, 0, 0)]))
+    write_relation(files["letters"], build_relation2(Universe("U", 2), Universe("V", 2, labels=("a", "b")), [(0, 0)]))
+    assert cli.main([arg.format(**files) for arg in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(prefix.format(**files)), err
+    assert "Traceback" not in err
+
+
 def test_derive_g_pair_base_cap_before_allocating(tmp_path):
     # |Y|² = 2^42 cells fit this budget; the pair-universe base cap must refuse |Y| = 2^21 first
     src = tmp_path / "wide-y.json"
@@ -675,7 +716,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.startswith("expd ")]
     assert len(commands) == 6
     monkeypatch.chdir(tmp_path)
-    write_relation("f.json", pipeline.make_family(pipeline.FamilySpec(kind="group_like", group=("cyclic", None))).build(8).rel)
+    write_relation("f.json", pipeline.make_family(pipeline.FamilySpec(kind="group_like", group=("cyclic", None))).build(8))
     for argv in commands:
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 

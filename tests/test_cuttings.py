@@ -30,7 +30,7 @@ from expd.relations import FiniteRelation2, Universe, _columns, _iter_bits, buil
 
 
 def cover_from_cells(rel, cells, D=1):
-    return CuttingCover(cells=tuple(Subset.from_indices(rel.v, c).bits for c in cells), claimed_exponent=D)
+    return CuttingCover(cells=tuple(Subset(rel.v, sum({1 << j for j in c})).bits for c in cells), claimed_exponent=D)
 
 
 class TestCrossingDefinition:
@@ -200,7 +200,7 @@ class TestIntervalCutting:
 
     def test_partial_a_subset(self):
         rel = random_interval_incidence(9, 40, 120)
-        a = Subset.from_indices(rel.u, range(0, 40, 3))
+        a = Subset(rel.u, sum(1 << i for i in range(0, 40, 3)))
         cover = interval_cutting(rel, a, 4)
         report = verify_cutting(rel, a, 4, cover)
         assert report.valid
@@ -208,11 +208,21 @@ class TestIntervalCutting:
 
     def test_empty_a(self):
         rel = random_interval_incidence(9, 10, 50)
-        a = Subset.empty(rel.u)
+        a = Subset(rel.u, 0)
         cover = interval_cutting(rel, a, 4)
         report = verify_cutting(rel, a, 4, cover)
         assert report.valid
         assert report.max_crossing == 0
+
+    def test_empty_fiber_in_a_is_skipped(self):
+        # row 1 of A has no point, so it has no span to cut at and crosses no cell
+        rel = build_relation2(Universe("U", 3), Universe("V", 6), [(0, 0), (0, 1), (2, 3), (2, 4), (2, 5)])
+        a = Subset.full(rel.u)
+        cover = interval_cutting(rel, a, 2)
+        report = verify_cutting(rel, a, 2, cover)
+        assert cover.cells == (0b000111, 0b111000)  # one cut, between the two runs
+        assert report.valid
+        assert report.crossing_sets == (0b001, 0)  # row 0 crosses the first cell, row 1 none
 
     def test_non_contiguous_fiber_rejected(self):
         rel = build_relation2(Universe("U", 1), Universe("V", 5), [(0, 0), (0, 2)])
@@ -428,7 +438,7 @@ class TestBoxGridCutting:
 
     def test_empty_a_single_cell(self):
         rel = random_rectangle_incidence(11, 8, 8)
-        a = Subset.empty(rel.u)
+        a = Subset(rel.u, 0)
         cover = box_grid_cutting(rel, a, 4)
         report = verify_cutting(rel, a, 4, cover)
         assert report.valid

@@ -227,7 +227,7 @@ class TestGridBudget:
         from expd.pipeline import FamilySpec, make_family
 
         spec = FamilySpec(kind="dsl", expr="x + y = z", budget_cells=24)
-        assert len(make_family(spec).build(4).rel) == 10  # 16 free points
+        assert len(make_family(spec).build(4)) == 10  # 16 free points
         with pytest.raises(BudgetError):
             make_family(spec).build(5)  # 25 free points
 

@@ -88,10 +88,10 @@ def test_output_file_matches_golden(tmp_path, capsys, monkeypatch, name):
 
 
 def test_written_rel3_matches_golden(tmp_path):
-    # a cylindrical block plus seeded noise: the builder sees unsorted triples
-    inst = make_family(FamilySpec(kind="cylindrical", block=4, seed=5)).build(12)
+    # a cylindrical block plus seeded noise, which the family sorts and merges into the block
+    rel = make_family(FamilySpec(kind="cylindrical", block=4, seed=5)).build(12)
     out = tmp_path / "rel3.json"
-    write_relation(str(out), inst.rel)
+    write_relation(str(out), rel)
     assert out.read_bytes() == golden("cylindrical-4-n12-seed5.rel3.json")
 
 
@@ -99,7 +99,7 @@ def test_written_unit_group_rel3_matches_golden(tmp_path):
     # scan counts of a group-like family are always n², so only the written
     # triples and labels pin the unit-group builder
     twists = (("seeded", 3), ("seeded", 4), ("seeded", 5))
-    inst = make_family(FamilySpec(kind="group_like", group=("unit_group_mod", 31), twists=twists)).build(30)
+    rel = make_family(FamilySpec(kind="group_like", group=("unit_group_mod", 31), twists=twists)).build(30)
     out = tmp_path / "rel3.json"
-    write_relation(str(out), inst.rel)
+    write_relation(str(out), rel)
     assert out.read_bytes() == golden("unit-group-mod31-twisted-n30.rel3.json")

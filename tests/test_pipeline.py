@@ -34,6 +34,16 @@ def u(n, name):
     return Universe(name, n)
 
 
+def subset(universe, indices):
+    """The subset of universe holding indices, which may repeat."""
+    return Subset(universe, sum({1 << i for i in indices}))
+
+
+def full_grid(rel):
+    """A, B and C: the whole X, Y and Z of rel."""
+    return map(Subset.full, (rel.x, rel.y, rel.z))
+
+
 def mod_sum_relation(m):
     triples = [(x, y, (x + y) % m) for x in range(m) for y in range(m)]
     return build_relation3(u(m, "X"), u(m, "Y"), u(m, "Z"), triples)
@@ -207,7 +217,7 @@ class TestCylindricalWitness:
 
     def test_witness_block_is_complete(self):
         fam = make_family(FamilySpec(kind="cylindrical", block=4, seed=3))
-        rel = fam.build(8).rel
+        rel = fam.build(8)
         w = cylindrical_witness(rel, 4)
         assert w is not None
         tr = set(rel.triples)
@@ -290,7 +300,7 @@ class TestDeriveG:
         assert g_edge_count(rel) == (4, 1, 1)
         y, z = u(4, "Y"), u(4, "Z")
         rel = build_relation3(u(10**15, "X"), y, z, [(0, 2, 2), (5, 3, 3), (last, 0, 0), (last, 1, 1)])
-        b = Subset.from_indices(y, [0, 1, 2])
+        b = subset(y, [0, 1, 2])
         assert g_edge_count(rel, b, Subset.full(z)) == (5, 1, 1)
         assert g_edge_count(rel, b) == (5, 1, 1)
 
@@ -301,7 +311,7 @@ class TestGKernel:
         """|G ∩ B²×C²| and its largest (y,y',z) and (z,z',y) fibers, from quadruples."""
         quads = [
             q for q in brute_g_quadruples(rel)
-            if b.contains(q[0]) and b.contains(q[1]) and c.contains(q[2]) and c.contains(q[3])
+            if b.bits >> q[0] & 1 and b.bits >> q[1] & 1 and c.bits >> q[2] & 1 and c.bits >> q[3] & 1
         ]
         by_yyz, by_zzy = {}, {}
         for y1, y2, z1, z2 in quads:
@@ -331,12 +341,12 @@ class TestGKernel:
                 rel = random_delta_algebraic(rng, sizes, rng.randint(1, 3))
             ny, nz = sizes[1], sizes[2]
             if trial % 10 == 7:
-                b, c = Subset.empty(rel.y), Subset.full(rel.z)
+                b, c = Subset(rel.y, 0), Subset.full(rel.z)
             elif trial % 10 == 8:
-                b, c = Subset.full(rel.y), Subset.empty(rel.z)
+                b, c = Subset.full(rel.y), Subset(rel.z, 0)
             else:
-                b = Subset.from_indices(rel.y, [i for i in range(ny) if rng.random() < 0.7])
-                c = Subset.from_indices(rel.z, [i for i in range(nz) if rng.random() < 0.7])
+                b = subset(rel.y, [i for i in range(ny) if rng.random() < 0.7])
+                c = subset(rel.z, [i for i in range(nz) if rng.random() < 0.7])
             assert g_edge_count(rel, b, c) == self.oracle(rel, b, c), trial
             full = self.oracle(rel, Subset.full(rel.y), Subset.full(rel.z))
             assert g_edge_count(rel) == full, trial
@@ -428,7 +438,7 @@ class TestCauchySchwarz:
 
     def test_singleton_a_cs_step_tight(self):
         rel = mod_sum_relation(5)
-        a = Subset.from_indices(rel.x, [2])
+        a = subset(rel.x, [2])
         rep = cauchy_schwarz_check(rel, a, Subset.full(rel.y), Subset.full(rel.z), 1)
         # |F'| = |F'_a| and |W'| = |F'_a|^2: the Cauchy-Schwarz step is equality
         assert rep.w_count == rep.f_count**2
@@ -439,17 +449,17 @@ class TestCauchySchwarz:
         rng = random.Random(53)
         for _ in range(20):
             rel = random_delta_algebraic(rng, (5, 5, 5), 3)
-            a = Subset.from_indices(rel.x, [i for i in range(5) if rng.random() < 0.7])
-            b = Subset.from_indices(rel.y, [i for i in range(5) if rng.random() < 0.7])
-            c = Subset.from_indices(rel.z, [i for i in range(5) if rng.random() < 0.7])
+            a = subset(rel.x, [i for i in range(5) if rng.random() < 0.7])
+            b = subset(rel.y, [i for i in range(5) if rng.random() < 0.7])
+            c = subset(rel.z, [i for i in range(5) if rng.random() < 0.7])
             rep = cauchy_schwarz_check(rel, a, b, c, max(pairing_maxima(rel)))
-            tr = [t for t in rel.triples if b.contains(t[1]) and c.contains(t[2])]
-            f_brute = sum(1 for t in tr if a.contains(t[0]))
+            tr = [t for t in rel.triples if b.bits >> t[1] & 1 and c.bits >> t[2] & 1]
+            f_brute = sum(1 for t in tr if a.bits >> t[0] & 1)
             w_brute = sum(
                 1
                 for t1 in tr
                 for t2 in tr
-                if t1[0] == t2[0] and a.contains(t1[0])
+                if t1[0] == t2[0] and a.bits >> t1[0] & 1
             )
             quads = {(t1[1], t2[1], t1[2], t2[2]) for t1 in tr for t2 in tr if t1[0] == t2[0]}
             g_brute = len(quads)
@@ -474,23 +484,23 @@ class TestCauchySchwarz:
 class TestFamilies:
     def test_cyclic_identity(self):
         fam = make_family(FamilySpec(kind="group_like", group=("cyclic", None)))
-        inst = fam.build(5)
-        assert len(inst.rel) == 25
-        assert count_grid3(inst.rel, inst.a, inst.b, inst.c) == 25
+        rel = fam.build(5)
+        assert len(rel) == 25
+        assert count_grid3(rel, *full_grid(rel)) == 25
 
     def test_cyclic_law_yz_determines_x(self):
         fam = make_family(FamilySpec(kind="group_like", group=("cyclic", None)))
-        rel = fam.build(9).rel
+        rel = fam.build(9)
         by_yz = Counter((j, k) for _, j, k in rel.triples)
         assert all(v == 1 for v in by_yz.values())
         assert len(by_yz) == 81
 
     def test_unit_group_mod7(self):
         fam = make_family(FamilySpec(kind="group_like", group=("unit_group_mod", 7)))
-        inst = fam.build(6)
-        assert len(inst.rel) == 36
+        rel = fam.build(6)
+        assert len(rel) == 36
         # spot-check against the explicit construction
-        assert set(inst.rel.triples) == set(units_product_relation(7).triples)
+        assert set(rel.triples) == set(units_product_relation(7).triples)
         with pytest.raises(InputError):
             fam.build(5)
 
@@ -524,7 +534,7 @@ class TestFamilies:
             for (i, a), (j, b) in itertools.product(enumerate(elems[0]), enumerate(elems[1]))
             for k in ks[op(a, b) % modulus]
         )
-        rel = make_family(FamilySpec(kind="group_like", group=group, twists=self.TWISTS[twists])).build(n).rel
+        rel = make_family(FamilySpec(kind="group_like", group=group, twists=self.TWISTS[twists])).build(n)
         assert rel.triples == brute
         labels = (None,) * 3 if gkind == "cyclic" else tuple(map(tuple, elems))
         assert (rel.x.labels, rel.y.labels, rel.z.labels) == labels
@@ -535,9 +545,9 @@ class TestFamilies:
             group=("cyclic", None),
             twists=(("seeded", 5), ("seeded", 6), ("seeded", 7)),
         )
-        inst = make_family(spec).build(12)
-        assert len(inst.rel) == 144
-        assert delta_degree(inst.rel, 1).d == 1
+        rel = make_family(spec).build(12)
+        assert len(rel) == 144
+        assert delta_degree(rel, 1).d == 1
 
     def test_twist_invariance_properties(self):
         # bijective per-coordinate twists are relabelings: the degree profile,
@@ -550,40 +560,40 @@ class TestFamilies:
                 twists=(("seeded", 1), ("seeded", 2), ("seeded", 3)),
             )
         ).build(8)
-        assert pairing_maxima(base.rel) == pairing_maxima(twisted.rel)
-        assert (cylindrical_witness(base.rel, 2) is None) == (
-            cylindrical_witness(twisted.rel, 2) is None
+        assert pairing_maxima(base) == pairing_maxima(twisted)
+        assert (cylindrical_witness(base, 2) is None) == (
+            cylindrical_witness(twisted, 2) is None
         )
-        assert len(base.rel) == len(twisted.rel)
-        assert derive_g(base.rel).edge_count == derive_g(twisted.rel).edge_count
+        assert len(base) == len(twisted)
+        assert derive_g(base).edge_count == derive_g(twisted).edge_count
 
     def test_cylindrical_block_count(self):
         fam = make_family(FamilySpec(kind="cylindrical", seed=11))
         for n in (4, 8):
-            inst = fam.build(n)
-            assert count_grid3(inst.rel, inst.a, inst.b, inst.c) >= n * n
+            rel = fam.build(n)
+            assert count_grid3(rel, *full_grid(rel)) >= n * n
 
     def test_cylindrical_fixed_block(self):
         fam = make_family(FamilySpec(kind="cylindrical", block=3, seed=11))
-        rel = fam.build(10).rel
+        rel = fam.build(10)
         assert cylindrical_witness(rel, 3) is not None
 
     def test_dsl_family(self):
         fam = make_family(FamilySpec(kind="dsl", expr="x + y = z"))
-        inst = fam.build(4)
-        assert len(inst.rel) == 10
+        rel = fam.build(4)
+        assert len(rel) == 10
 
     def test_top_frequent_family(self):
         fam = top_frequent_family("x^2 + y^3 = z")
-        inst = fam.build(8)
-        assert inst.rel.z.size == 8
+        rel = fam.build(8)
+        assert rel.z.size == 8
         # C holds the 8 most frequent values; count equals their multiplicity sum
         counts = {}
         for xv in range(8):
             for yv in range(8):
                 counts[xv**2 + yv**3] = counts.get(xv**2 + yv**3, 0) + 1
         top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:8]
-        assert count_grid3(inst.rel, inst.a, inst.b, inst.c) == sum(m for _, m in top)
+        assert count_grid3(rel, *full_grid(rel)) == sum(m for _, m in top)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_top_frequent_ranking_matches_nsmallest(self, seed):
@@ -598,7 +608,7 @@ class TestFamilies:
             if modulus is not None:
                 counts = Counter((v % modulus for v in counts.elements()))
             expected = sorted(heapq.nsmallest(n, counts, key=lambda v: (-counts[v], v)))
-            assert list(top_frequent_family(text).build(n).rel.z.labels) == expected, (text, n)
+            assert list(top_frequent_family(text).build(n).z.labels) == expected, (text, n)
 
     def test_top_frequent_needs_solved_z(self):
         with pytest.raises(InputError):
@@ -609,7 +619,7 @@ class TestFamilies:
     @pytest.mark.parametrize("text", ["x = z", "z = x"])
     def test_top_frequent_solves_z_when_both_sides_are_variables(self, text):
         # every x in 0..3 appears 4 times, so C = {0..3} and each (x, y) has one z
-        assert len(top_frequent_family(text).build(4).rel) == 16
+        assert len(top_frequent_family(text).build(4)) == 16
 
     def test_family_size_validation(self):
         fam = make_family(FamilySpec(kind="group_like", group=("cyclic", None)))
@@ -626,10 +636,10 @@ class TestFamilies:
             FamilySpec(kind="group_like", group=("cyclic", None), budget_cells=99),
             FamilySpec(kind="cylindrical", budget_cells=99),
         ):
-            assert len(make_family(spec).build(9).rel) >= 81
+            assert len(make_family(spec).build(9)) >= 81
             with pytest.raises(BudgetError):
                 make_family(spec).build(10)
-        assert top_frequent_family("x + y = z", budget_cells=99).build(9).rel.z.size == 9
+        assert top_frequent_family("x + y = z", budget_cells=99).build(9).z.size == 9
         with pytest.raises(BudgetError):
             top_frequent_family("x + y = z", budget_cells=99).build(10)
 
@@ -654,7 +664,7 @@ class TestFamilies:
         seeded = (("seeded", 1), ("seeded", 2), ("seeded", 3))
         with pytest.raises(InputError, match="twists apply to group-like families only"):
             make_family(FamilySpec(**{**vars(spec), "twists": seeded}))
-        assert len(make_family(spec).build(4).rel) > 0
+        assert len(make_family(spec).build(4)) > 0
 
     @pytest.mark.parametrize(
         "spec, field",
@@ -675,7 +685,7 @@ class TestFamilies:
     def test_topz_is_a_family_kind(self):
         fam = make_family(FamilySpec(kind="topz", expr="x^2 + y^3 = z", seed=7, budget_cells=99))
         assert fam.name == "topz:x^2 + y^3 = z" and fam.budget_cells == 99
-        assert fam.build(9).rel == top_frequent_family("x^2 + y^3 = z").build(9).rel
+        assert fam.build(9) == top_frequent_family("x^2 + y^3 = z").build(9)
         for kind in ("dsl", "topz"):
             with pytest.raises(InputError, match=f"{kind} family needs an expression"):
                 make_family(FamilySpec(kind=kind))
@@ -688,7 +698,7 @@ class TestFamilies:
 
     def test_dsl_grids_substitute_only_n(self):
         spec = FamilySpec(kind="dsl", expr="x + y = z", grids=("list:{n}", "range:0:{n}:1", "list:0,{n}"))
-        assert make_family(spec).build(3).rel.triples == ((0, 0, 1),)  # 3 + 0 = 3
+        assert make_family(spec).build(3).triples == ((0, 0, 1),)  # 3 + 0 = 3
         for grid in ("list:{0}", "range:0:{m}:1", "range:0:{"):
             bad = FamilySpec(kind="dsl", expr="x + y = z", grids=(grid, "list:1", "list:1"))
             with pytest.raises(InputError, match="bad grid spec"):

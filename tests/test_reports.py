@@ -59,7 +59,7 @@ class TestRunScaling:
 
     def test_constant_family_slope_zero(self):
         base = make_family(FamilySpec(kind="group_like", group=("cyclic", None))).build(5)
-        fam = RelationFamily("constant", lambda n: base.rel)
+        fam = RelationFamily("constant", lambda n: base)
         fit = run_scaling(fam, (4, 8, 16))
         assert fit.counts == (25, 25, 25)
         assert abs(fit.slope) < 1e-12
