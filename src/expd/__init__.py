@@ -16,7 +16,7 @@ from .cuttings import (
     interval_cutting,
     verify_cutting,
 )
-from .dsl import GridSpec, RelationExpr, instantiate2, instantiate3, parse, parse_grid, to_text
+from .dsl import GridSpec, RelationExpr, instantiate2, instantiate3, parse, parse_grid
 from .errors import (
     BudgetError,
     CapacityError,

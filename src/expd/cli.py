@@ -391,7 +391,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ExpdError, OSError) as exc:
         print(f"expd: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

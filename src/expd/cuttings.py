@@ -48,16 +48,6 @@ from typing import Optional
 from .errors import FamilyError, InputError, ParameterError
 from .relations import FiniteRelation2, Subset, Universe, _check_universe, _columns, _iter_bits
 
-__all__ = [
-    "CuttingCover",
-    "CuttingReport",
-    "crosses",
-    "verify_cutting",
-    "interval_cutting",
-    "box_grid_cutting",
-    "greedy_cutting",
-]
-
 
 def crosses(fiber_bits: int, cell_bits: int) -> bool:
     """E_a crosses V' iff they meet and V' is not inside E_a."""

@@ -244,7 +244,7 @@ class _Parser:
 
 # Longest accepted definition: 256 tokens nest at most 126 parentheses (4 parser
 # frames each, half of Python's 1000-frame recursion limit) and 128 tree levels
-# (one frame each in the printer and the compiler), and a line of the compiled
+# (one frame each in _compile and the AST walkers), and a line of the compiled
 # source nests at most 131 brackets, below the 200 that Python's parser allows.
 MAX_TOKENS = 256
 
@@ -256,39 +256,6 @@ def parse(expr_text: str, variables: tuple[str, ...] = TERNARY_VARS) -> Relation
         tok = tokens[MAX_TOKENS]
         raise SyntaxError_(f"definition is longer than {MAX_TOKENS} tokens", tok.line, tok.col)
     return _Parser(tokens, tuple(variables)).parse_expr()
-
-
-# --- canonical printer -----------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2}
-
-
-def _print_node(node: Node, parent_prec: int) -> str:
-    """Canonical text of node."""
-    if isinstance(node, Const):
-        return f"{node.value:d}"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Pow):
-        # a base that is itself a sum, product or power keeps its parentheses
-        text = f"{_print_node(node.base, 4)}^{node.exponent:d}"
-        return f"({text})" if parent_prec > 3 else text
-    prec = _PREC[node.op]
-    # chains associate left; a right child of equal precedence keeps parens
-    # so the reparse reproduces the tree
-    left = _print_node(node.left, prec)
-    right = _print_node(node.right, prec + 1)
-    sep = f" {node.op} " if node.op in "+-" else node.op
-    text = f"{left}{sep}{right}"
-    return f"({text})" if prec < parent_prec else text
-
-
-def to_text(expr: RelationExpr) -> str:
-    """Canonical form; parse(to_text(parse(s))) == parse(s)."""
-    out = f"{_print_node(expr.lhs, 0)} = {_print_node(expr.rhs, 0)}"
-    if expr.modulus is not None:
-        out += f" mod {expr.modulus}"
-    return out
 
 
 # --- grids -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, report files, exit codes, determinism."""
 
+import importlib
 import json
 import os
 import pathlib
@@ -961,6 +962,15 @@ def test_parser_error_in_a_process_exit_3():
     assert res.stderr == "expd: input error: argument --r: invalid int value: 'abc'\n"
     assert res.stdout == ""
 
+
+def test_console_script_resolves_to_cli_main():
+    # read as text: Python 3.10 has no tomllib
+    pyproject = pathlib.Path(__file__).parent.parent.joinpath("pyproject.toml").read_text(encoding="utf-8")
+    section = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(line.replace('"', "").split(" = ") for line in section.strip().splitlines())
+    assert list(scripts) == ["expd"]
+    module, attr = scripts["expd"].split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 @pytest.mark.parametrize("command", [None, *RUNNABLE])
 def test_help_exit_0(capsys, command):

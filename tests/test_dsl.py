@@ -1,4 +1,4 @@
-"""Relation DSL: parsing, canonical printing, grids, instantiation."""
+"""Relation DSL: parsing, grids, instantiation."""
 
 import math
 import random
@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from expd import GridSpec, InputError, cli, instantiate2, instantiate3, parse, parse_grid, to_text
+from expd import GridSpec, InputError, cli, instantiate2, instantiate3, parse, parse_grid
 from expd.dsl import BINARY_VARS, MAX_GRID_BITS, MAX_TOKENS, MAX_VALUE_BITS, TERNARY_VARS, BinOp, Const, Pow, RelationExpr, Var, _compile, _solved, _tokenize
 from expd.errors import BudgetError, SyntaxError_
 
@@ -36,6 +36,24 @@ class TestParse:
     def test_parens_and_minus(self):
         e = parse("(x - y)*z = 0")
         assert e.lhs == BinOp("*", BinOp("-", Var("x"), Var("y")), Var("z"))
+
+    @pytest.mark.parametrize(
+        "text, lhs, rhs, modulus",
+        [
+            ("x - y - z = 0", BinOp("-", BinOp("-", Var("x"), Var("y")), Var("z")), Const(0), None),
+            ("x - (y - z) = 0", BinOp("-", Var("x"), BinOp("-", Var("y"), Var("z"))), Const(0), None),
+            ("(x^2)^3 = y", Pow(Pow(Var("x"), 2), 3), Var("y"), None),
+            ("(x + 1)^2 = y*z", Pow(BinOp("+", Var("x"), Const(1)), 2), BinOp("*", Var("y"), Var("z")), None),
+            (
+                "2*x + 3*y - 4*z = 10 mod 11",
+                BinOp("-", BinOp("+", BinOp("*", Const(2), Var("x")), BinOp("*", Const(3), Var("y"))), BinOp("*", Const(4), Var("z"))),
+                Const(10),
+                11,
+            ),
+        ],
+    )
+    def test_association_and_nesting(self, text, lhs, rhs, modulus):
+        assert parse(text) == RelationExpr(lhs, rhs, modulus, TERNARY_VARS)
 
     def test_unknown_variable_position(self):
         with pytest.raises(SyntaxError_) as exc:
@@ -90,44 +108,15 @@ class TestTokenCap:
         return k
 
     @pytest.mark.parametrize("name", sorted(SHAPES))
-    def test_longest_definition_round_trips_and_evaluates(self, name):
+    def test_longest_definition_evaluates(self, name):
         shape = self.SHAPES[name]
         k = self.deepest(shape)
         expr = parse(shape(k))
-        assert parse(to_text(expr)) == expr
         grid = [-1, 0, 1, 2, 3]
         rel, _ = instantiate3(expr, *[GridSpec.explicit(grid)] * 3)
         assert rel.triples == tuple(brute_force_triples(expr, grid, grid, grid))
         with pytest.raises(SyntaxError_, match="longer than"):
             parse(shape(k + 1))
-
-
-class TestCanonicalPrinter:
-    CASES = [
-        "x + y = z",
-        "x*y*z = 1 mod 7",
-        "x^2 + y^3 = z",
-        "(x + y)*(x - y) = z^2 - 1",
-        "x - (y - z) = 0",
-        "(x^2)^3 = y",
-        "2*x + 3*y - 4*z = 10 mod 11",
-        "x - y - z = 0",
-        "(x + 1)^2 = y*z",
-    ]
-
-    @pytest.mark.parametrize("text", CASES)
-    def test_print_parse_fixpoint(self, text):
-        ast = parse(text)
-        assert parse(to_text(ast)) == ast
-
-    def test_canonical_text(self):
-        text = "2*x^2 - y*(z^2)^3*(x - y)^2 = (x + 1)^2 + 0^0 mod 5"
-        assert to_text(parse(text)) == text
-
-    def test_idempotent_canonical_form(self):
-        for text in self.CASES:
-            once = to_text(parse(text))
-            assert to_text(parse(once)) == once
 
 
 class TestGrids:
@@ -156,6 +145,10 @@ class TestGrids:
         assert GridSpec.full_mod().resolve(5) == [0, 1, 2, 3, 4]
         with pytest.raises(InputError):
             GridSpec.full_mod().resolve(None)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(InputError, match="^unknown grid kind 'bogus'$"):
+            GridSpec(kind="bogus").resolve()
 
     def test_mini_syntax(self):
         assert parse_grid("range:0:8:2").resolve() == [0, 2, 4, 6]
@@ -381,7 +374,7 @@ class TestCompiledEvaluatorFuzz:
             vals = [random_grid(rng, expr.modulus) for _ in range(3)]
             rel, maps = instantiate3(expr, *[GridSpec.explicit(v) for v in vals])
             assert maps == dict(zip(TERNARY_VARS, vals))
-            assert rel.triples == tuple(brute_force_triples(expr, *vals)), to_text(expr)
+            assert rel.triples == tuple(brute_force_triples(expr, *vals)), expr
         assert seen == {"x", "y", "z", None}
 
     def test_binary_matches_oracle(self):
@@ -397,7 +390,7 @@ class TestCompiledEvaluatorFuzz:
                 for k, c in enumerate(vz):
                     if holds(expr, {"y": b, "z": c}):
                         rows[j] |= 1 << k
-            assert rel.rows == tuple(rows), to_text(expr)
+            assert rel.rows == tuple(rows), expr
         assert seen == {"y", "z", None}
 
 
@@ -552,19 +545,19 @@ class TestLinearSolve:
             v = names[case % len(names)]
             expr = self.random_expr(rng, names, v)
             # no lone variable, and the solve reads names from the last, so z before y before x
-            assert _solved(expr)[:2] == (v, None), to_text(expr)
+            assert _solved(expr)[:2] == (v, None), expr
             solved_for.add(v)
             grids = self.random_grids(rng, names, expr.modulus)
             kinds |= self.kinds(expr, v, grids)
             if names == TERNARY_VARS:
                 rel, _ = instantiate3(expr, *map(GridSpec.explicit, grids))
-                assert rel.triples == tuple(brute_force_triples(expr, *grids)), to_text(expr)
+                assert rel.triples == tuple(brute_force_triples(expr, *grids)), expr
             else:
                 vy, vz = grids
                 rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
                 pairs = [(j, k) for j, b in enumerate(vy) for k, c in enumerate(vz) if holds(expr, {"y": b, "z": c})]
                 got = [(j, k) for j, row in enumerate(rel.rows) for k in range(len(vz)) if row >> k & 1]
-                assert got == pairs, to_text(expr)
+                assert got == pairs, expr
         assert solved_for == set(names)
         assert kinds == {
             "Z, a = 0",
@@ -633,20 +626,20 @@ class TestJoin:
             expr, constant_side = self.random_expr(rng, names, v)
             solved, key, _ = _solved(expr)
             # a join: on v, unless the other side reads a later variable alone
-            assert key is not None and not isinstance(key, Var) and solved >= v, to_text(expr)
+            assert key is not None and not isinstance(key, Var) and solved >= v, expr
             solved_for.add(solved)
             constant += constant_side and solved == v
             grids = TestLinearSolve.random_grids(rng, names, expr.modulus)
             if names == TERNARY_VARS:
                 rel, _ = instantiate3(expr, *map(GridSpec.explicit, grids))
                 expected = brute_force_triples(expr, *grids)
-                assert rel.triples == tuple(expected), to_text(expr)
+                assert rel.triples == tuple(expected), expr
             else:
                 vy, vz = grids
                 rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
                 expected = [(j, k) for j, b in enumerate(vy) for k, c in enumerate(vz) if holds(expr, {"y": b, "z": c})]
                 got = [(j, k) for j, row in enumerate(rel.rows) for k in range(len(vz)) if row >> k & 1]
-                assert got == expected, to_text(expr)
+                assert got == expected, expr
             # does a free point find more than one value of the joined variable?
             axis = names.index(solved)
             repeats += any(n > 1 for n in Counter(p[:axis] + p[axis + 1 :] for p in expected).values())

@@ -690,6 +690,23 @@ class TestFamilies:
             with pytest.raises(InputError, match=f"{kind} family needs an expression"):
                 make_family(FamilySpec(kind=kind))
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (FamilySpec(kind="bogus"), "unknown family kind 'bogus'"),
+            (FamilySpec(kind="group_like"), "group_like family needs a group"),
+            (FamilySpec(kind="group_like", group=("dihedral", None)), "unknown group kind 'dihedral'"),
+            (
+                FamilySpec(kind="group_like", group=("cyclic", None), twists=("identity", "bogus", "identity")),
+                "unknown twist descriptor 'bogus'",
+            ),
+        ],
+        ids=["unknown-kind", "group-like-without-group", "unknown-group-kind", "unknown-twist"],
+    )
+    def test_a_spec_no_builder_reads_is_refused(self, spec, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            make_family(spec).build(4)
+
     @pytest.mark.parametrize("p", [4, 9, 15])
     def test_unit_group_needs_a_prime_modulus(self, p):
         fam = make_family(FamilySpec(kind="group_like", group=("unit_group_mod", p)))

@@ -88,6 +88,16 @@ class TestFiniteRelation2:
             FiniteRelation2(u(2), u(2, "V"), [-1, 0])
 
 
+class TestRepr:
+    def test_binary(self):
+        rel = build_relation2(u(3), u(2, "V"), [(0, 0), (2, 1)])
+        assert repr(rel) == "FiniteRelation2(U:3 x V:2, 2 edges)"
+
+    def test_ternary(self):
+        rel = build_relation3(u(2, "X"), u(3, "Y"), u(4, "Z"), [(0, 0, 0), (1, 2, 3), (1, 1, 1)])
+        assert repr(rel) == "FiniteRelation3(X:2 x Y:3 x Z:4, 3 triples)"
+
+
 class TestBuildRelation2:
     def test_empty(self):
         rel = build_relation2(u(2), u(2, "V"), [])

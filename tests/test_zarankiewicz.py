@@ -218,6 +218,11 @@ class TestFindKst:
         with pytest.raises(BudgetError, match="more than 1651 nodes"):
             find_kst(pg, 2, 2)
 
+    @pytest.mark.parametrize("s, t", [(0, 1), (1, 0)])
+    def test_s_and_t_below_one_refused(self, s, t):
+        with pytest.raises(ParameterError, match=rf"^find_kst needs s, t >= 1, got s={s}, t={t}$"):
+            find_kst(identity_matching(3), s, t)
+
     def test_t_beyond_right_universe(self, monkeypatch):
         # no K_{s,t} fits when t > |V|: the search answers before charging a node
         assert find_kst(FiniteRelation2(Universe("U", 5), Universe("V", 0), [0] * 5), 1, 10**9) is None
