@@ -279,14 +279,10 @@ class RelationFamily:
 
 def _twist_map(descriptor, size: int, child_seed: int) -> list[int]:
     """The map index -> group element, a bijection onto 0..size-1."""
-    if descriptor == "identity":
-        return list(range(size))
-    if isinstance(descriptor, tuple) and len(descriptor) == 2 and descriptor[0] == "seeded":
-        rng = seeded_rng(descriptor[1], child_seed)
-        perm = list(range(size))
-        rng.shuffle(perm)
-        return perm
-    raise InputError(f"unknown twist descriptor {descriptor!r}")
+    perm = list(range(size))
+    if descriptor != "identity":  # ("seeded", seed), as make_family admits
+        seeded_rng(descriptor[1], child_seed).shuffle(perm)
+    return perm
 
 
 def _group_like_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
@@ -297,7 +293,7 @@ def _group_like_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     gkind, p = spec.group
     if gkind == "cyclic":
         log = range(n)
-    elif gkind == "unit_group_mod":
+    else:
         if n != p - 1:
             raise InputError(f"unit_group_mod({p}) family has the single size {p - 1}, got {n}")
         if not is_prime(p):
@@ -307,8 +303,6 @@ def _group_like_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
             if len(set(powers)) == n:
                 break
         log = sorted(range(n), key=powers.__getitem__)  # element index m (value m + 1) -> its log
-    else:
-        raise InputError(f"unknown group kind {gkind!r}")
     maps = [_twist_map(spec.twists[i], n, child_seed=i) for i in range(3)]
     lx, ly, lz = ([log[m] for m in mp] for mp in maps)
     z_of = sorted(range(n), key=lz.__getitem__)  # log -> z index
@@ -343,14 +337,21 @@ def make_family(spec: FamilySpec) -> RelationFamily:
     """The family a spec names; a field its kind does not read must keep its default."""
     if spec.kind not in _READS:
         raise InputError(f"unknown family kind {spec.kind!r}")
-    for field in ("group", "twists", "block", "expr", "grids"):
+    for field in dict.fromkeys(chain.from_iterable(_READS.values())):
         if field not in _READS[spec.kind] and getattr(spec, field) != getattr(FamilySpec, field):
             readers = " and ".join(kind.replace("_", "-") for kind, reads in _READS.items() if field in reads)
             raise InputError(f"{field} apply to {readers} families only, not to {spec.kind}")
     if spec.kind == "group_like":
-        if spec.group is None:
-            raise InputError("group_like family needs a group")
-        name, builder = f"group_like_{spec.group[0]}", _group_like_relation
+        group, twists = spec.group, spec.twists
+        unit_group = isinstance(group, tuple) and len(group) == 2 and group[0] == "unit_group_mod"
+        if not (group == ("cyclic", None) or unit_group and type(group[1]) is int):
+            raise InputError(f"group must be ('cyclic', None) or ('unit_group_mod', p), got {group!r}")
+        if not (isinstance(twists, tuple) and len(twists) == 3):
+            raise InputError(f"twists must be three descriptors, got {twists!r}")
+        for d in twists:
+            if d != "identity" and not (isinstance(d, tuple) and len(d) == 2 and d[0] == "seeded"):
+                raise InputError(f"unknown twist descriptor {d!r}")
+        name, builder = f"group_like_{group[0]}", _group_like_relation
     elif spec.kind == "cylindrical":
         if spec.block is not None and spec.block < 1:
             raise InputError(f"cylindrical block side must be >= 1, got {spec.block}")

@@ -343,13 +343,6 @@ def count_grid3(rel: FiniteRelation3, a: Subset, b: Subset, c: Subset) -> int:
 # those of one sort_keys json.dumps.
 
 
-def _universe_to_obj(u: Universe) -> dict:
-    obj: dict = {"name": u.name, "size": u.size}
-    if u.labels is not None:
-        obj["labels"] = list(u.labels)
-    return obj
-
-
 def _universe_from_obj(obj: dict) -> Universe:
     if not isinstance(obj, dict):
         raise InputError(f"universe must be a JSON object, got {obj!r}")
@@ -409,7 +402,8 @@ def _write_relation(
             fh.write(f"{sep}[{i}{item}{glue.join(chunk)}]")
             sep = item
     fh.write(f']{item}"universes"{key}')
-    fh.write(json.dumps([_universe_to_obj(w) for w in universes], separators=separators, sort_keys=True))
+    obj = [{k: v for k, v in vars(w).items() if v is not None} for w in universes]  # labels dump as a list
+    fh.write(json.dumps(obj, separators=separators, sort_keys=True))
     fh.write("}\n")
 
 

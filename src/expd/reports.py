@@ -19,25 +19,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
 from .pipeline import RelationFamily
 from .relations import Subset, count_grid3
-
-CSV_COLUMNS = (
-    "instance",
-    "n",
-    "count",
-    "bound_cert",
-    "kst_bound",
-    "delta_bound",
-    "slope",
-    "residual",
-    "status",
-)
-
 
 @dataclass(frozen=True)
 class ExponentFit:
@@ -105,6 +92,9 @@ class ReportRow:
     slope: Optional[float] = None
     residual: Optional[float] = None
     status: str = "ok"
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(ReportRow))
 
 
 def format_value(value: Union[None, int, float, str]) -> str:

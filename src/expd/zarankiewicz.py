@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 from .cuttings import CuttingCover, verify_cutting
 from .errors import BudgetError, ParameterError
-from .relations import FiniteRelation2, Subset, _check_universe, _columns, _iter_bits
+from .relations import FiniteRelation2, Subset, _check_universe, _columns, _iter_bits, count_grid2
 
 # --- exponent arithmetic ----------------------------------------------------
 
@@ -232,17 +232,9 @@ class BoundCertificate:
     degraded: bool = False
 
     def to_obj(self) -> dict:
-        obj = {
-            "case": self.case,
-            "m": self.m,
-            "n": self.n,
-            "r": self.r,
-            "contribution": self.contribution,
-            "children": [c.to_obj() for c in self.children],
-            "total": self.total,
-        }
-        if self.degraded:
-            obj["degraded"] = True
+        obj = {**vars(self), "children": [c.to_obj() for c in self.children]}
+        if not self.degraded:
+            del obj["degraded"]
         return obj
 
 
@@ -285,9 +277,6 @@ def certified_count(
     if witness is not None:
         raise NotKstFreeError(witness)
 
-    def exact(a_bits: int, b_bits: int) -> int:
-        return sum((rows[i] & b_bits).bit_count() for i in _iter_bits(a_bits))
-
     def node(a_bits: int, b_bits: int, value: int) -> BoundCertificate:
         """The certificate of A x B, given value = |E ∩ A×B|."""
         m = a_bits.bit_count()
@@ -310,12 +299,12 @@ def certified_count(
             assigned |= b_i
             if b_i == 0:
                 continue
-            e_i = exact(a_i, b_i)  # walks only the crossing fibers
+            e_i = count_grid2(rel, Subset(rel.u, a_i), Subset(rel.v, b_i))  # walks only the crossing fibers
             children.append(node(a_i, b_i, e_i))
             local -= e_i
         # the cells cover V (the report is valid), so the B_i partition B and
-        # value - sum(e_i) is exactly the non-crossing block: sum exact(A \ A_i, B_i)
+        # value - sum(e_i) is exactly the non-crossing block: sum |E ∩ (A \ A_i) × B_i|
         total = local + sum(child.total for child in children)
         return BoundCertificate(CASE_RECURSE, m, n, r, local, tuple(children), total)
 
-    return node(a.bits, b.bits, exact(a.bits, b.bits))
+    return node(a.bits, b.bits, restricted.edge_count)

@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -694,18 +695,61 @@ class TestFamilies:
         "spec, message",
         [
             (FamilySpec(kind="bogus"), "unknown family kind 'bogus'"),
-            (FamilySpec(kind="group_like"), "group_like family needs a group"),
-            (FamilySpec(kind="group_like", group=("dihedral", None)), "unknown group kind 'dihedral'"),
+            (FamilySpec(kind="group_like"), "group must be ('cyclic', None) or ('unit_group_mod', p), got None"),
+            (
+                FamilySpec(kind="group_like", group=("dihedral", None)),
+                "group must be ('cyclic', None) or ('unit_group_mod', p), got ('dihedral', None)",
+            ),
             (
                 FamilySpec(kind="group_like", group=("cyclic", None), twists=("identity", "bogus", "identity")),
                 "unknown twist descriptor 'bogus'",
             ),
+            (
+                FamilySpec(kind="group_like", group="cyclic"),
+                "group must be ('cyclic', None) or ('unit_group_mod', p), got 'cyclic'",
+            ),
+            (
+                FamilySpec(kind="group_like", group=("unit_group_mod",)),
+                "group must be ('cyclic', None) or ('unit_group_mod', p), got ('unit_group_mod',)",
+            ),
+            (
+                FamilySpec(kind="group_like", group=("cyclic", None), twists=("identity",)),
+                "twists must be three descriptors, got ('identity',)",
+            ),
+            (
+                FamilySpec(kind="group_like", group=("cyclic", 5)),
+                "group must be ('cyclic', None) or ('unit_group_mod', p), got ('cyclic', 5)",
+            ),
+            (
+                FamilySpec(kind="group_like", group=("unit_group_mod", "7")),
+                "group must be ('cyclic', None) or ('unit_group_mod', p), got ('unit_group_mod', '7')",
+            ),
+            (
+                FamilySpec(kind="group_like", group=("unit_group_mod", None)),
+                "group must be ('cyclic', None) or ('unit_group_mod', p), got ('unit_group_mod', None)",
+            ),
+            (
+                FamilySpec(kind="group_like", group=("unit_group_mod", 7.0)),
+                "group must be ('cyclic', None) or ('unit_group_mod', p), got ('unit_group_mod', 7.0)",
+            ),
         ],
-        ids=["unknown-kind", "group-like-without-group", "unknown-group-kind", "unknown-twist"],
+        ids=[
+            "unknown-kind",
+            "group-like-without-group",
+            "unknown-group-kind",
+            "unknown-twist",
+            "group-not-a-pair",
+            "group-without-modulus",
+            "one-twist",
+            "cyclic-with-modulus",
+            "modulus-a-string",
+            "modulus-none",
+            "modulus-a-float",
+        ],
     )
     def test_a_spec_no_builder_reads_is_refused(self, spec, message):
-        with pytest.raises(InputError, match=f"^{message}$"):
-            make_family(spec).build(4)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            make_family(spec)
 
     @pytest.mark.parametrize("p", [4, 9, 15])
     def test_unit_group_needs_a_prime_modulus(self, p):

@@ -433,6 +433,20 @@ class TestCertifiedCount:
         assert json.loads(blob) == fields(cert)
         assert set(cert.to_obj()) >= {"case", "m", "n", "r", "contribution", "children", "total"}
 
+    def test_to_obj_leaves_the_certificate_unchanged(self):
+        rel = random_interval_incidence(5, 40, 120)
+        a, b = Subset.full(rel.u), Subset.full(rel.v)
+        params = free_params_for(rel, 1)
+        params = exponent_params(1, params.t, 2, epsilon_sup(1, params.t) * 99 / 100)
+        degraded = certified_count(rel, a, b, params, lambda *_: None, r=4, leaf_size=4)
+        plain = certified_count(rel, a, b, params, interval_cutting, r=4, leaf_size=4)
+        assert degraded.degraded and not plain.degraded
+        for cert in (degraded, plain):
+            before = dict(vars(cert))
+            assert cert.to_obj() == cert.to_obj()
+            assert vars(cert) == before and cert.degraded == before["degraded"]
+        assert degraded.to_obj()["degraded"] is True and "degraded" not in plain.to_obj()
+
     def test_relation_with_kst_rejected_with_witness(self):
         # without the check this returned 23,683 against an exact count of 43,996
         rel = random_interval_incidence(7, 256, 1024)
