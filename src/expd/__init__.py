@@ -37,7 +37,6 @@ from .pipeline import (
     derive_g,
     g_edge_count,
     make_family,
-    top_frequent_family,
 )
 from .relations import (
     FiniteRelation2,

@@ -43,7 +43,6 @@ from .relations import (
     FiniteRelation2,
     FiniteRelation3,
     Subset,
-    count_grid2,
     _write_relation,
     read_relation,
     write_relation,
@@ -184,7 +183,7 @@ def cmd_certify(args) -> int:
     params = zk.exponent_params(args.D, args.t, args.s, args.epsilon)
     n_col = max(rel.u.size, rel.v.size)
     _, cutter = _pick_cutter(args)
-    exact = count_grid2(rel, a, b)
+    exact = rel.edge_count
     try:
         cert = zk.certified_count(rel, a, b, params, cutter, args.r, args.leaf_size)
     except zk.NotKstFreeError as exc:
@@ -201,7 +200,7 @@ def cmd_certify(args) -> int:
         n=n_col,
         count=exact,
         bound_cert=cert.total,
-        kst_bound=zk.kst_bound(params.s, params.t, a.cardinality(), b.cardinality()),
+        kst_bound=zk.kst_bound(params.s, params.t, rel.u.size, rel.v.size),
         delta_bound=zk.distal_delta_bound(params, n_col) if params.t == 2 else None,
         status="ok" if cert.total >= exact else "unsound",
     )

@@ -11,7 +11,6 @@ the rectangle machinery can recover geometry from the relation alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
@@ -104,19 +103,9 @@ def random_interval_incidence(seed: int, n_intervals: int, n_points: int) -> Fin
     return interval_incidence(intervals, n_points)
 
 
-@dataclass(frozen=True)
-class Rect:
-    x1: int
-    x2: int
-    y1: int
-    y2: int
-
-    def contains(self, x: int, y: int) -> bool:
-        return self.x1 <= x <= self.x2 and self.y1 <= y <= self.y2
-
-
-def rectangle_incidence(rects: list[Rect], points: list[tuple[int, int]]) -> FiniteRelation2:
-    """Left = rectangles, right = planar points; fiber a = points inside rect a.
+def rectangle_incidence(rects: list[tuple[int, int, int, int]], points: list[tuple[int, int]]) -> FiniteRelation2:
+    """Left = rectangles (x1, x2, y1, y2), right = planar points; fiber a = the
+    points inside rect a, its corners included.
 
     Point labels are "x,y" so downstream cutting code can recover coordinates.
     """
@@ -125,10 +114,10 @@ def rectangle_incidence(rects: list[Rect], points: list[tuple[int, int]]) -> Fin
     u = Universe("rects", len(rects))
     v = Universe("points", len(points), tuple(f"{x},{y}" for x, y in points))
     rows = []
-    for rect in rects:
+    for x1, x2, y1, y2 in rects:
         row = 0
         for j, (x, y) in enumerate(points):
-            if rect.contains(x, y):
+            if x1 <= x <= x2 and y1 <= y <= y2:
                 row |= 1 << j
         rows.append(row)
     return FiniteRelation2(u, v, rows)
@@ -148,7 +137,7 @@ def random_rectangle_incidence(seed: int, n_rects: int, grid_side: int) -> Finit
         h = rng.randint(0, max_extent - 1)
         x1 = rng.randint(0, grid_side - 1 - w)
         y1 = rng.randint(0, grid_side - 1 - h)
-        rects.append(Rect(x1, x1 + w, y1, y1 + h))
+        rects.append((x1, x1 + w, y1, y1 + h))
     return rectangle_incidence(rects, points)
 
 

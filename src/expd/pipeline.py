@@ -329,6 +329,19 @@ def _dsl_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     return instantiate3(expr, *grids, budget_cells=spec.budget_cells)[0]
 
 
+def _topz_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
+    """A = B = {0..n-1}; C = the n most frequent values of the solved side,
+    ties broken by value (the sorts are stable)."""
+    expr = parse(spec.expr)
+    side = _solved(expr)[2]
+    grid = list(range(n))
+    rows = _compile(side, ("x", "y"), expr.modulus, {"x": grid, "y": grid})
+    counts = Counter(chain.from_iterable(rows(grid, grid)))
+    c_values = sorted(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:n])
+    xy = GridSpec.range_(0, n)
+    return instantiate3(expr, xy, xy, GridSpec.explicit(c_values), budget_cells=spec.budget_cells)[0]
+
+
 # the FamilySpec fields each kind reads; seed and budget_cells belong to every run
 _READS = {"group_like": ("group", "twists"), "cylindrical": ("block",), "dsl": ("expr", "grids"), "topz": ("expr",)}
 
@@ -359,30 +372,10 @@ def make_family(spec: FamilySpec) -> RelationFamily:
     elif not spec.expr:
         raise InputError(f"{spec.kind} family needs an expression")
     elif spec.kind == "topz":
-        return top_frequent_family(spec.expr, spec.budget_cells)
+        if _solved(parse(spec.expr))[1] != Var("z"):
+            raise InputError("top-frequent family needs an expression solved for z")
+        name, builder = f"topz:{spec.expr}", _topz_relation
     else:
         parse(spec.expr)  # fail fast on syntax errors
         name, builder = f"dsl:{spec.expr}", _dsl_relation
     return RelationFamily(name, lambda n: builder(spec, n), spec.budget_cells)
-
-
-def top_frequent_family(expr_text: str, budget_cells: int = DEFAULT_BUDGET_CELLS) -> RelationFamily:
-    """A = B = {0..n-1}; C = the n most frequent values of the solved side.
-
-    The expression must isolate z on one side; ties in the frequency order
-    break by value (the sorts are stable), so instances are deterministic.
-    """
-    expr = parse(expr_text)
-    _, key, side = _solved(expr)
-    if key != Var("z"):
-        raise InputError("top-frequent family needs an expression solved for z")
-
-    def build(n: int) -> FiniteRelation3:
-        grid = list(range(n))
-        rows = _compile(side, ("x", "y"), expr.modulus, {"x": grid, "y": grid})
-        counts = Counter(chain.from_iterable(rows(grid, grid)))
-        c_values = sorted(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:n])
-        xy = GridSpec.range_(0, n)
-        return instantiate3(expr, xy, xy, GridSpec.explicit(c_values), budget_cells=budget_cells)[0]
-
-    return RelationFamily(f"topz:{expr_text}", build, budget_cells)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
@@ -141,9 +140,6 @@ def emit_report(
     else:
         raise InputError(f"unknown report format {fmt!r}")
     if path and path != "-":
-        directory = os.path.dirname(path)
-        if directory and not os.path.isdir(directory):
-            raise InputError(f"output directory {directory!r} does not exist")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return text

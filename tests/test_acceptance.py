@@ -30,7 +30,6 @@ from expd import (
     kst_bound,
     make_family,
     run_scaling,
-    top_frequent_family,
     verify_cutting,
 )
 from expd.instances import (
@@ -305,7 +304,7 @@ def test_criterion_expansion_separation():
     additive = run_scaling(make_family(FamilySpec(kind="dsl", expr="x + y = z")), sizes)
     assert additive.counts == tuple(n * (n + 1) // 2 for n in sizes)
     assert additive.slope >= 1.9, additive.slope
-    expanding = run_scaling(top_frequent_family("x^2 + y^3 = z"), sizes)
+    expanding = run_scaling(make_family(FamilySpec(kind="topz", expr="x^2 + y^3 = z")), sizes)
     assert expanding.slope <= 1.6, expanding.slope
     report(
         "expansion-separation",

@@ -1,9 +1,12 @@
 """CLI surface: subcommands, report files, exit codes, determinism."""
 
+import dataclasses
 import importlib
+import inspect
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -682,6 +685,7 @@ REFUSALS = [
     (("certify", "--rel", "{rel3}"), "expd: input error: {rel3} does not hold a binary relation"),
     (("pipeline3", "--rel", "{rel2}"), "expd: input error: {rel2} does not hold a ternary relation"),
     (("certify", "--rel", "{missing}"), "expd: [Errno 2] No such file or directory"),
+    (("cutting", "--pg", "2", "--out", "{missing}/report.csv"), "expd: [Errno 2] No such file or directory"),
     (("cutting", "--pg", "7", "--r", "0"), "expd: input error: cutting parameter r must be >= 1, got 0"),
     (("count", "--expr", "x+y=z", "--grid-x", "range:0:5:0", *GRIDS_YZ), "expd: input error: grid range step must be nonzero"),
     (("count", "--expr", "x+y=z", "--grid-x", "geom:1:5", *GRIDS_YZ), "expd: input error: geometric grid base must be >= 2, got 1"),
@@ -720,6 +724,23 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     write_relation("f.json", pipeline.make_family(pipeline.FamilySpec(kind="group_like", group=("cyclic", None))).build(8))
     for argv in commands:
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_names_no_code_that_is_gone():
+    readme = pathlib.Path(__file__).parent.parent.joinpath("README.md").read_text(encoding="utf-8")
+    # the last part of the dotted name a backticked span starts with, when it holds "_"
+    named = set(re.findall(r"`(?:\w+\.)*(\w*_\w*)(?=[`(])", readme))
+    modules = [importlib.import_module(f"expd.{p.stem}") for p in pathlib.Path(cli.__file__).parent.glob("*.py") if p.stem != "__main__"]
+    classes = [c for m in modules for c in vars(m).values() if inspect.isclass(c) and c.__module__ == m.__name__]
+    known = {f.name for c in classes if dataclasses.is_dataclass(c) for f in dataclasses.fields(c)}
+    for owner in modules + classes:
+        known.update(dir(owner))
+        for obj in vars(owner).values():
+            obj = getattr(obj, "__func__", obj)  # a staticmethod's function
+            if inspect.isfunction(obj):
+                known.update(inspect.signature(obj).parameters)
+    assert len(named) >= 25, named
+    assert sorted(named - known) == []
 
 
 def test_huge_power_mod_m_runs():

@@ -17,7 +17,6 @@ from expd import (
     verify_cutting,
 )
 from expd.instances import (
-    Rect,
     identity_matching,
     interval_incidence,
     random_bipartite,
@@ -379,7 +378,7 @@ class TestBoxGridCutting:
         rects = []
         for _ in range(40):
             x1, y1 = rng.randrange(9), rng.randrange(7)
-            rects.append(Rect(x1, min(8, x1 + rng.randrange(4)), y1, min(6, y1 + rng.randrange(4))))
+            rects.append((x1, min(8, x1 + rng.randrange(4)), y1, min(6, y1 + rng.randrange(4))))
         rel1 = rectangle_incidence(rects, points)
         rel2 = rectangle_incidence(rects, points[::-1])
         covers = []
@@ -421,7 +420,7 @@ class TestBoxGridCutting:
 
     def test_one_rect_covering_everything(self):
         points = [(x, y) for x in range(5) for y in range(5)]
-        rel = rectangle_incidence([Rect(0, 4, 0, 4)], points)
+        rel = rectangle_incidence([(0, 4, 0, 4)], points)
         a = Subset.full(rel.u)
         cover = box_grid_cutting(rel, a, 2)
         report = verify_cutting(rel, a, 2, cover)

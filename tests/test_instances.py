@@ -7,7 +7,6 @@ import pytest
 
 from expd import InputError, Subset, build_relation2
 from expd.instances import (
-    Rect,
     identity_matching,
     interval_incidence,
     pg_incidence,
@@ -80,13 +79,13 @@ class TestIntervalInstances:
 
 class TestRectangleInstances:
     def test_labels_carry_coordinates(self):
-        rel = rectangle_incidence([Rect(0, 1, 0, 0)], [(0, 0), (1, 0), (2, 2)])
+        rel = rectangle_incidence([(0, 1, 0, 0)], [(0, 0), (1, 0), (2, 2)])
         assert rel.v.labels == ("0,0", "1,0", "2,2")
         assert rel.rows[0] == 0b011
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(InputError):
-            rectangle_incidence([Rect(0, 1, 0, 1)], [(0, 0), (0, 0)])
+            rectangle_incidence([(0, 1, 0, 1)], [(0, 0), (0, 0)])
 
     def test_random_fibers_match_geometry(self):
         rel = random_rectangle_incidence(21, 10, 8)

@@ -25,7 +25,6 @@ from expd import (
     g_edge_count,
     instantiate3,
     make_family,
-    top_frequent_family,
 )
 from expd import pipeline
 from expd.pipeline import RelationFamily, _twist_map, pairing_maxima
@@ -585,7 +584,7 @@ class TestFamilies:
         assert len(rel) == 10
 
     def test_top_frequent_family(self):
-        fam = top_frequent_family("x^2 + y^3 = z")
+        fam = make_family(FamilySpec(kind="topz", expr="x^2 + y^3 = z"))
         rel = fam.build(8)
         assert rel.z.size == 8
         # C holds the 8 most frequent values; count equals their multiplicity sum
@@ -609,18 +608,18 @@ class TestFamilies:
             if modulus is not None:
                 counts = Counter((v % modulus for v in counts.elements()))
             expected = sorted(heapq.nsmallest(n, counts, key=lambda v: (-counts[v], v)))
-            assert list(top_frequent_family(text).build(n).z.labels) == expected, (text, n)
+            assert list(make_family(FamilySpec(kind="topz", expr=text)).build(n).z.labels) == expected, (text, n)
 
     def test_top_frequent_needs_solved_z(self):
         with pytest.raises(InputError):
-            top_frequent_family("x + y + z = 0")
+            make_family(FamilySpec(kind="topz", expr="x + y + z = 0"))
         with pytest.raises(InputError, match="^top-frequent family needs an expression solved for z$"):
-            top_frequent_family("z^2 = x + y")  # a join on z, not a lone z
+            make_family(FamilySpec(kind="topz", expr="z^2 = x + y"))  # a join on z, not a lone z
 
     @pytest.mark.parametrize("text", ["x = z", "z = x"])
     def test_top_frequent_solves_z_when_both_sides_are_variables(self, text):
         # every x in 0..3 appears 4 times, so C = {0..3} and each (x, y) has one z
-        assert len(top_frequent_family(text).build(4)) == 16
+        assert len(make_family(FamilySpec(kind="topz", expr=text)).build(4)) == 16
 
     def test_family_size_validation(self):
         fam = make_family(FamilySpec(kind="group_like", group=("cyclic", None)))
@@ -640,9 +639,9 @@ class TestFamilies:
             assert len(make_family(spec).build(9)) >= 81
             with pytest.raises(BudgetError):
                 make_family(spec).build(10)
-        assert top_frequent_family("x + y = z", budget_cells=99).build(9).z.size == 9
+        assert make_family(FamilySpec(kind="topz", expr="x + y = z", budget_cells=99)).build(9).z.size == 9
         with pytest.raises(BudgetError):
-            top_frequent_family("x + y = z", budget_cells=99).build(10)
+            make_family(FamilySpec(kind="topz", expr="x + y = z", budget_cells=99)).build(10)
 
     @pytest.mark.parametrize("kind", ["topz", "dsl"])
     def test_the_family_budget_reaches_instantiate3(self, monkeypatch, kind):
@@ -686,7 +685,6 @@ class TestFamilies:
     def test_topz_is_a_family_kind(self):
         fam = make_family(FamilySpec(kind="topz", expr="x^2 + y^3 = z", seed=7, budget_cells=99))
         assert fam.name == "topz:x^2 + y^3 = z" and fam.budget_cells == 99
-        assert fam.build(9) == top_frequent_family("x^2 + y^3 = z").build(9)
         for kind in ("dsl", "topz"):
             with pytest.raises(InputError, match=f"{kind} family needs an expression"):
                 make_family(FamilySpec(kind=kind))

@@ -116,7 +116,7 @@ class TestEmitReport:
         assert "seed=123" in text.splitlines()[0]
 
     def test_unwritable_path(self):
-        with pytest.raises(InputError):
+        with pytest.raises(OSError):
             emit_report([], "csv", "/nonexistent-dir/report.csv", {"seed": 1})
 
     def test_unknown_format(self):

@@ -6,10 +6,8 @@ Runs the whole suite, ``python -m pytest -q --continue-on-collection-errors``,
 from the repository root with this directory on PYTHONPATH, so that sitecustomize.py
 traces the suite and every ``python -m expd`` subprocess it starts.  Then it
 lists each executable line (a line the compiler gives an instruction) that no
-process ran.  A line may stay unreached only if ALLOWED names it with a reason.
-Exits 1 on an unreached line ALLOWED does not name, on an ALLOWED entry without
-a reason, that names no executable line or several, or whose line is run, and
-with pytest's status if the suite fails.
+process ran.  Exits 1 if there is one, and with pytest's status if the suite
+fails.
 """
 
 import json
@@ -21,10 +19,6 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 SRC = os.path.join(ROOT, "src", "expd")
-
-# (module file name, the line's text without indentation) -> why no test runs it;
-# the text must match exactly one executable line of the module
-ALLOWED: dict[tuple[str, str], str] = {}
 
 
 def executable_lines(path: str) -> set[int]:
@@ -57,9 +51,7 @@ def run_suite() -> tuple[int, dict[str, set[int]]]:
 
 def main() -> int:
     status, hits = run_suite()
-    problems = [f"{m}: {text!r} is allowlisted without a reason" for (m, text), why in ALLOWED.items() if not why]
-    named = dict.fromkeys(ALLOWED, 0)  # entry -> the executable lines its text matches
-    unreached_allowed = set()
+    never_run = []
     total = 0
     for module in sorted(name for name in os.listdir(SRC) if name.endswith(".py")):
         path = os.path.join(SRC, module)
@@ -67,20 +59,10 @@ def main() -> int:
             text = fh.read().splitlines()
         lines = executable_lines(path)
         total += len(lines)
-        for line in lines:
-            if (module, text[line - 1].strip()) in named:
-                named[module, text[line - 1].strip()] += 1
-        for line in sorted(lines - hits.get(module, set())):
-            key = (module, text[line - 1].strip())
-            if key in ALLOWED:
-                unreached_allowed.add(key)
-            else:
-                problems.append(f"src/expd/{module}:{line} is never run: {key[1]}")
-    problems += [f"{m}: {text!r} matches {count} executable lines, not one" for (m, text), count in named.items() if count != 1]
-    problems += [f"{m}: {text!r} is allowlisted, but the suite runs it" for m, text in ALLOWED.keys() - unreached_allowed]
-    print(f"src/expd: {total} executable lines, {len(unreached_allowed)} unreached and allowlisted, {len(problems)} problems")
-    print("\n".join(problems))
-    return status or int(bool(problems))
+        never_run += [f"src/expd/{module}:{line} is never run: {text[line - 1].strip()}" for line in sorted(lines - hits.get(module, set()))]
+    print(f"src/expd: {total} executable lines, {len(never_run)} never run")
+    print("\n".join(never_run))
+    return status or int(bool(never_run))
 
 
 if __name__ == "__main__":
