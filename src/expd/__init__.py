@@ -21,7 +21,6 @@ from .errors import (
     BudgetError,
     CapacityError,
     ExpdError,
-    FamilyError,
     InputError,
     ParameterError,
 )

@@ -38,7 +38,7 @@ import sys
 from typing import Optional
 
 from . import cuttings, dsl, instances, pipeline, reports, zarankiewicz as zk
-from .errors import BudgetError, CapacityError, ExpdError, InputError
+from .errors import BudgetError, CapacityError, InputError
 from .relations import (
     FiniteRelation2,
     FiniteRelation3,
@@ -387,6 +387,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"expd: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ExpdError, OSError) as exc:
+    except OSError as exc:
         print(f"expd: {exc}", file=sys.stderr)
         return EXIT_INPUT

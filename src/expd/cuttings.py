@@ -8,10 +8,10 @@ the constant c is family-dependent and reported empirically (fitted_c).
 
 A cover carries only its cells, as bit masks over V, and the claimed
 exponent; constructors never self-certify.  verify_cutting checks the cells
-against V and is the one place crossings are counted: it returns, per cell,
-the set of fibers of A that cross it, and reads the maximum crossing,
-validity and the first failure from those sets.  The certified counter
-recurses on the same sets.
+against V and returns, per cell, the set of fibers of A that cross it, and
+reads the maximum crossing, validity and the first failure from those sets.
+Only these sets decide a cover's validity and feed certificates; the box and
+greedy cutters count crossings too, but only to stop early or close a cell.
 
 Two structural facts do the heavy lifting here:
   * singleton cells are never crossed (E_a ∩ {v} != ∅ forces {v} ⊆ E_a);
@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FamilyError, InputError, ParameterError
+from .errors import InputError, ParameterError
 from .relations import FiniteRelation2, Subset, Universe, _check_universe, _columns, _iter_bits
 
 
@@ -130,7 +130,7 @@ def _fiber_interval(fiber: int) -> Optional[tuple[int, int]]:
         return None
     lo, hi = (fiber & -fiber).bit_length() - 1, fiber.bit_length()
     if fiber != ((1 << (hi - lo)) - 1) << lo:
-        raise FamilyError("fiber is not a contiguous run of the ordered points")
+        raise InputError("fiber is not a contiguous run of the ordered points")
     return lo, hi
 
 
@@ -180,14 +180,14 @@ def interval_cutting(rel: FiniteRelation2, a: Subset, r: int) -> CuttingCover:
 def _planar_points(v: Universe) -> list[tuple[int, int]]:
     labels = v.labels
     if labels is None:
-        raise FamilyError("rectangle cutting needs point coordinates in V's labels ('x,y')")
+        raise InputError("rectangle cutting needs point coordinates in V's labels ('x,y')")
     points = []
     for lbl in labels:
         try:
             xs, ys = str(lbl).split(",")
             points.append((int(xs), int(ys)))
         except ValueError:
-            raise FamilyError(f"point label {lbl!r} is not of the form 'x,y'") from None
+            raise InputError(f"point label {lbl!r} is not of the form 'x,y'") from None
     return points
 
 
@@ -241,7 +241,7 @@ class _RankPlane:
             ys = [self.ry[j] for j in members]
             box = (min(xs), max(xs) + 1, min(ys), max(ys) + 1)
             if self.box(*box) != fiber:
-                raise FamilyError(f"fiber {i} is not a rectangle point-set")
+                raise InputError(f"fiber {i} is not a rectangle point-set")
             boxes.append((box, fiber))
         return boxes
 

@@ -282,26 +282,6 @@ class GridSpec:
     values: tuple[int, ...] = ()
     seed: Optional[int] = None
 
-    @staticmethod
-    def range_(lo: int, hi: int, step: int = 1) -> "GridSpec":
-        return GridSpec(kind="range", lo=lo, hi=hi, step=step)
-
-    @staticmethod
-    def geometric(base: int, count: int) -> "GridSpec":
-        return GridSpec(kind="geometric", base=base, count=count)
-
-    @staticmethod
-    def explicit(values) -> "GridSpec":
-        return GridSpec(kind="explicit", values=tuple(values))
-
-    @staticmethod
-    def random_(seed: int, count: int, lo: int, hi: int) -> "GridSpec":
-        return GridSpec(kind="random", seed=seed, count=count, lo=lo, hi=hi)
-
-    @staticmethod
-    def full_mod() -> "GridSpec":
-        return GridSpec(kind="full_mod")
-
     def size(self, modulus: Optional[int] = None) -> int:
         """The number of values resolve would give, computed without building them;
         a geometric grid whose values may hold more than MAX_GRID_BITS bits in all
@@ -359,15 +339,15 @@ def parse_grid(text: str, seed: Optional[int] = None) -> GridSpec:
     kind = parts[0]
     try:
         if kind == "range" and len(parts) == 4:
-            return GridSpec.range_(int(parts[1]), int(parts[2]), int(parts[3]))
+            return GridSpec("range", int(parts[1]), int(parts[2]), int(parts[3]))
         if kind == "geom" and len(parts) == 3:
-            return GridSpec.geometric(int(parts[1]), int(parts[2]))
+            return GridSpec("geometric", base=int(parts[1]), count=int(parts[2]))
         if kind == "list" and len(parts) == 2:
-            return GridSpec.explicit(int(v) for v in parts[1].split(","))
+            return GridSpec("explicit", values=tuple(int(v) for v in parts[1].split(",")))
         if kind == "rand" and len(parts) == 4:
-            return GridSpec.random_(require_seed(seed), int(parts[1]), int(parts[2]), int(parts[3]))
+            return GridSpec("random", seed=require_seed(seed), count=int(parts[1]), lo=int(parts[2]), hi=int(parts[3]))
         if kind == "fullmod" and len(parts) == 1:
-            return GridSpec.full_mod()
+            return GridSpec("full_mod")
     except ValueError as exc:
         raise InputError(f"bad grid spec {text!r}: {exc}") from None
     raise InputError(f"bad grid spec {text!r}")

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Every error deliberately raised by the library derives from ExpdError so the
-CLI can map failures to its documented exit codes (3 = input, 4 = budget).
+Every error deliberately raised by the library is an InputError or a
+CapacityError, so the CLI maps it to its exit code (3 = input, 4 = budget).
 """
 
 
@@ -23,10 +23,6 @@ class CapacityError(ExpdError):
 
 class BudgetError(CapacityError):
     """A run-level cell budget was exceeded."""
-
-
-class FamilyError(InputError):
-    """An instance does not belong to the structured family an algorithm needs."""
 
 
 class SyntaxError_(InputError):

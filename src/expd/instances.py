@@ -14,7 +14,7 @@ import random
 from typing import Optional
 
 from .errors import InputError
-from .relations import FiniteRelation2, Universe, _check_rel2_cells
+from .relations import FiniteRelation2, Universe, _check_rel2_cells, build_relation2
 
 
 def require_seed(seed: Optional[int]) -> int:
@@ -150,10 +150,7 @@ def random_bipartite(seed: int, m: int, n: int, edges: int) -> FiniteRelation2:
     chosen = set()
     while len(chosen) < edges:
         chosen.add((rng.randrange(m), rng.randrange(n)))
-    rows = [0] * m
-    for i, j in chosen:
-        rows[i] |= 1 << j
-    return FiniteRelation2(u, v, rows)
+    return build_relation2(u, v, chosen)
 
 
 def identity_matching(n: int) -> FiniteRelation2:

@@ -50,6 +50,7 @@ from .relations import (
     _charge,
     _check_keys,
     _iter_bits,
+    build_relation2,
     build_relation3,
     pair_universe,
 )
@@ -98,10 +99,7 @@ class CylindricalWitness:
 def _axis_flatten(rel: FiniteRelation3, axis: int) -> FiniteRelation2:
     nx, ny, nz = rel.x.size, rel.y.size, rel.z.size
     left, rn, rs = ((rel.x, "Y*Z", ny * nz), (rel.y, "X*Z", nx * nz), (rel.z, "X*Y", nx * ny))[axis - 1]
-    rows = [0] * left.size
-    for a, b in rel.axis_pairs(axis):
-        rows[a] |= 1 << b
-    return FiniteRelation2(Universe(left.name, left.size), Universe(rn, rs), rows)
+    return build_relation2(Universe(left.name, left.size), Universe(rn, rs), rel.axis_pairs(axis))
 
 
 def cylindrical_witness(
@@ -338,8 +336,8 @@ def _topz_relation(spec: FamilySpec, n: int) -> FiniteRelation3:
     rows = _compile(side, ("x", "y"), expr.modulus, {"x": grid, "y": grid})
     counts = Counter(chain.from_iterable(rows(grid, grid)))
     c_values = sorted(sorted(sorted(counts), key=counts.__getitem__, reverse=True)[:n])
-    xy = GridSpec.range_(0, n)
-    return instantiate3(expr, xy, xy, GridSpec.explicit(c_values), budget_cells=spec.budget_cells)[0]
+    xy = GridSpec("range", 0, n)
+    return instantiate3(expr, xy, xy, GridSpec("explicit", values=tuple(c_values)), budget_cells=spec.budget_cells)[0]
 
 
 # the FamilySpec fields each kind reads; seed and budget_cells belong to every run

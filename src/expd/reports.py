@@ -101,8 +101,8 @@ def format_value(value: Union[None, int, float, str]) -> str:
         return ""
     if isinstance(value, float):
         return f"{value:.12g}"
-    # fields are never quoted, so keep them comma-free
-    return str(value).replace(",", ";")
+    # fields are never quoted, so keep them comma-free and on one line
+    return str(value).replace(",", ";").replace("\n", " ").replace("\r", " ")
 
 
 def render_csv(rows: Sequence[ReportRow], header_note: str) -> str:

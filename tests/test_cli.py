@@ -15,8 +15,10 @@ import time
 import pytest
 
 from expd import Universe, build_relation2, build_relation3, cli, pipeline, write_relation, zarankiewicz
+from expd.errors import CapacityError, ExpdError, InputError
 from expd.instances import random_bipartite
 from expd.relations import _columns
+from expd.zarankiewicz import NotKstFreeError
 
 
 def run_cli(*argv):
@@ -77,6 +79,15 @@ class TestCount:
         res = run_cli("count", "--expr", "x + y = z")  # no grids
         assert res.returncode == 3
         assert "input error" in res.stderr
+
+    def test_line_break_in_instance_name_keeps_one_csv_row(self, capsys):
+        argv = ["count", "--expr", "x + y\r\n= z", *("--grid-x", "range:0:3:1", "--grid-y", "range:0:3:1")]
+        argv += ["--grid-z", "range:0:5:1"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and lines[2] == "x + y  = z,5,9,,,,,,ok", lines
+        assert cli.main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["instance"] == "x + y\r\n= z"
 
 
 class TestDeriveG:
@@ -536,6 +547,19 @@ def test_every_budget_refusal_is_budget_exceeded(capsys, argv):
     assert cli.main([*argv, "--budget-cells", "1000"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("expd: budget exceeded: ") and err.count("\n") == 1, err
+
+
+def test_every_package_error_maps_to_an_exit_code():
+    # cli.main catches InputError (exit 3) and CapacityError (exit 4), not ExpdError
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    found = list(subclasses(ExpdError))
+    assert NotKstFreeError in found  # a subclass of a subclass of InputError
+    for cls in found:
+        assert issubclass(cls, (InputError, CapacityError)), cls
 
 
 def test_memory_error_exit_4(capsys, monkeypatch):

@@ -7,7 +7,6 @@ import pytest
 
 from expd import (
     CuttingCover,
-    FamilyError,
     InputError,
     Subset,
     box_grid_cutting,
@@ -225,7 +224,7 @@ class TestIntervalCutting:
 
     def test_non_contiguous_fiber_rejected(self):
         rel = build_relation2(Universe("U", 1), Universe("V", 5), [(0, 0), (0, 2)])
-        with pytest.raises(FamilyError, match="contiguous"):
+        with pytest.raises(InputError, match="contiguous"):
             interval_cutting(rel, Subset.full(rel.u), 2)
 
     def test_fitted_constant_at_most_2(self):
@@ -276,7 +275,7 @@ def oracle_box_grid_cutting(rel, a, r):
         x1, x2, y1, y2 = min(xs), max(xs), min(ys), max(ys)
         for j, (px, py) in enumerate(points):
             if (x1 <= px <= x2 and y1 <= py <= y2) != bool(fiber >> j & 1):
-                raise FamilyError(f"fiber {i} is not a rectangle point-set")
+                raise InputError(f"fiber {i} is not a rectangle point-set")
     n_fib = a.cardinality()
     xs = sorted({p[0] for p in points})
     ys = sorted({p[1] for p in points})
@@ -408,9 +407,9 @@ class TestBoxGridCutting:
             r = rng.choice([2, 3, 5, 8])
             try:
                 expected, path = oracle_box_grid_cutting(rel, a, r)
-            except FamilyError as exc:
+            except InputError as exc:
                 outcomes["rejected"] += 1
-                with pytest.raises(FamilyError) as raised:
+                with pytest.raises(InputError) as raised:
                     box_grid_cutting(rel, a, r)
                 assert str(raised.value) == str(exc), trial
                 continue
@@ -460,12 +459,12 @@ class TestBoxGridCutting:
         u = Universe("rects", 1)
         v = Universe("points", 4, tuple(f"{x},{y}" for x, y in points))
         rel = FiniteRelation2(u, v, [0b1001])  # diagonal pair, not a box
-        with pytest.raises(FamilyError, match="rectangle"):
+        with pytest.raises(InputError, match="rectangle"):
             box_grid_cutting(rel, Subset.full(u), 2)
 
     def test_missing_coordinates_rejected(self):
         rel = identity_matching(4)
-        with pytest.raises(FamilyError, match="label"):
+        with pytest.raises(InputError, match="label"):
             box_grid_cutting(rel, Subset.full(rel.u), 2)
 
 

@@ -113,7 +113,7 @@ class TestTokenCap:
         k = self.deepest(shape)
         expr = parse(shape(k))
         grid = [-1, 0, 1, 2, 3]
-        rel, _ = instantiate3(expr, *[GridSpec.explicit(grid)] * 3)
+        rel, _ = instantiate3(expr, *[GridSpec("explicit", values=tuple(grid))] * 3)
         assert rel.triples == tuple(brute_force_triples(expr, grid, grid, grid))
         with pytest.raises(SyntaxError_, match="longer than"):
             parse(shape(k + 1))
@@ -121,30 +121,30 @@ class TestTokenCap:
 
 class TestGrids:
     def test_range(self):
-        assert GridSpec.range_(0, 4).resolve() == [0, 1, 2, 3]
-        assert GridSpec.range_(2, 10, 3).resolve() == [2, 5, 8]
+        assert GridSpec("range", 0, 4).resolve() == [0, 1, 2, 3]
+        assert GridSpec("range", 2, 10, 3).resolve() == [2, 5, 8]
 
     def test_geometric(self):
-        assert GridSpec.geometric(2, 5).resolve() == [1, 2, 4, 8, 16]
+        assert GridSpec("geometric", base=2, count=5).resolve() == [1, 2, 4, 8, 16]
 
     def test_explicit_distinct(self):
         with pytest.raises(InputError):
-            GridSpec.explicit([1, 1, 2]).resolve()
+            GridSpec("explicit", values=(1, 1, 2)).resolve()
 
     def test_random_reproducible_and_distinct(self):
-        a = GridSpec.random_(5, 10, 0, 100).resolve()
-        b = GridSpec.random_(5, 10, 0, 100).resolve()
+        a = GridSpec("random", 0, 100, count=10, seed=5).resolve()
+        b = GridSpec("random", 0, 100, count=10, seed=5).resolve()
         assert a == b
         assert len(set(a)) == 10
 
     def test_random_range_too_small(self):
         with pytest.raises(InputError):
-            GridSpec.random_(5, 10, 0, 3).resolve()
+            GridSpec("random", 0, 3, count=10, seed=5).resolve()
 
     def test_full_mod_needs_modulus(self):
-        assert GridSpec.full_mod().resolve(5) == [0, 1, 2, 3, 4]
+        assert GridSpec("full_mod").resolve(5) == [0, 1, 2, 3, 4]
         with pytest.raises(InputError):
-            GridSpec.full_mod().resolve(None)
+            GridSpec("full_mod").resolve(None)
 
     def test_unknown_kind_refused(self):
         with pytest.raises(InputError, match="^unknown grid kind 'bogus'$"):
@@ -156,6 +156,11 @@ class TestGrids:
         assert parse_grid("list:5,1,9").resolve() == [5, 1, 9]
         assert parse_grid("rand:4:0:50", seed=9).resolve() == parse_grid("rand:4:0:50", seed=9).resolve()
         assert parse_grid("fullmod").kind == "full_mod"
+        assert parse_grid("range:0:8:2") == GridSpec("range", 0, 8, 2)
+        assert parse_grid("geom:3:3") == GridSpec("geometric", base=3, count=3)
+        assert parse_grid("list:5,1,9") == GridSpec("explicit", values=(5, 1, 9))
+        assert parse_grid("rand:4:0:50", seed=9) == GridSpec("random", 0, 50, count=4, seed=9)
+        assert parse_grid("fullmod") == GridSpec("full_mod")
         with pytest.raises(InputError):
             parse_grid("range:0:8")
         with pytest.raises(InputError):
@@ -163,11 +168,12 @@ class TestGrids:
 
     def test_random_span_up_to_maxsize(self):
         # random.sample takes the len() of its range, which stops at sys.maxsize
-        assert GridSpec.random_(1, 3, 0, sys.maxsize - 1).resolve() == random.Random(1).sample(range(sys.maxsize), 3)
+        drawn = GridSpec("random", 0, sys.maxsize - 1, count=3, seed=1).resolve()
+        assert drawn == random.Random(1).sample(range(sys.maxsize), 3)
         with pytest.raises(InputError, match="more than"):
-            GridSpec.random_(1, 3, 0, sys.maxsize).resolve()
+            GridSpec("random", 0, sys.maxsize, count=3, seed=1).resolve()
         with pytest.raises(InputError, match="--seed is mandatory"):
-            GridSpec.random_(None, 3, 0, 9).resolve()
+            GridSpec("random", 0, 9, count=3, seed=None).resolve()
 
 
 class TestGridBudget:
@@ -175,32 +181,32 @@ class TestGridBudget:
         rng = random.Random(4)
         for _ in range(400):
             lo, hi, step = rng.randint(-9, 9), rng.randint(-9, 9), rng.choice([-4, -3, -1, 1, 2, 5])
-            assert GridSpec.range_(lo, hi, step).size() == len(range(lo, hi, step))
+            assert GridSpec("range", lo, hi, step).size() == len(range(lo, hi, step))
         for grid in (
-            GridSpec.geometric(3, 6),
-            GridSpec.geometric(3, 0),
-            GridSpec.explicit([4, 1, 7]),
-            GridSpec.random_(5, 10, 0, 100),
+            GridSpec("geometric", base=3, count=6),
+            GridSpec("geometric", base=3, count=0),
+            GridSpec("explicit", values=(4, 1, 7)),
+            GridSpec("random", 0, 100, count=10, seed=5),
         ):
             assert grid.size() == len(grid.resolve())
-        assert GridSpec.full_mod().size(13) == len(GridSpec.full_mod().resolve(13)) == 13
-        assert GridSpec.range_(0, 10**30).size() == 10**30  # no OverflowError
+        assert GridSpec("full_mod").size(13) == len(GridSpec("full_mod").resolve(13)) == 13
+        assert GridSpec("range", 0, 10**30).size() == 10**30  # no OverflowError
 
     def test_geometric_bit_cap(self):
         # bits(base)·count·(count-1)/2 + count, a bound on the grid's total bits,
         # may reach MAX_GRID_BITS, no more: geom:2:4096 and geom:3:4096 sit on it
         for base in (2, 3):
-            grid = GridSpec.geometric(base, 4096)
+            grid = GridSpec("geometric", base=base, count=4096)
             assert grid.size() == 4096
             assert sum(value.bit_length() for value in grid.resolve()) <= MAX_GRID_BITS
         refused = ((2, 4097), (3, 4097), (2, 16384), (2, 65536), (3, 41349))
         for base, count in (*refused, (2, MAX_VALUE_BITS + 1), (3, 41350), (2**100, 700), (2, 10**6)):
             with pytest.raises(BudgetError, match="geometric grid"):
-                GridSpec.geometric(base, count).size()
+                GridSpec("geometric", base=base, count=count).size()
 
     def test_refused_before_any_grid_is_built(self):
-        small = GridSpec.range_(0, 10)
-        huge = GridSpec.range_(0, 10**30)  # resolving it would never finish
+        small = GridSpec("range", 0, 10)
+        huge = GridSpec("range", 0, 10**30)  # resolving it would never finish
         expr = parse("x^2*y^2*z^2 = 1 mod 89")  # nothing solved: 10^3 free points
         with pytest.raises(BudgetError, match="points to evaluate"):
             instantiate3(expr, small, small, small, budget_cells=999)
@@ -262,20 +268,19 @@ def brute_force_triples(expr, vx, vy, vz):
 class TestInstantiate3:
     def test_sum_0_3(self):
         rel, maps = instantiate3(
-            parse("x + y = z"), GridSpec.range_(0, 4), GridSpec.range_(0, 4), GridSpec.range_(0, 4)
+            parse("x + y = z"), GridSpec("range", 0, 4), GridSpec("range", 0, 4), GridSpec("range", 0, 4)
         )
         assert len(rel) == 10
         assert rel.triples == tuple(brute_force_triples(parse("x + y = z"), *[maps[v] for v in "xyz"]))
 
     def test_units_mod_7(self):
-        grids = [GridSpec.explicit(range(1, 7))] * 3
+        grids = [GridSpec("explicit", values=tuple(range(1, 7)))] * 3
         rel, _ = instantiate3(parse("x*y*z = 1 mod 7"), *grids)
         assert len(rel) == 36
 
     def test_singleton(self):
-        rel, _ = instantiate3(
-            parse("x + y = z"), GridSpec.explicit([0]), GridSpec.explicit([0]), GridSpec.explicit([0])
-        )
+        zero = GridSpec("explicit", values=(0,))
+        rel, _ = instantiate3(parse("x + y = z"), zero, zero, zero)
         assert rel.triples == ((0, 0, 0),)
 
     def test_matches_brute_force_on_general_forms(self):
@@ -285,11 +290,11 @@ class TestInstantiate3:
         for text in exprs:
             expr = parse(text)
             vals = [sorted(rng.sample(range(-6, 12), 5)) for _ in range(3)]
-            rel, maps = instantiate3(expr, *[GridSpec.explicit(v) for v in vals])
+            rel, maps = instantiate3(expr, *[GridSpec("explicit", values=tuple(v)) for v in vals])
             assert rel.triples == tuple(brute_force_triples(expr, *vals))
 
     def test_commutative_source_permutation(self):
-        grids = [GridSpec.range_(0, 6)] * 3
+        grids = [GridSpec("range", 0, 6)] * 3
         rel_a, _ = instantiate3(parse("x + y = z"), *grids)
         rel_b, _ = instantiate3(parse("y + x = z"), *grids)
         assert rel_a.triples == rel_b.triples
@@ -297,19 +302,19 @@ class TestInstantiate3:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError, match="empty"):
             instantiate3(
-                parse("x + y = z"), GridSpec.range_(0, 0), GridSpec.range_(0, 4), GridSpec.range_(0, 4)
+                parse("x + y = z"), GridSpec("range", 0, 0), GridSpec("range", 0, 4), GridSpec("range", 0, 4)
             )
 
     def test_fullmod_without_modulus_rejected(self):
         with pytest.raises(InputError):
-            instantiate3(parse("x + y = z"), GridSpec.full_mod(), GridSpec.full_mod(), GridSpec.full_mod())
+            instantiate3(parse("x + y = z"), GridSpec("full_mod"), GridSpec("full_mod"), GridSpec("full_mod"))
 
     def test_bijective_in_z_has_unique_z_per_pair(self):
         rel, _ = instantiate3(
             parse("x^2 + y^3 = z"),
-            GridSpec.range_(0, 8),
-            GridSpec.range_(0, 8),
-            GridSpec.range_(0, 64),
+            GridSpec("range", 0, 8),
+            GridSpec("range", 0, 8),
+            GridSpec("range", 0, 64),
         )
         seen = {}
         for i, j, k in rel.triples:
@@ -320,9 +325,9 @@ class TestInstantiate3:
         # values around 2^200; any fixed-width arithmetic would overflow
         rel, _ = instantiate3(
             parse("x*y = z"),
-            GridSpec.geometric(2, 101),
-            GridSpec.geometric(2, 101),
-            GridSpec.explicit([2**200]),
+            GridSpec("geometric", base=2, count=101),
+            GridSpec("geometric", base=2, count=101),
+            GridSpec("explicit", values=(2**200,)),
         )
         # 2^i * 2^j = 2^200 with i, j <= 100 forces i = j = 100
         assert set(rel.triples) == {(100, 100, 0)}
@@ -372,7 +377,7 @@ class TestCompiledEvaluatorFuzz:
             expr = self.random_expr(rng, TERNARY_VARS)
             seen.add(lone_variable(expr))
             vals = [random_grid(rng, expr.modulus) for _ in range(3)]
-            rel, maps = instantiate3(expr, *[GridSpec.explicit(v) for v in vals])
+            rel, maps = instantiate3(expr, *[GridSpec("explicit", values=tuple(v)) for v in vals])
             assert maps == dict(zip(TERNARY_VARS, vals))
             assert rel.triples == tuple(brute_force_triples(expr, *vals)), expr
         assert seen == {"x", "y", "z", None}
@@ -384,7 +389,7 @@ class TestCompiledEvaluatorFuzz:
             expr = self.random_expr(rng, BINARY_VARS)
             seen.add(lone_variable(expr))
             vy, vz = random_grid(rng, expr.modulus), random_grid(rng, expr.modulus)
-            rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
+            rel = instantiate2(expr, GridSpec("explicit", values=tuple(vy)), GridSpec("explicit", values=tuple(vz)))
             rows = [0] * len(vy)
             for j, b in enumerate(vy):
                 for k, c in enumerate(vz):
@@ -430,7 +435,7 @@ class TestLoopNest:
         for vx, vy, vz in self.GRIDS:
             rows, points = self.rows_of(expr, TERNARY_VARS, dict(zip(TERNARY_VARS, (vx, vy, vz))))
             assert max(map(len, rows)) <= 8192 and [v for row in rows for v in row] == points
-            rel, _ = instantiate3(expr, *map(GridSpec.explicit, (vx, vy, vz)))
+            rel, _ = instantiate3(expr, *(GridSpec("explicit", values=tuple(v)) for v in (vx, vy, vz)))
             assert rel.triples == tuple(brute_force_triples(expr, vx, vy, vz)), text
 
     @pytest.mark.parametrize("modulus", [None, 7])
@@ -440,7 +445,7 @@ class TestLoopNest:
         vy, vz = [-3, 4, 0], list(range(-2, 8191))
         rows, points = self.rows_of(expr, BINARY_VARS, {"y": vy, "z": vz})
         assert max(map(len, rows)) <= 8192 and [v for row in rows for v in row] == points
-        rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
+        rel = instantiate2(expr, GridSpec("explicit", values=tuple(vy)), GridSpec("explicit", values=tuple(vz)))
         pairs = [(j, k) for j, b in enumerate(vy) for k, c in enumerate(vz) if holds(expr, {"y": b, "z": c})]
         assert sorted((j, k) for j, row in enumerate(rel.rows) for k in range(len(vz)) if row >> k & 1) == pairs
 
@@ -550,11 +555,11 @@ class TestLinearSolve:
             grids = self.random_grids(rng, names, expr.modulus)
             kinds |= self.kinds(expr, v, grids)
             if names == TERNARY_VARS:
-                rel, _ = instantiate3(expr, *map(GridSpec.explicit, grids))
+                rel, _ = instantiate3(expr, *(GridSpec("explicit", values=tuple(v)) for v in grids))
                 assert rel.triples == tuple(brute_force_triples(expr, *grids)), expr
             else:
                 vy, vz = grids
-                rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
+                rel = instantiate2(expr, GridSpec("explicit", values=tuple(vy)), GridSpec("explicit", values=tuple(vz)))
                 pairs = [(j, k) for j, b in enumerate(vy) for k, c in enumerate(vz) if holds(expr, {"y": b, "z": c})]
                 got = [(j, k) for j, row in enumerate(rel.rows) for k in range(len(vz)) if row >> k & 1]
                 assert got == pairs, expr
@@ -580,7 +585,7 @@ class TestLinearSolve:
     def test_hand_counted_roots(self, text, count):
         expr = parse(text)
         m = expr.modulus or 12
-        grid = GridSpec.explicit(range(m))
+        grid = GridSpec("explicit", values=tuple(range(m)))
         rel, _ = instantiate3(expr, grid, grid, grid)
         assert len(rel) == count
         assert rel.triples == tuple(brute_force_triples(expr, *[range(m)] * 3))
@@ -591,7 +596,7 @@ class TestLinearSolve:
         expr = parse("(y - y)*z + x = 0 mod 1000000007")
         assert _solved(expr)[:2] == ("z", None)
         start = time.perf_counter()
-        rel, _ = instantiate3(expr, GridSpec.range_(0, 3), GridSpec.range_(0, 3), GridSpec.range_(0, 50))
+        rel, _ = instantiate3(expr, GridSpec("range", 0, 3), GridSpec("range", 0, 3), GridSpec("range", 0, 50))
         assert time.perf_counter() - start < 1.0
         assert rel.triples == tuple((0, j, k) for j in range(3) for k in range(50))
 
@@ -631,12 +636,12 @@ class TestJoin:
             constant += constant_side and solved == v
             grids = TestLinearSolve.random_grids(rng, names, expr.modulus)
             if names == TERNARY_VARS:
-                rel, _ = instantiate3(expr, *map(GridSpec.explicit, grids))
+                rel, _ = instantiate3(expr, *(GridSpec("explicit", values=tuple(v)) for v in grids))
                 expected = brute_force_triples(expr, *grids)
                 assert rel.triples == tuple(expected), expr
             else:
                 vy, vz = grids
-                rel = instantiate2(expr, GridSpec.explicit(vy), GridSpec.explicit(vz))
+                rel = instantiate2(expr, GridSpec("explicit", values=tuple(vy)), GridSpec("explicit", values=tuple(vz)))
                 expected = [(j, k) for j, b in enumerate(vy) for k, c in enumerate(vz) if holds(expr, {"y": b, "z": c})]
                 got = [(j, k) for j, row in enumerate(rel.rows) for k in range(len(vz)) if row >> k & 1]
                 assert got == expected, expr
@@ -676,7 +681,7 @@ def test_budget_charges(capsys, argv, budget, count, refusal):
 
 def test_points_stream_to_the_builder():
     # the 44,521 points reach build_relation3 a chunk at a time, not as one list of tuples
-    full = GridSpec.full_mod()
+    full = GridSpec("full_mod")
     tracemalloc.start()
     try:
         rel, _ = instantiate3(parse("x^200 + y^3 = z mod 211"), full, full, full)
@@ -702,7 +707,7 @@ class TestPowerBudget:
         ],
     )
     def test_bit_bound(self, text, refused):
-        grid = GridSpec.range_(0, 8)
+        grid = GridSpec("range", 0, 8)
         if refused:
             with pytest.raises(BudgetError, match="declare a modulus"):
                 instantiate3(parse(text), grid, grid, grid)
@@ -714,7 +719,7 @@ class TestPowerBudget:
 class TestInstantiate2:
     def test_identity(self):
         rel = instantiate2(
-            parse("y = z", variables=BINARY_VARS), GridSpec.range_(0, 5), GridSpec.range_(0, 5)
+            parse("y = z", variables=BINARY_VARS), GridSpec("range", 0, 5), GridSpec("range", 0, 5)
         )
         assert rel.edge_count == 5
         assert rel.rows == (1, 2, 4, 8, 16)
@@ -722,18 +727,18 @@ class TestInstantiate2:
     def test_inverse_matching_mod_7(self):
         rel = instantiate2(
             parse("y*z = 1 mod 7", variables=BINARY_VARS),
-            GridSpec.explicit(range(1, 7)),
-            GridSpec.explicit(range(1, 7)),
+            GridSpec("explicit", values=tuple(range(1, 7))),
+            GridSpec("explicit", values=tuple(range(1, 7))),
         )
         assert rel.edge_count == 6
         assert all(row.bit_count() == 1 for row in rel.rows)
 
     def test_unreachable_sum(self):
         rel = instantiate2(
-            parse("y + z = 100", variables=BINARY_VARS), GridSpec.range_(0, 5), GridSpec.range_(0, 5)
+            parse("y + z = 100", variables=BINARY_VARS), GridSpec("range", 0, 5), GridSpec("range", 0, 5)
         )
         assert rel.edge_count == 0
 
     def test_needs_binary_variables(self):
         with pytest.raises(InputError):
-            instantiate2(parse("x + y = z"), GridSpec.range_(0, 5), GridSpec.range_(0, 5))
+            instantiate2(parse("x + y = z"), GridSpec("range", 0, 5), GridSpec("range", 0, 5))

@@ -27,7 +27,7 @@ DEFINITIONS = st.one_of(
         lambda t: f"{t[0]} = {t[1]}{t[2]}"
     ),
 )
-TINY = GridSpec.range_(-2, 3)
+TINY = GridSpec("range", -2, 3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
