@@ -132,20 +132,22 @@ def _union(rows: list[dict[int, int]], xs: int) -> dict[int, int]:
 
 def _g_fibers(rel: FiniteRelation3) -> Iterator[tuple[list, dict, dict]]:
     """The one walk of F that G is read from: for each distinct x-set
-    X_yz = {x : (x,y,z) ∈ F}, its (y,z) pairs, its merged (y,y',z) fibers
-    {y': ∪_{x∈X_yz} F_{x,y'} as a Z mask} and its merged (z,z',y) fibers
-    {z': ∪_{x∈X_yz} F_{x,·,z'} as a Y mask}.  An x-set is a mask over x-run
-    ordinals, so it has at most |F| bits whatever |X| is."""
+    X_yz = {x : (x,y,z) ∈ F}, its (y,z) pairs packed as y·|Z| + z, its merged
+    (y,y',z) fibers {y': ∪_{x∈X_yz} F_{x,y'} as a Z mask} and its merged
+    (z,z',y) fibers {z': ∪_{x∈X_yz} F_{x,·,z'} as a Y mask}.  An x-set is a
+    mask over x-run ordinals, so it has at most |F| bits whatever |X| is."""
     nz = rel.z.size
-    z_rows, y_rows, x_sets = [], [], {}  # per x-run {y': Z mask}, {z': Y mask}; (y,z) -> X_yz
+    z_rows, y_rows, x_sets = [], [], {}  # per x-run {y': Z mask}, {z': Y mask}; packed (y,z) -> X_yz
     for t, (_, run) in enumerate(groupby(rel.axis_pairs(1), itemgetter(0))):
         z_rows.append(by_y := {})
         y_rows.append(by_z := {})
-        for j, k in (divmod(jk, nz) for _, jk in run):
+        bit = 1 << t
+        for _, jk in run:
+            j, k = divmod(jk, nz)
             by_y[j] = by_y.get(j, 0) | 1 << k
             by_z[k] = by_z.get(k, 0) | 1 << j
-            x_sets[(j, k)] = x_sets.get((j, k), 0) | 1 << t
-    classes: dict[int, list[tuple[int, int]]] = {}
+            x_sets[jk] = x_sets.get(jk, 0) | bit
+    classes: dict[int, list[int]] = {}
     for yz, xs in x_sets.items():
         classes.setdefault(xs, []).append(yz)
     for xs, pairs in classes.items():
@@ -159,7 +161,7 @@ def derive_g(rel: FiniteRelation3, budget_cells: int = DEFAULT_BUDGET_CELLS) -> 
     _charge(f"pair relation {u.size} x {v.size}", _cells(u.size, v.size), budget_cells)
     rows = [0] * u.size
     for pairs, zz, _ in _g_fibers(rel):
-        for j, k in pairs:
+        for j, k in map(divmod, pairs, repeat(nz)):
             base, shift = j * ny, k * nz
             for j2, mask in zz.items():
                 rows[base + j2] |= mask << shift

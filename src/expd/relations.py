@@ -108,6 +108,7 @@ def _check_rel2_cells(what: str, m: int, n: int) -> None:
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
+    """The positions of the set bits of bits >= 0, ascending."""
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
@@ -340,7 +341,8 @@ def count_grid3(rel: FiniteRelation3, a: Subset, b: Subset, c: Subset) -> int:
 #    "pairs": [[i,j],...]  or  "triples": [[i,j,k],...]}
 # Indices, never labels.  Readers reject out-of-range indices.  Writers join
 # the entries of one first index as text, a slice at a time; the bytes are
-# those of one sort_keys json.dumps.
+# those of one sort_keys json.dumps.  A rel2 writer makes each column's text
+# once when |V| is at most one slice.
 
 
 def _universe_from_obj(obj: dict) -> Universe:
@@ -385,7 +387,8 @@ def _write_relation(
     item, key = separators
     if isinstance(rel, FiniteRelation2):
         kind, field, universes = "rel2", "pairs", (rel.u, rel.v)
-        runs = ((i, map(str, _iter_bits(row))) for i, row in enumerate(rel.rows) if row)
+        text = list(map(str, range(rel.v.size))).__getitem__ if rel.v.size <= _CHUNK else str
+        runs = ((i, map(text, _iter_bits(row))) for i, row in enumerate(rel.rows) if row)
     else:
         kind, field, universes = "rel3", "triples", (rel.x, rel.y, rel.z)
         nz, pairs = rel.z.size, rel.axis_pairs(1)

@@ -23,7 +23,8 @@ from expd import (
     read_relation,
     write_relation,
 )
-from expd.relations import _CHUNK, MAX_FILE_CELLS, MAX_PAIR_BASE, _write_relation, relation_from_obj
+from expd.relations import _CHUNK, MAX_FILE_CELLS, MAX_PAIR_BASE, _iter_bits, _write_relation, relation_from_obj
+from expd.zarankiewicz import _first_bits
 
 
 def u(n, name="U"):
@@ -508,6 +509,30 @@ class TestSlicedBuild:
         assert peak < 1_500_000
 
 
+class TestIterBits:
+    """_iter_bits, and the prefix of it that _first_bits takes, against a
+    shift oracle."""
+
+    @staticmethod
+    def masks():
+        """(width, mask) with the mask's top bit at width - 1: seeded sparse and
+        dense masks up to the widest bench row, then single bits."""
+        rng = random.Random(35)
+        for width in (1, 2, 63, 64, 65, 1000, 6400):
+            for density in (0.01, 0.5):
+                yield width, int("1" + "".join("01"[rng.random() < density] for _ in range(width - 1)), 2)
+        yield 0, 0
+        for p in (0, 1, 63, 64, 6399):
+            yield p + 1, 1 << p
+
+    def test_matches_shift_oracle(self):
+        for width, bits in self.masks():
+            expected = [i for i in range(width) if bits >> i & 1]
+            assert list(_iter_bits(bits)) == expected, width
+            for count in (0, 1, 7, len(expected) + 1):
+                assert _first_bits(bits, count) == tuple(expected[:count])
+
+
 class TestPairUniverse:
     def test_size_squares(self):
         assert pair_universe(u(3)).size == 9
@@ -619,11 +644,14 @@ class TestStreamedWriter:
     @classmethod
     def long_runs(cls, rng):
         """Runs past one slice: a row of 20,000 bits, rows of 8,192 and 8,193
-        bits around an empty one, and an x-run of 20,000 triples."""
+        bits around an empty one, full rows of |V| = 8,192 and 8,193 (one text
+        per column, then one per entry), and an x-run of 20,000 triples."""
         v = cls.universe(rng, "V", 25000)
         yield build_relation2(u(1), v, ((0, j) for j in rng.sample(range(v.size), 20000)))
         rows = ((0, 8192), (2, 8193))
         yield build_relation2(u(3), u(9000, "V"), ((i, j) for i, n in rows for j in rng.sample(range(9000), n)))
+        for n in (_CHUNK, _CHUNK + 1):
+            yield FiniteRelation2(u(1), u(n, "V"), [(1 << n) - 1])
         x, y, z = u(2, "X"), cls.universe(rng, "Y", 200), u(150, "Z")
         yield build_relation3(x, y, z, ((1, *divmod(c, 150)) for c in rng.sample(range(30000), 20000)))
 
