@@ -122,7 +122,9 @@ def cylindrical_witness(
 
 
 def _union(rows: list[dict[int, int]], xs: int) -> dict[int, int]:
-    """The per-key unions of rows[t] over the run ordinals t in bit set xs."""
+    """The per-key unions of rows[t] over the run ordinals t in bit set xs; rows[t] itself if xs = {t}."""
+    if not xs & xs - 1:
+        return rows[xs.bit_length() - 1]
     merged: dict[int, int] = {}
     for t in _iter_bits(xs):
         for key, mask in rows[t].items():
@@ -135,7 +137,8 @@ def _g_fibers(rel: FiniteRelation3) -> Iterator[tuple[list, dict, dict]]:
     X_yz = {x : (x,y,z) ∈ F}, its (y,z) pairs packed as y·|Z| + z, its merged
     (y,y',z) fibers {y': ∪_{x∈X_yz} F_{x,y'} as a Z mask} and its merged
     (z,z',y) fibers {z': ∪_{x∈X_yz} F_{x,·,z'} as a Y mask}.  An x-set is a
-    mask over x-run ordinals, so it has at most |F| bits whatever |X| is."""
+    mask over x-run ordinals, so it has at most |F| bits whatever |X| is.  A
+    one-run x-set hands out that run's own fiber dicts: read them, never mutate them."""
     nz = rel.z.size
     z_rows, y_rows, x_sets = [], [], {}  # per x-run {y': Z mask}, {z': Y mask}; packed (y,z) -> X_yz
     for t, (_, run) in enumerate(groupby(rel.axis_pairs(1), itemgetter(0))):

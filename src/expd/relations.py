@@ -40,10 +40,11 @@ MAX_KEYS = 1 << 63
 # box), may not ask for a bit matrix of more cells than this.
 MAX_FILE_CELLS = 10**8
 
-# Entries per slice: build_relation3 packs keys, and the writer joins a run of
-# entries with one first index as text, this many at a time, so no more than
-# one slice is held at once.
+# Entries per slice: build_relation3 packs keys, the writer joins a run of
+# entries with one first index as text, and _iter_bits walks a mask, this many
+# at a time, so no more than one slice is held at once.
 _CHUNK = 8192
+_SLICE = (1 << _CHUNK) - 1
 
 # Default cap on the cells or points one operation may build or evaluate
 # (--budget-cells): pair matrices, flattened axes, DSL grid points, and n²
@@ -108,11 +109,19 @@ def _check_rel2_cells(what: str, m: int, n: int) -> None:
 
 
 def _iter_bits(bits: int) -> Iterator[int]:
-    """The positions of the set bits of bits >= 0, ascending."""
+    """The positions of the set bits of bits >= 0, ascending: a _CHUNK-bit slice at a time from
+    the bottom, each walked from its top bit down, so that every step works on a shrinking int of
+    at most _CHUNK bits whatever the width of bits, and one slice of positions is held."""
+    base = 0
     while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+        piece, bits = bits & _SLICE, bits >> _CHUNK
+        found = []
+        while piece:
+            top = piece.bit_length() - 1
+            found.append(base + top)
+            piece ^= 1 << top
+        yield from reversed(found)
+        base += _CHUNK
 
 
 @functools.lru_cache(maxsize=1)

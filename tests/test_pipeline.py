@@ -263,28 +263,44 @@ class TestDeriveG:
         assert g.edge_count == 1
         assert g.rows[1 * 3 + 1] == 1 << 2 * 3 + 2  # row-major pairs (i, j) <-> i*3 + j
 
-    def test_matches_quadruple_oracle_fuzz(self):
-        # TestGKernel's input mix: empty, dense and degree-bounded relations
-        rng = random.Random(37)
-        shared_x_sets = 0
+    @staticmethod
+    def draws(rng):
+        """TestGKernel's input mix (empty, dense and degree-bounded relations),
+        then twisted cyclic families, where every x-set X_yz is one x-run
+        (d = 1), and x^2 + y^2 = z mod p, where some X_yz holds two (d = 2)."""
         for trial in range(60):
             sizes = tuple(rng.randint(1, 6) for _ in range(3))
             if trial < 5:
-                rel = build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), [])
+                yield build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), [])
             elif trial % 2:
                 triples = {
                     tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(1, 80))
                 }
-                rel = build_relation3(
+                yield build_relation3(
                     u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), sorted(triples)
                 )
             else:
-                rel = random_delta_algebraic(rng, sizes, rng.randint(1, 3))
-            shared_x_sets += any(n > 1 for n in Counter(t[1:] for t in rel.triples).values())
+                yield random_delta_algebraic(rng, sizes, rng.randint(1, 3))
+        for n in range(1, 7):
+            twists = tuple(("seeded", rng.randrange(100)) for _ in range(3))
+            yield make_family(FamilySpec(kind="group_like", group=("cyclic", None), twists=twists)).build(n)
+        for p in (3, 5, 7):
+            yield make_family(FamilySpec(kind="dsl", expr=f"x^2 + y^2 = z mod {p}", grids=("fullmod",) * 3)).build(p)
+
+    def test_matches_quadruple_oracle_fuzz(self):
+        """derive_g and g_edge_count against the quadruple oracle, through both
+        branches of the G kernel: one-run x-sets, whose fiber dicts it hands
+        out as they are, and merged ones."""
+        seen = {"only_one_run": 0, "merged": 0}
+        for trial, rel in enumerate(self.draws(random.Random(37))):
+            x_set_sizes = Counter(t[1:] for t in rel.triples).values()
+            seen["only_one_run"] += max(x_set_sizes, default=0) == 1
+            seen["merged"] += max(x_set_sizes, default=0) > 1
             g = derive_g(rel)
-            assert g_edges_as_quadruples(g, sizes[1], sizes[2]) == brute_g_quadruples(rel), trial
-            assert g.edge_count == g_edge_count(rel)[0], trial
-        assert shared_x_sets >= 10  # some (y,z) lies over two or more x
+            assert g_edges_as_quadruples(g, rel.y.size, rel.z.size) == brute_g_quadruples(rel), trial
+            full = Subset.full(rel.y), Subset.full(rel.z)
+            assert g_edge_count(rel) == (g.edge_count, *TestGKernel.oracle(rel, *full)[1:]), trial
+        assert seen["only_one_run"] >= 10 and seen["merged"] >= 10
 
     def test_capacity_error(self):
         rel = mod_sum_relation(5)

@@ -516,21 +516,28 @@ class TestIterBits:
     @staticmethod
     def masks():
         """(width, mask) with the mask's top bit at width - 1: seeded sparse and
-        dense masks up to the widest bench row, then single bits."""
+        dense masks up to the widest bench row and around the _CHUNK-bit slices
+        the walk takes, single bits, then a mask whose lowest slice is empty."""
         rng = random.Random(35)
-        for width in (1, 2, 63, 64, 65, 1000, 6400):
+        draw = lambda width, density: int("1" + "".join("01"[rng.random() < density] for _ in range(width - 1)), 2)
+        for width in (1, 2, 63, 64, 65, 1000, 6400, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
             for density in (0.01, 0.5):
-                yield width, int("1" + "".join("01"[rng.random() < density] for _ in range(width - 1)), 2)
+                yield width, draw(width, density)
         yield 0, 0
-        for p in (0, 1, 63, 64, 6399):
+        for p in (0, 1, 63, 64, 6399, _CHUNK - 1, _CHUNK, 2 * _CHUNK):
             yield p + 1, 1 << p
+        yield 2 * _CHUNK + 1, draw(_CHUNK + 1, 0.5) << _CHUNK
 
     def test_matches_shift_oracle(self):
+        crossings = 0
         for width, bits in self.masks():
             expected = [i for i in range(width) if bits >> i & 1]
             assert list(_iter_bits(bits)) == expected, width
-            for count in (0, 1, 7, len(expected) + 1):
+            below = sum(i < _CHUNK for i in expected)  # a prefix of below + 1 crosses into the next slice
+            for count in (0, 1, 7, below + 1, len(expected) + 1):
                 assert _first_bits(bits, count) == tuple(expected[:count])
+            crossings += 0 < below < len(expected)
+        assert crossings >= 4
 
 
 class TestPairUniverse:
