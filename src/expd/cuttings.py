@@ -30,10 +30,12 @@ tried first and usually verifies at far fewer cells.
 The rectangle cutter works in rank space.  It maps the points to their x-
 and y-ranks once per point set V, kept until the next V, and keeps, per
 axis, the prefix bitmasks "rank below q", so the point set of any rank box
-is the AND of two prefix differences.  A fiber
-lies inside its rank bounding box, found by one walk over its points, so it
-is a rectangle point-set iff it equals that box.  A grid attempt tests each
+is the AND of two prefix differences.  A fiber lies inside its rank bounding
+box, found by bisecting the prefix masks (a fiber's share of them only grows
+with q), so it is a rectangle point-set iff it equals that box.  A grid
+attempt builds each cell as a column strip AND a row strip, and tests each
 fiber only against the cells its box spans, never against all of them.
+instances.rectangle_incidence builds its rows from the same prefix masks.
 The greedy cutter reads each point's trace over A from the relation's one
 transpose, relations._columns, which the K_{s,t} search shares.
 """
@@ -42,11 +44,12 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError, ParameterError
-from .relations import FiniteRelation2, Subset, Universe, _check_universe, _columns, _iter_bits
+from .relations import FiniteRelation2, Subset, Universe, _check_universe, _columns
 
 
 def crosses(fiber_bits: int, cell_bits: int) -> bool:
@@ -191,21 +194,17 @@ def _planar_points(v: Universe) -> list[tuple[int, int]]:
     return points
 
 
-def _rank(values: list[int]) -> tuple[list[int], int]:
-    """Each value's rank among the distinct values, and how many there are."""
+def _prefix_masks(values: list[int]) -> tuple[list[int], list[int]]:
+    """The distinct values in order, and masks[q] = the points whose value is
+    below the q-th of them, as bit vectors over the points."""
     distinct = sorted(set(values))
     rank_of = {v: q for q, v in enumerate(distinct)}
-    return [rank_of[v] for v in values], len(distinct)
-
-
-def _prefix_masks(ranks: list[int], k: int) -> list[int]:
-    """masks[q] = the points whose rank is below q, as a bit vector over V."""
-    masks = [0] * (k + 1)
-    for j, q in enumerate(ranks):
-        masks[q + 1] |= 1 << j
-    for q in range(k):
+    masks = [0] * (len(distinct) + 1)
+    for j, v in enumerate(values):
+        masks[rank_of[v] + 1] |= 1 << j
+    for q in range(len(distinct)):
         masks[q + 1] |= masks[q]
-    return masks
+    return distinct, masks
 
 
 class _RankPlane:
@@ -216,10 +215,9 @@ class _RankPlane:
     """
 
     def __init__(self, points: list[tuple[int, int]]):
-        self.rx, self.kx = _rank([p[0] for p in points])
-        self.ry, self.ky = _rank([p[1] for p in points])
-        self.below_x = _prefix_masks(self.rx, self.kx)
-        self.below_y = _prefix_masks(self.ry, self.ky)
+        _, self.below_x = _prefix_masks([p[0] for p in points])
+        _, self.below_y = _prefix_masks([p[1] for p in points])
+        self.kx, self.ky = len(self.below_x) - 1, len(self.below_y) - 1
 
     def box(self, x0: int, x1: int, y0: int, y1: int) -> int:
         bx, by = self.below_x, self.below_y
@@ -228,18 +226,21 @@ class _RankPlane:
     def fiber_boxes(self, rel: FiniteRelation2, a: Subset) -> list[tuple[tuple[int, ...], int]]:
         """(half-open rank bounding box, fiber) of every non-empty fiber of A.
 
-        A fiber lies inside its bounding box, so it is a rectangle point-set
-        iff it equals the box's point set.
+        below[q] & fiber only gains points as q grows, so each edge of the box
+        is a bisection of the prefix masks: the first q where it is non-empty
+        is one past the lowest rank, the first where it is the whole fiber one
+        past the highest.  A fiber lies inside its bounding box, so it is a
+        rectangle point-set iff it equals the box's point set.
         """
+        bx, by = self.below_x, self.below_y
         boxes = []
         for i in a.members():
             fiber = rel.rows[i]
-            members = list(_iter_bits(fiber))
-            if not members:
+            if not fiber:
                 continue
-            xs = [self.rx[j] for j in members]
-            ys = [self.ry[j] for j in members]
-            box = (min(xs), max(xs) + 1, min(ys), max(ys) + 1)
+            key = fiber.__and__
+            box = (bisect_left(bx, 1, key=key) - 1, bisect_left(bx, fiber, key=key),
+                   bisect_left(by, 1, key=key) - 1, bisect_left(by, fiber, key=key))
             if self.box(*box) != fiber:
                 raise InputError(f"fiber {i} is not a rectangle point-set")
             boxes.append((box, fiber))
@@ -251,22 +252,23 @@ class _RankPlane:
         exit; verify_cutting counts the crossings of the returned cover.
 
         Column cx holds the x-ranks [x_cuts[cx], x_cuts[cx + 1]), row cy
-        likewise.  A fiber can cross only the cells its box's chunk range
-        spans, so only those are tested.
+        likewise; each cell is its column strip AND its row strip, one prefix
+        difference per strip.  A fiber can cross only the cells its box's
+        chunk range spans, so only those are tested.
         """
+        bx, by = self.below_x, self.below_y
         x_chunk = [c for c in range(len(x_cuts) - 1) for _ in range(x_cuts[c], x_cuts[c + 1])]
         y_chunk = [c for c in range(len(y_cuts) - 1) for _ in range(y_cuts[c], y_cuts[c + 1])]
-        cells = [
-            [self.box(x_cuts[cx], x_cuts[cx + 1], y_cuts[cy], y_cuts[cy + 1])
-             for cy in range(len(y_cuts) - 1)]
-            for cx in range(len(x_cuts) - 1)
-        ]
+        strips_y = [by[hi] ^ by[lo] for lo, hi in zip(y_cuts, y_cuts[1:])]
+        cells = [[strip_x & strip_y for strip_y in strips_y]
+                 for strip_x in (bx[hi] ^ bx[lo] for lo, hi in zip(x_cuts, x_cuts[1:]))]
         counts = [[0] * len(column) for column in cells]
         for (x0, x1, y0, y1), fiber in boxes:
             for cx in range(x_chunk[x0], x_chunk[x1 - 1] + 1):
                 column, column_counts = cells[cx], counts[cx]
                 for cy in range(y_chunk[y0], y_chunk[y1 - 1] + 1):
-                    if crosses(fiber, column[cy]):
+                    cell = column[cy]
+                    if fiber & cell and cell & ~fiber:  # crosses(fiber, cell), inline
                         column_counts[cy] += 1
                         if column_counts[cy] > cap:
                             return None

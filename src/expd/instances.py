@@ -11,8 +11,10 @@ the rectangle machinery can recover geometry from the relation alone.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
+from .cuttings import _prefix_masks
 from .errors import InputError
 from .relations import FiniteRelation2, Universe, _check_rel2_cells, build_relation2
 
@@ -107,19 +109,21 @@ def rectangle_incidence(rects: list[tuple[int, int, int, int]], points: list[tup
     """Left = rectangles (x1, x2, y1, y2), right = planar points; fiber a = the
     points inside rect a, its corners included.
 
-    Point labels are "x,y" so downstream cutting code can recover coordinates.
+    Each row is read from the cutter's per-axis prefix masks: on each axis,
+    the points below the upper bound and not below the lower one, which is
+    empty for an inverted rectangle.  Point labels are "x,y" so downstream
+    cutting code can recover coordinates.
     """
     if len(set(points)) != len(points):
         raise InputError("planar points must be pairwise distinct")
     u = Universe("rects", len(rects))
     v = Universe("points", len(points), tuple(f"{x},{y}" for x, y in points))
-    rows = []
-    for x1, x2, y1, y2 in rects:
-        row = 0
-        for j, (x, y) in enumerate(points):
-            if x1 <= x <= x2 and y1 <= y <= y2:
-                row |= 1 << j
-        rows.append(row)
+    xs, bx = _prefix_masks([x for x, _ in points])
+    ys, by = _prefix_masks([y for _, y in points])
+    rows = [
+        bx[bisect_right(xs, x2)] & ~bx[bisect_left(xs, x1)] & by[bisect_right(ys, y2)] & ~by[bisect_left(ys, y1)]
+        for x1, x2, y1, y2 in rects
+    ]
     return FiniteRelation2(u, v, rows)
 
 

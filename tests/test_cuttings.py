@@ -392,6 +392,72 @@ class TestBoxGridCutting:
         assert covers == fresh
         assert covers[0] != covers[2]
 
+    def test_fiber_boxes_match_walk_oracle_fuzz(self):
+        """The bisected boxes equal the min and max of the ranks over each
+        fiber's points, on grids, on points with repeated coordinates (fewer
+        ranks than points) and on scattered points; single-point, full-plane
+        and empty fibers and fibers on rank 0 and k - 1 are always drawn, and a
+        fiber that is not a rectangle is refused by its index."""
+        rng = random.Random(83)
+        edges = Counter()
+        for trial in range(300):
+            kind = trial % 3
+            side = rng.randint(1, 12)
+            if kind == 0:
+                points = [(x, y) for x in range(side) for y in range(side)]
+            elif kind == 1:  # a few distinct x values, many y values, or the reverse
+                few, many = rng.randint(1, 3), rng.randint(1, 40)
+                points = list({(rng.randrange(few), rng.randrange(many)) for _ in range(rng.randint(1, 40))})
+                points = points if rng.random() < 0.5 else [(y, x) for x, y in points]
+            else:
+                points = list({(rng.randrange(10**6), rng.randrange(10**6)) for _ in range(rng.randint(1, 50))})
+            rng.shuffle(points)
+            xs, ys = sorted({x for x, _ in points}), sorted({y for _, y in points})
+            rects = [(xs[0], xs[-1], ys[0], ys[-1]), (xs[-1], xs[-1], ys[0], ys[0]), (1, 0, 1, 0)]
+            for _ in range(rng.randint(0, 25)):
+                x1, x2 = sorted(rng.choice(xs) for _ in range(2))
+                y1, y2 = sorted(rng.choice(ys) for _ in range(2))
+                rects.append((x1, x2, y1, y2))
+            rel = rectangle_incidence(rects, points)
+            rows = list(rel.rows)
+            bad = None
+            if rng.random() < 0.3:  # a box minus one point, or two opposite corners
+                bad = rng.randrange(len(rows))
+                row = rows[bad]
+                rows[bad] = row & (row - 1) if row.bit_count() > 2 else rng.getrandbits(len(points))
+            rel = FiniteRelation2(rel.u, rel.v, rows)
+            a = Subset(rel.u, rng.choice([(1 << len(rows)) - 1, rng.getrandbits(len(rows)) | 1]))
+            rank_x = {x: q for q, x in enumerate(xs)}
+            rank_y = {y: q for q, y in enumerate(ys)}
+            expected, failure = [], None
+            for i in a.members():
+                members = [points[j] for j in _iter_bits(rows[i])]
+                if not members:
+                    continue
+                box = (min(rank_x[x] for x, _ in members), max(rank_x[x] for x, _ in members) + 1,
+                       min(rank_y[y] for _, y in members), max(rank_y[y] for _, y in members) + 1)
+                inside = [j for j, (x, y) in enumerate(points)
+                          if box[0] <= rank_x[x] < box[1] and box[2] <= rank_y[y] < box[3]]
+                if sum(1 << j for j in inside) != rows[i]:
+                    failure = f"fiber {i} is not a rectangle point-set"
+                    break
+                expected.append((box, rows[i]))
+                edges["x0"] += box[0] == 0
+                edges["x1"] += box[1] == len(xs)
+                edges["y0"] += box[2] == 0
+                edges["y1"] += box[3] == len(ys)
+                edges["interior"] += 0 < box[0] and box[1] < len(xs)
+            plane = _rank_plane(rel.v)
+            if failure is None:
+                assert plane.fiber_boxes(rel, a) == expected, trial
+            else:
+                with pytest.raises(InputError) as raised:
+                    plane.fiber_boxes(rel, a)
+                assert str(raised.value) == failure, trial
+                edges["rejected"] += 1
+            edges["repeated"] += kind == 1 and (len(xs) < len(points) or len(ys) < len(points))
+        assert min(edges[key] for key in ("x0", "x1", "y0", "y1", "interior", "rejected", "repeated")) > 0, edges
+
     def test_matches_value_space_oracle_fuzz(self):
         rng = random.Random(79)
         outcomes = {"grid": 0, "fallback": 0, "rejected": 0}

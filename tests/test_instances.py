@@ -98,6 +98,44 @@ class TestRectangleInstances:
             inside = {p for p in points if x1 <= p[0] <= x2 and y1 <= p[1] <= y2}
             assert inside == set(members)
 
+    def test_matches_all_pairs_oracle(self):
+        """Rows read from prefix masks equal the test of every (rectangle,
+        point) pair, on seeded grids and scattered points, with rectangles
+        inverted, degenerate, partly outside the points or holding none."""
+        rng = random.Random(37)
+        for trial in range(200):
+            if trial % 2:
+                side = rng.randint(1, 12)
+                points = [(x, y) for x in range(side) for y in range(side)]
+            else:
+                side = rng.randint(1, 30)
+                points = list({(rng.randrange(side), rng.randrange(side)) for _ in range(rng.randint(1, 60))})
+                rng.shuffle(points)
+            rects = []
+            for _ in range(rng.randint(0, 30)):
+                x1, x2, y1, y2 = (rng.randint(-3, side + 2) for _ in range(4))
+                shape = rng.randrange(4)
+                if shape == 0:  # inverted on one axis or both
+                    x1, x2 = max(x1, x2) + rng.randint(0, 1), min(x1, x2)
+                    if rng.random() < 0.5:
+                        y1, y2 = max(y1, y2) + 1, min(y1, y2)
+                elif shape == 1:  # degenerate: a point, or a segment
+                    x2 = x1
+                    y2 = y1 if rng.random() < 0.5 else max(y1, y2)
+                    y1 = min(y1, y2)
+                else:  # well formed, often partly outside the points
+                    x1, x2 = sorted((x1, x2))
+                    y1, y2 = sorted((y1, y2))
+                rects.append((x1, x2, y1, y2))
+            rel = rectangle_incidence(rects, points)
+            oracle = [
+                sum(1 << j for j, (x, y) in enumerate(points) if x1 <= x <= x2 and y1 <= y <= y2)
+                for x1, x2, y1, y2 in rects
+            ]
+            assert list(rel.rows) == oracle, trial
+            inverted = [row for (x1, x2, y1, y2), row in zip(rects, rel.rows) if x1 > x2 or y1 > y2]
+            assert not any(inverted), trial
+
 
 class TestRandomBipartite:
     def test_exact_edge_count_and_reproducibility(self):
