@@ -34,8 +34,10 @@ is the AND of two prefix differences.  A fiber lies inside its rank bounding
 box, found by bisecting the prefix masks (a fiber's share of them only grows
 with q), so it is a rectangle point-set iff it equals that box.  A grid
 attempt builds each cell as a column strip AND a row strip, and tests each
-fiber only against the cells its box spans, never against all of them.
-instances.rectangle_incidence builds its rows from the same prefix masks.
+fiber only against the cells its box spans, never against all of them.  This
+is the one map of a planar point set to rank space; its masks are charged
+against the rel2 cell cap before they are built, and
+instances.rectangle_incidence reads its rows from the same cached plane.
 The greedy cutter reads each point's trace over A from the relation's one
 transpose, relations._columns, which the K_{s,t} search shares.
 """
@@ -44,12 +46,14 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Optional
 
 from .errors import InputError, ParameterError
-from .relations import FiniteRelation2, Subset, Universe, _check_universe, _columns
+from .relations import FiniteRelation2, Subset, Universe, _check_rel2_cells, _check_universe, _columns
 
 
 def crosses(fiber_bits: int, cell_bits: int) -> bool:
@@ -194,30 +198,34 @@ def _planar_points(v: Universe) -> list[tuple[int, int]]:
     return points
 
 
-def _prefix_masks(values: list[int]) -> tuple[list[int], list[int]]:
-    """The distinct values in order, and masks[q] = the points whose value is
-    below the q-th of them, as bit vectors over the points."""
-    distinct = sorted(set(values))
-    rank_of = {v: q for q, v in enumerate(distinct)}
-    masks = [0] * (len(distinct) + 1)
-    for j, v in enumerate(values):
-        masks[rank_of[v] + 1] |= 1 << j
-    for q in range(len(distinct)):
-        masks[q + 1] |= masks[q]
-    return distinct, masks
-
-
 class _RankPlane:
-    """The points of V in x/y-rank space with per-axis prefix bitmasks.
-
-    box(x0, x1, y0, y1) is the set of points whose x-rank lies in [x0, x1)
-    and whose y-rank lies in [y0, y1): the AND of two prefix differences.
+    """The points of V in x/y-rank space: xs and ys are the distinct
+    coordinates in order, below_x[q] the points whose x is below xs[q] (y
+    likewise), and the kx + ky + 2 masks of |V| bits are charged against the
+    rel2 cell cap before any is built.  box(x0, x1, y0, y1) is the set of
+    points whose x-rank lies in [x0, x1) and y-rank in [y0, y1).
     """
 
     def __init__(self, points: list[tuple[int, int]]):
-        _, self.below_x = _prefix_masks([p[0] for p in points])
-        _, self.below_y = _prefix_masks([p[1] for p in points])
-        self.kx, self.ky = len(self.below_x) - 1, len(self.below_y) - 1
+        self.xs, self.ys = (sorted({p[axis] for p in points}) for axis in (0, 1))
+        self.kx, self.ky = len(self.xs), len(self.ys)
+        _check_rel2_cells("rank plane", self.kx + self.ky + 2, len(points))
+        below = []
+        for axis, distinct in enumerate((self.xs, self.ys)):
+            rank_of = {c: q for q, c in enumerate(distinct)}
+            buckets = [0] * len(distinct)
+            for j, p in enumerate(points):
+                buckets[rank_of[p[axis]]] |= 1 << j
+            below.append(list(accumulate(buckets, or_, initial=0)))
+        self.below_x, self.below_y = below
+
+    def rect(self, x1: int, x2: int, y1: int, y2: int) -> int:
+        """The points inside the closed rectangle [x1, x2] x [y1, y2]: on each
+        axis, those below the upper bound and not below the lower one, which
+        is empty for an inverted rectangle (an XOR of the two would not be)."""
+        bx, by, xs, ys = self.below_x, self.below_y, self.xs, self.ys
+        return (bx[bisect_right(xs, x2)] & ~bx[bisect_left(xs, x1)]
+                & by[bisect_right(ys, y2)] & ~by[bisect_left(ys, y1)])
 
     def box(self, x0: int, x1: int, y0: int, y1: int) -> int:
         bx, by = self.below_x, self.below_y

@@ -5,16 +5,16 @@ an explicit seed.  seeded_rng builds every random stream of the package (these
 generators, the seeded twists and cylindrical noise of pipeline.py, and rand:
 grids), and require_seed refuses a missing seed: no path that draws falls
 back to a default.  Planar point universes carry coordinate labels "x,y" so
-the rectangle machinery can recover geometry from the relation alone.
+the rectangle machinery can recover geometry from the relation alone, and
+rectangle rows are read from the box cutter's rank plane of those points.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .cuttings import _prefix_masks
+from .cuttings import _rank_plane
 from .errors import InputError
 from .relations import FiniteRelation2, Universe, _check_rel2_cells, build_relation2
 
@@ -107,24 +107,14 @@ def random_interval_incidence(seed: int, n_intervals: int, n_points: int) -> Fin
 
 def rectangle_incidence(rects: list[tuple[int, int, int, int]], points: list[tuple[int, int]]) -> FiniteRelation2:
     """Left = rectangles (x1, x2, y1, y2), right = planar points; fiber a = the
-    points inside rect a, its corners included.
-
-    Each row is read from the cutter's per-axis prefix masks: on each axis,
-    the points below the upper bound and not below the lower one, which is
-    empty for an inverted rectangle.  Point labels are "x,y" so downstream
-    cutting code can recover coordinates.
+    points inside rect a, its corners included.  Point labels are "x,y", so
+    the points must be distinct integer pairs; each row is read from the box
+    cutter's cached rank plane of them, which cutting the instance reuses.
     """
-    if len(set(points)) != len(points):
-        raise InputError("planar points must be pairwise distinct")
     u = Universe("rects", len(rects))
     v = Universe("points", len(points), tuple(f"{x},{y}" for x, y in points))
-    xs, bx = _prefix_masks([x for x, _ in points])
-    ys, by = _prefix_masks([y for _, y in points])
-    rows = [
-        bx[bisect_right(xs, x2)] & ~bx[bisect_left(xs, x1)] & by[bisect_right(ys, y2)] & ~by[bisect_left(ys, y1)]
-        for x1, x2, y1, y2 in rects
-    ]
-    return FiniteRelation2(u, v, rows)
+    plane = _rank_plane(v)
+    return FiniteRelation2(u, v, [plane.rect(*rect) for rect in rects])
 
 
 def random_rectangle_incidence(seed: int, n_rects: int, grid_side: int) -> FiniteRelation2:
@@ -132,6 +122,7 @@ def random_rectangle_incidence(seed: int, n_rects: int, grid_side: int) -> Finit
     if n_rects < 0 or grid_side < 1:
         raise InputError(f"need >= 0 rectangles on a grid side >= 1, got {n_rects} on {grid_side}")
     _check_rel2_cells("rectangle instance", n_rects, grid_side * grid_side)
+    _check_rel2_cells("rank plane", 2 * grid_side + 2, grid_side * grid_side)
     rng = seeded_rng(seed)
     max_extent = max(1, grid_side // 4)
     points = [(x, y) for x in range(grid_side) for y in range(grid_side)]

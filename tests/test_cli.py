@@ -15,6 +15,7 @@ import time
 import pytest
 
 from expd import Universe, build_relation2, build_relation3, cli, pipeline, write_relation, zarankiewicz
+from expd.cuttings import _rank_plane
 from expd.errors import CapacityError, ExpdError, InputError
 from expd.instances import random_bipartite
 from expd.relations import _columns
@@ -177,6 +178,15 @@ class TestCertify:
         assert cli.main(["certify", "--pg", "31"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("pg:31,993,31776,31776,")
         info = _columns.cache_info()
+        assert info.misses == 1 and info.hits >= 1, info
+
+    def test_box_instance_and_its_cut_share_one_rank_plane(self, capsys):
+        # rectangle_incidence reads its rows from the plane the box cutter
+        # then looks up for the same point universe
+        _rank_plane.cache_clear()
+        assert cli.main(["cutting", "--box", "48:16", "--seed", "5", "--r", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(",ok")
+        info = _rank_plane.cache_info()
         assert info.misses == 1 and info.hits >= 1, info
 
     def test_bad_epsilon_exit_3(self):
@@ -642,7 +652,8 @@ def test_huge_numeric_flag_no_traceback(capsys, argv):
 
 
 # generated binary instances far above MAX_FILE_CELLS: uncapped, --pg hangs in
-# trial division and the others end in a MemoryError traceback
+# trial division and the others end in a MemoryError traceback; --box 1:1000
+# has 10^6 cells but its rank plane needs 2002 x 10^6 (about 40 s uncapped)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -650,8 +661,9 @@ def test_huge_numeric_flag_no_traceback(capsys, argv):
         ("cutting", "--identity", "100000000"),
         ("cutting", "--interval", "100000000:100000000", "--seed", "1"),
         ("cutting", "--box", "10:100000", "--seed", "1"),
+        ("cutting", "--box", "1:1000", "--seed", "1"),
     ],
-    ids=["certify-pg", "cutting-identity", "cutting-interval", "cutting-box"],
+    ids=["certify-pg", "cutting-identity", "cutting-interval", "cutting-box", "cutting-box-rank-plane"],
 )
 def test_generated_instance_over_cap_exit_4_before_building(argv):
     res = run_cli(*argv)

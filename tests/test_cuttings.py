@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from expd import (
+    CapacityError,
     CuttingCover,
     InputError,
     Subset,
@@ -13,6 +14,7 @@ from expd import (
     crosses,
     greedy_cutting,
     interval_cutting,
+    relations,
     verify_cutting,
 )
 from expd.instances import (
@@ -527,6 +529,27 @@ class TestBoxGridCutting:
         rel = FiniteRelation2(u, v, [0b1001])  # diagonal pair, not a box
         with pytest.raises(InputError, match="rectangle"):
             box_grid_cutting(rel, Subset.full(u), 2)
+
+    def test_rank_plane_charged_before_it_is_built(self, monkeypatch):
+        # 100 scattered points with distinct coordinates under 40 rectangles:
+        # 4,000 relation cells, but a plane of 202 masks x 100 bits
+        monkeypatch.setattr(relations, "MAX_FILE_CELLS", 10**4)
+        _rank_plane.cache_clear()
+        rng = random.Random(5)
+        xs, ys = rng.sample(range(10**6), 100), rng.sample(range(10**6), 100)
+        points = list(zip(xs, ys))
+        rows = []
+        for _ in range(40):
+            x1, x2 = sorted(rng.sample(xs, 2))
+            y1, y2 = sorted(rng.sample(ys, 2))
+            rows.append(sum(1 << j for j, (x, y) in enumerate(points) if x1 <= x <= x2 and y1 <= y <= y2))
+        labels = tuple(f"{x},{y}" for x, y in points)
+        rel = FiniteRelation2(Universe("rects", 40), Universe("points", 100, labels), rows)
+        with pytest.raises(CapacityError, match=r"^rank plane asks for 202 x 100 cells; cap is 10000$"):
+            box_grid_cutting(rel, Subset.full(rel.u), 2)
+        a = Subset(rel.u, 0b111)  # at most 8 trace classes: greedy returns them as its cells
+        cover = greedy_cutting(rel, a, 2)
+        assert verify_cutting(rel, a, 2, cover).valid
 
     def test_missing_coordinates_rejected(self):
         rel = identity_matching(4)

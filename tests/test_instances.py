@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from expd import InputError, Subset, build_relation2
+from expd import CapacityError, InputError, Subset, build_relation2, instances, relations
+from expd.cuttings import _rank_plane
 from expd.instances import (
     identity_matching,
     interval_incidence,
@@ -84,8 +85,23 @@ class TestRectangleInstances:
         assert rel.rows[0] == 0b011
 
     def test_duplicate_points_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="labels are not pairwise distinct"):
             rectangle_incidence([(0, 1, 0, 1)], [(0, 0), (0, 0)])
+
+    def test_non_integer_coordinate_rejected_at_build_time(self):
+        with pytest.raises(InputError, match=r"^point label '0\.5,1' is not of the form 'x,y'$"):
+            rectangle_incidence([(0, 1, 0, 1)], [(0, 0), (0.5, 1)])
+
+    def test_generated_rank_plane_charged_before_drawing(self, monkeypatch):
+        # the plane of a side-S grid holds 2S + 2 masks of S^2 bits: 34 x 256
+        # cells at S = 16 fit a cap of 10^4, 36 x 289 at S = 17 do not, and
+        # the generator refuses them before it draws or lists a point
+        monkeypatch.setattr(relations, "MAX_FILE_CELLS", 10**4)
+        _rank_plane.cache_clear()
+        assert random_rectangle_incidence(3, 4, 16).v.size == 256
+        monkeypatch.setattr(instances, "seeded_rng", lambda seed: pytest.fail("drew before the plane charge"))
+        with pytest.raises(CapacityError, match=r"^rank plane asks for 36 x 289 cells; cap is 10000$"):
+            random_rectangle_incidence(3, 4, 17)
 
     def test_random_fibers_match_geometry(self):
         rel = random_rectangle_incidence(21, 10, 8)
