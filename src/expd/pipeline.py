@@ -3,11 +3,12 @@ pair relation.
 
 For F ⊆ X×Y×Z the operations here compute, exactly:
 
-  * the per-pairing fiber maxima, read through FiniteRelation3.axis_pairs,
-    and the bounded degree d (every pair of coordinates determines the third
-    up to at most d values);
+  * the per-pairing fiber maxima, counted from the keys by
+    FiniteRelation3.fiber_max, and the bounded degree d (every pair of
+    coordinates determines the third up to at most d values);
   * complete k x k blocks after flattening one axis against the product of
-    the other two (the finite test for cylindricality);
+    the other two (the finite test for cylindricality), on the axes whose
+    fiber maximum reaches k: a k x k block has k rows over one column;
   * the derived relation on ordered pairs,
       G = {(y,y',z,z') : ∃x (x,y,z) ∈ F and (x,y',z') ∈ F},
     viewed as a bipartite relation over Y² x Z²;
@@ -73,9 +74,7 @@ class DeltaDegree:
 def pairing_maxima(rel: FiniteRelation3) -> tuple[int, int, int]:
     """The most triples of F sharing an (x,y), an (x,z) and a (y,z) pair: the
     largest fibers of axes 3, 2 and 1 over the pairs of the other two."""
-    return tuple(
-        max(Counter(map(itemgetter(1), rel.axis_pairs(axis))).values(), default=0) for axis in (3, 2, 1)
-    )
+    return tuple(rel.fiber_max(axis) for axis in (3, 2, 1))
 
 
 def delta_degree(rel: FiniteRelation3, threshold: int) -> DeltaDegree:
@@ -106,13 +105,16 @@ def cylindrical_witness(
     rel: FiniteRelation3, k: int, budget_cells: int = DEFAULT_BUDGET_CELLS
 ) -> Optional[CylindricalWitness]:
     """First complete k x k block between an axis and the product of the other
-    two, scanning axes 1, 2, 3 in order; None when every split is K_{k,k}-free."""
+    two, scanning axes 1, 2, 3 in order; None when every split is K_{k,k}-free.
+    The budget is charged for a flattening first; then an axis whose fiber
+    maximum is below k has no k rows over one column, so it is never flattened."""
     if k < 2:
         raise ParameterError(f"cylindrical witness needs k >= 2, got {k}")
     _charge("each flattened axis relation", _cells(rel.x.size, rel.y.size, rel.z.size), budget_cells)
     for axis in (1, 2, 3):
-        flat = _axis_flatten(rel, axis)
-        witness = find_kst(flat, k, k)
+        if rel.fiber_max(axis) < k:
+            continue
+        witness = find_kst(_axis_flatten(rel, axis), k, k)
         if witness is not None:
             return CylindricalWitness(axis=axis, block=witness)
     return None

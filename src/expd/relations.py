@@ -4,8 +4,8 @@ A Universe is an indexed finite set 0..size-1, optionally carrying element
 labels.  Binary relations are stored as dense bit matrices (one Python int
 per left element, bit j set iff (i, j) is an edge); ternary relations as one
 sorted, duplicate-free array('q') of packed keys (i·|Y| + j)·|Z| + k, which
-other modules read only through FiniteRelation3.axis_pairs and restrict.  All
-counting here is pure integer arithmetic.
+other modules read only through FiniteRelation3.axis_pairs, restrict and
+fiber_max.  All counting here is pure integer arithmetic.
 
 Subsets of a universe are bit vectors.  Grid counts |E ∩ A×B| and
 |F ∩ A×B×C| (the size of a restriction) are exact and deterministic.
@@ -21,6 +21,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -167,9 +168,8 @@ class FiniteRelation2:
     def __init__(self, u: Universe, v: Universe, rows: Sequence[int]):
         if len(rows) != u.size:
             raise InputError(f"relation rows ({len(rows)}) do not match |{u.name}| = {u.size}")
-        mask = (1 << v.size) - 1
         for i, row in enumerate(rows):
-            if row < 0 or row & ~mask:
+            if row < 0 or row >> v.size:
                 raise InputError(f"row {i} has bits outside universe {v.name!r}")
         self.u = u
         self.v = v
@@ -233,6 +233,21 @@ class FiniteRelation3:
         if axis == 3:
             return ((key % nz, key // nz) for key in keys)
         raise InputError(f"axis must be 1, 2 or 3, got {axis!r}")
+
+    def fiber_max(self, axis: int) -> int:
+        """The largest fiber of axis 1, 2 or 3 over the pairs of the other two: the most triples
+        sharing the b of axis_pairs(axis), with b read from the keys by maps that run in C."""
+        keys, ny, nz = self.keys, self.y.size, self.z.size
+        if axis == 1:
+            cols = map(operator.mod, keys, repeat(ny * nz))
+        elif axis == 2:
+            xs = map(operator.mul, map(operator.floordiv, keys, repeat(ny * nz)), repeat(nz))
+            cols = map(operator.add, xs, map(operator.mod, keys, repeat(nz)))
+        elif axis == 3:
+            cols = map(operator.floordiv, keys, repeat(nz))
+        else:
+            raise InputError(f"axis must be 1, 2 or 3, got {axis!r}")
+        return max(Counter(cols).values(), default=0)
 
     def x_runs(self) -> Iterator[tuple[int, int, int]]:
         """(i, lo, hi) for each x = i present in F: keys[lo:hi] are its keys."""

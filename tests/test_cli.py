@@ -386,6 +386,19 @@ def test_pipeline3_single_column_flattening(tmp_path, capsys, monkeypatch):
     assert report["cylindrical_witness"] is None and report["checks_ok"] is True
 
 
+def test_pipeline3_searches_no_axis_below_k(capsys, monkeypatch):
+    # d = 1 < k = 2 on every axis: no flattening is searched, so no search node is spent
+    monkeypatch.setattr(zarankiewicz, "MAX_KST_NODES", 0)
+    assert cli.main(["pipeline3", "--family", "cyclic", "--twists", "seeded", "--seed", "1", "--n", "12"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["delta_degree"]["d"] == 1
+    assert report["cylindrical_witness"] is None and report["checks_ok"] is True
+    # x and -x share (y, z) when z = x² + y² mod 7: axis 1 reaches k = 2 and is still searched
+    fullmod = ("--grid-x", "fullmod", "--grid-y", "fullmod", "--grid-z", "fullmod")
+    assert cli.main(["pipeline3", "--expr", "x^2 + y^2 = z mod 7", *fullmod]) == 4
+    assert "K_2,2 search needs more than 0 nodes" in capsys.readouterr().err
+
+
 # malformed numbers and generator sizes on the command line
 DSL_FAMILY = ("count", "--family", "dsl", "--expr", "x + y = z", "--n", "3", "--grid-x")
 MALFORMED_ARGUMENTS = {

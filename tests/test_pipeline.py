@@ -27,7 +27,8 @@ from expd import (
     make_family,
 )
 from expd import pipeline
-from expd.pipeline import RelationFamily, _twist_map, pairing_maxima
+from expd.pipeline import CylindricalWitness, RelationFamily, _axis_flatten, _twist_map, pairing_maxima
+from expd.zarankiewicz import find_kst
 
 
 def u(n, name):
@@ -234,6 +235,108 @@ class TestCylindricalWitness:
     def test_budget(self):
         with pytest.raises(CapacityError):
             cylindrical_witness(mod_sum_relation(5), 2, budget_cells=10)
+
+
+def flatten_every_axis_witness(rel, k):
+    """Reference: the search with no fiber-maximum skip, every axis flattened and searched."""
+    for axis in (1, 2, 3):
+        block = find_kst(_axis_flatten(rel, axis), k, k)
+        if block is not None:
+            return CylindricalWitness(axis=axis, block=block)
+    return None
+
+
+def planted_block_relation(rng, k):
+    """A rows x cols block on a random axis, with rows in k-1..k+1, plus sparse noise."""
+    sizes = [rng.randint(k + 1, 6) for _ in range(3)]
+    axis = rng.randint(1, 3)
+    left = sizes[axis - 1]
+    others = [(a, b) for a in range(sizes[axis % 3]) for b in range(sizes[(axis + 1) % 3])]
+    rows = rng.sample(range(left), min(left, rng.randint(k - 1, k + 1)))
+    cols = rng.sample(others, rng.randint(k - 1, k + 1))
+    triples = set()
+    for r in rows:
+        for a, b in cols:
+            t = [0, 0, 0]
+            t[axis - 1], t[axis % 3], t[(axis + 1) % 3] = r, a, b
+            triples.add(tuple(t))
+    for _ in range(rng.randint(0, 6)):
+        triples.add(tuple(rng.randrange(n) for n in sizes))
+    return build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), sorted(triples))
+
+
+def shifted_sum_relation(rng, k):
+    """(x, y, x + y + s mod m) for s in a set of k-1..k+1 shifts: every pairing maximum is the
+    number of shifts."""
+    m = rng.randint(k + 1, 7)
+    shifts = rng.sample(range(m), rng.randint(k - 1, k + 1))
+    triples = [(x, y, (x + y + s) % m) for x in range(m) for y in range(m) for s in shifts]
+    return build_relation3(u(m, "X"), u(m, "Y"), u(m, "Z"), triples)
+
+
+class TestAxisSkip:
+    """cylindrical_witness skips an axis whose fiber maximum is below k; the
+    answer must be the one the search over every flattened axis gives."""
+
+    def test_matches_flattening_every_axis_fuzz(self):
+        seen = set()  # (k, m - k) for each axis maximum m within one of k
+        for seed in range(240):
+            rng = random.Random(seed)
+            k = 2 + seed % 3
+            kind = seed // 3 % 4
+            if kind == 0:
+                rel = planted_block_relation(rng, k)
+            elif kind == 1:
+                rel = shifted_sum_relation(rng, k)
+            elif kind == 2:
+                rel = mod_sum_relation(rng.randint(1, 7))
+            else:
+                sizes = (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+                rel = random_delta_algebraic(rng, sizes, rng.randint(k - 1, k + 1), attempts=rng.randint(0, 60))
+            maxima = tuple(rel.fiber_max(axis) for axis in (3, 2, 1))
+            assert maxima == pairing_maxima(rel) == brute_delta_maxima(rel)
+            seen.update((k, m - k) for m in maxima if abs(m - k) <= 1)
+            assert cylindrical_witness(rel, k) == flatten_every_axis_witness(rel, k)
+        assert seen == {(k, step) for k in (2, 3, 4) for step in (-1, 0, 1)}
+
+    @pytest.mark.parametrize("sizes", [(0, 0, 0), (1, 1, 1), (1, 4, 1), (3, 0, 2), (1, 1, 5), (4, 1, 1)])
+    def test_fiber_max_of_empty_and_size_one_universes(self, sizes):
+        empty = build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), [])
+        assert tuple(empty.fiber_max(axis) for axis in (3, 2, 1)) == brute_delta_maxima(empty) == (0, 0, 0)
+        full = build_relation3(
+            u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), itertools.product(*map(range, sizes))
+        )
+        assert tuple(full.fiber_max(axis) for axis in (3, 2, 1)) == brute_delta_maxima(full)
+        assert cylindrical_witness(full, 2) == flatten_every_axis_witness(full, 2)
+
+    @pytest.mark.parametrize("axis", [0, 4, "1", None])
+    def test_fiber_max_refuses_a_bad_axis(self, axis):
+        with pytest.raises(InputError, match=re.escape(f"axis must be 1, 2 or 3, got {axis!r}")):
+            mod_sum_relation(3).fiber_max(axis)
+
+    def test_no_axis_flattened_below_k(self, monkeypatch):
+        def refuse(rel, axis):
+            raise AssertionError(f"axis {axis} flattened")
+
+        monkeypatch.setattr(pipeline, "_axis_flatten", refuse)
+        assert cylindrical_witness(mod_sum_relation(7), 2) is None
+
+    def test_only_the_axis_reaching_k_is_flattened(self, monkeypatch):
+        # (x, z) = (0, 0) and (1, 1) each hold y = 0 and 1: axis 2's maximum is 2, the others' 1
+        rel = build_relation3(u(2, "X"), u(2, "Y"), u(2, "Z"), [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)])
+        assert pairing_maxima(rel) == (1, 2, 1)
+        flattened = []
+
+        def counting(rel, axis):
+            flattened.append(axis)
+            return _axis_flatten(rel, axis)
+
+        monkeypatch.setattr(pipeline, "_axis_flatten", counting)
+        witness = cylindrical_witness(rel, 2)
+        assert flattened == [2]
+        assert witness == flatten_every_axis_witness(rel, 2)
+        assert witness.axis == 2 and witness.block.s_side == (0, 1) and witness.block.t_side == (0, 3)
+        assert cylindrical_witness(rel, 3) is None and flattened == [2]
 
 
 class TestDeriveG:
