@@ -3,8 +3,8 @@ pair relation.
 
 For F ⊆ X×Y×Z the operations here compute, exactly:
 
-  * the per-pairing fiber maxima, counted from the keys by
-    FiniteRelation3.fiber_max, and the bounded degree d (every pair of
+  * the per-pairing fiber maxima, counted once per relation by
+    FiniteRelation3.pairing_maxima, and the bounded degree d (every pair of
     coordinates determines the third up to at most d values);
   * complete k x k blocks after flattening one axis against the product of
     the other two (the finite test for cylindricality), on the axes whose
@@ -71,17 +71,11 @@ class DeltaDegree:
     threshold: int
 
 
-def pairing_maxima(rel: FiniteRelation3) -> tuple[int, int, int]:
-    """The most triples of F sharing an (x,y), an (x,z) and a (y,z) pair: the
-    largest fibers of axes 3, 2 and 1 over the pairs of the other two."""
-    return tuple(rel.fiber_max(axis) for axis in (3, 2, 1))
-
-
 def delta_degree(rel: FiniteRelation3, threshold: int) -> DeltaDegree:
-    """Exact pairing maxima by full enumeration; d if all are <= threshold."""
+    """The exact pairing maxima of rel (FiniteRelation3.pairing_maxima); d if all are <= threshold."""
     if threshold < 1:
         raise ParameterError(f"threshold must be >= 1, got {threshold}")
-    maxima = pairing_maxima(rel)
+    maxima = rel.pairing_maxima
     d = max(maxima) if all(m <= threshold for m in maxima) else None
     return DeltaDegree(d=d, pairing_maxima=maxima, threshold=threshold)
 
@@ -106,13 +100,14 @@ def cylindrical_witness(
 ) -> Optional[CylindricalWitness]:
     """First complete k x k block between an axis and the product of the other
     two, scanning axes 1, 2, 3 in order; None when every split is K_{k,k}-free.
-    The budget is charged for a flattening first; then an axis whose fiber
-    maximum is below k has no k rows over one column, so it is never flattened."""
+    The budget is charged for a flattening first.  Then an axis a whose fiber
+    maximum rel.pairing_maxima[3 - a] is below k has no k rows over one column,
+    so it is never flattened."""
     if k < 2:
         raise ParameterError(f"cylindrical witness needs k >= 2, got {k}")
     _charge("each flattened axis relation", _cells(rel.x.size, rel.y.size, rel.z.size), budget_cells)
     for axis in (1, 2, 3):
-        if rel.fiber_max(axis) < k:
+        if rel.pairing_maxima[3 - axis] < k:
             continue
         witness = find_kst(_axis_flatten(rel, axis), k, k)
         if witness is not None:
@@ -224,9 +219,9 @@ def cauchy_schwarz_check(
     law holds.  The three inequalities are tested in exact integer arithmetic
     (squared forms); the reported rhs is the float evaluation for humans.
     """
-    per_x = [hi - lo for _, lo, hi in rel.restrict(a, b, c).x_runs()]
     if d < 0:
         raise ParameterError(f"the bounded degree d must be >= 0, got {d}")
+    per_x = [hi - lo for _, lo, hi in rel.restrict(a, b, c).x_runs()]
     f_count = sum(per_x)
     w_count = sum(v * v for v in per_x)
     g_count, max_zz, max_yy = g_edge_count(rel, b, c)

@@ -5,7 +5,7 @@ labels.  Binary relations are stored as dense bit matrices (one Python int
 per left element, bit j set iff (i, j) is an edge); ternary relations as one
 sorted, duplicate-free array('q') of packed keys (i·|Y| + j)·|Z| + k, which
 other modules read only through FiniteRelation3.axis_pairs, restrict and
-fiber_max.  All counting here is pure integer arithmetic.
+pairing_maxima.  All counting here is pure integer arithmetic.
 
 Subsets of a universe are bit vectors.  Grid counts |E ∩ A×B| and
 |F ∩ A×B×C| (the size of a restriction) are exact and deterministic.
@@ -198,20 +198,20 @@ class FiniteRelation3:
     and sorts and deduplicates them.
     """
 
-    __slots__ = ("x", "y", "z", "keys")
+    __slots__ = ("x", "y", "z", "keys", "_maxima")
 
     def __init__(self, x: Universe, y: Universe, z: Universe, keys: Iterable[int]):
         keys = sorted(keys)  # linear when the keys arrive sorted
         if any(map(operator.eq, keys, islice(keys, 1, None))):
             keys = sorted(set(keys))
-        self.x, self.y, self.z, self.keys = x, y, z, array("q", keys)
+        self.x, self.y, self.z, self.keys, self._maxima = x, y, z, array("q", keys), None
 
     @classmethod
     def _from_increasing(cls, x: Universe, y: Universe, z: Universe, keys: array) -> "FiniteRelation3":
         """The relation whose keys are keys, a strictly increasing array('q') (build_relation3's
         ordered keys or a subsequence of a relation's), kept with no sort and no copy."""
         rel = object.__new__(cls)
-        rel.x, rel.y, rel.z, rel.keys = x, y, z, keys
+        rel.x, rel.y, rel.z, rel.keys, rel._maxima = x, y, z, keys, None
         return rel
 
     def __len__(self) -> int:
@@ -234,20 +234,18 @@ class FiniteRelation3:
             return ((key % nz, key // nz) for key in keys)
         raise InputError(f"axis must be 1, 2 or 3, got {axis!r}")
 
-    def fiber_max(self, axis: int) -> int:
-        """The largest fiber of axis 1, 2 or 3 over the pairs of the other two: the most triples
-        sharing the b of axis_pairs(axis), with b read from the keys by maps that run in C."""
-        keys, ny, nz = self.keys, self.y.size, self.z.size
-        if axis == 1:
-            cols = map(operator.mod, keys, repeat(ny * nz))
-        elif axis == 2:
-            xs = map(operator.mul, map(operator.floordiv, keys, repeat(ny * nz)), repeat(nz))
-            cols = map(operator.add, xs, map(operator.mod, keys, repeat(nz)))
-        elif axis == 3:
-            cols = map(operator.floordiv, keys, repeat(nz))
-        else:
-            raise InputError(f"axis must be 1, 2 or 3, got {axis!r}")
-        return max(Counter(cols).values(), default=0)
+    @property
+    def pairing_maxima(self) -> tuple[int, int, int]:
+        """The most triples sharing an (x,y), an (x,z) and a (y,z) pair: the largest fibers of
+        axes 3, 2 and 1 over the pairs of the other two, read from the keys by maps that run in
+        C.  Counted on first read and kept, since the relation never changes."""
+        if self._maxima is None:
+            keys, nyz, nz = self.keys, self.y.size * self.z.size, self.z.size
+            xs = map(operator.mul, map(operator.floordiv, keys, repeat(nyz)), repeat(nz))
+            xz = map(operator.add, xs, map(operator.mod, keys, repeat(nz)))
+            pairs = (map(operator.floordiv, keys, repeat(nz)), xz, map(operator.mod, keys, repeat(nyz)))
+            self._maxima = tuple(max(Counter(cols).values(), default=0) for cols in pairs)
+        return self._maxima
 
     def x_runs(self) -> Iterator[tuple[int, int, int]]:
         """(i, lo, hi) for each x = i present in F: keys[lo:hi] are its keys."""

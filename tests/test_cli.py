@@ -11,10 +11,11 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
-from expd import Universe, build_relation2, build_relation3, cli, pipeline, write_relation, zarankiewicz
+from expd import Universe, build_relation2, build_relation3, cli, pipeline, relations, write_relation, zarankiewicz
 from expd.cuttings import _rank_plane
 from expd.errors import CapacityError, ExpdError, InputError
 from expd.instances import random_bipartite
@@ -397,6 +398,28 @@ def test_pipeline3_searches_no_axis_below_k(capsys, monkeypatch):
     fullmod = ("--grid-x", "fullmod", "--grid-y", "fullmod", "--grid-z", "fullmod")
     assert cli.main(["pipeline3", "--expr", "x^2 + y^2 = z mod 7", *fullmod]) == 4
     assert "K_2,2 search needs more than 0 nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "cyclic", "--twists", "seeded", "--seed", "1", "--n", "12"),
+        ("--expr", "x^2 + y^2 = z mod 7", "--grid-x", "fullmod", "--grid-y", "fullmod", "--grid-z", "fullmod"),
+    ],
+    ids=["twisted-cyclic-12", "squares-mod7"],
+)
+def test_pipeline3_counts_the_pairing_maxima_once(capsys, monkeypatch, argv):
+    # one Counter per pairing, built once: delta_degree and the cylinder search read the same maxima
+    counters = []
+
+    def counting(*args):
+        counters.append(args)
+        return Counter(*args)
+
+    monkeypatch.setattr(relations, "Counter", counting)
+    assert cli.main(["pipeline3", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["checks_ok"] is True
+    assert len(counters) == 3
 
 
 # malformed numbers and generator sizes on the command line

@@ -27,7 +27,8 @@ from expd import (
     make_family,
 )
 from expd import pipeline
-from expd.pipeline import CylindricalWitness, RelationFamily, _axis_flatten, _twist_map, pairing_maxima
+from expd.pipeline import CylindricalWitness, RelationFamily, _axis_flatten, _twist_map
+from expd.relations import FiniteRelation3
 from expd.zarankiewicz import find_kst
 
 
@@ -160,7 +161,7 @@ class TestDeltaDegree:
                 tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(0, 30))
             }
             rel = build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), sorted(triples))
-            assert pairing_maxima(rel) == brute_delta_maxima(rel)
+            assert rel.pairing_maxima == brute_delta_maxima(rel)
 
     def test_threshold_validation(self):
         with pytest.raises(ParameterError):
@@ -236,6 +237,21 @@ class TestCylindricalWitness:
         with pytest.raises(CapacityError):
             cylindrical_witness(mod_sum_relation(5), 2, budget_cells=10)
 
+    def test_budget_refuses_an_axis_that_would_be_flattened(self, monkeypatch):
+        # a planted 2 x 2 block over axis 1: two x share each of two (y, z) pairs, so axis 1's
+        # maximum reaches k = 2 and the axis would be flattened, but the charge comes first
+        triples = [(x, y, y) for x in (0, 1) for y in (0, 1)]
+        rel = build_relation3(u(4, "X"), u(4, "Y"), u(4, "Z"), triples)
+        assert rel.pairing_maxima[3 - 1] == 2
+        assert cylindrical_witness(rel, 2).axis == 1
+
+        def refuse(rel, axis):
+            raise AssertionError(f"axis {axis} flattened before the charge")
+
+        monkeypatch.setattr(pipeline, "_axis_flatten", refuse)
+        with pytest.raises(BudgetError, match="each flattened axis relation needs 64 cells; budget is 63"):
+            cylindrical_witness(rel, 2, budget_cells=63)
+
 
 def flatten_every_axis_witness(rel, k):
     """Reference: the search with no fiber-maximum skip, every axis flattened and searched."""
@@ -280,6 +296,7 @@ class TestAxisSkip:
 
     def test_matches_flattening_every_axis_fuzz(self):
         seen = set()  # (k, m - k) for each axis maximum m within one of k
+        shrunk = 0  # restrictions whose maxima differ from their parent's
         for seed in range(240):
             rng = random.Random(seed)
             k = 2 + seed % 3
@@ -293,26 +310,27 @@ class TestAxisSkip:
             else:
                 sizes = (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
                 rel = random_delta_algebraic(rng, sizes, rng.randint(k - 1, k + 1), attempts=rng.randint(0, 60))
-            maxima = tuple(rel.fiber_max(axis) for axis in (3, 2, 1))
-            assert maxima == pairing_maxima(rel) == brute_delta_maxima(rel)
+            maxima = rel.pairing_maxima
+            assert maxima == brute_delta_maxima(rel)
             seen.update((k, m - k) for m in maxima if abs(m - k) <= 1)
             assert cylindrical_witness(rel, k) == flatten_every_axis_witness(rel, k)
+            # a restriction counts its own maxima; it never inherits the ones its parent kept
+            a, b, c = (Subset(side, rng.getrandbits(side.size)) for side in (rel.x, rel.y, rel.z))
+            part = rel.restrict(a, b, c)
+            assert part.pairing_maxima == brute_delta_maxima(part)
+            shrunk += part.pairing_maxima != maxima
         assert seen == {(k, step) for k in (2, 3, 4) for step in (-1, 0, 1)}
+        assert shrunk >= 100
 
     @pytest.mark.parametrize("sizes", [(0, 0, 0), (1, 1, 1), (1, 4, 1), (3, 0, 2), (1, 1, 5), (4, 1, 1)])
     def test_fiber_max_of_empty_and_size_one_universes(self, sizes):
         empty = build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), [])
-        assert tuple(empty.fiber_max(axis) for axis in (3, 2, 1)) == brute_delta_maxima(empty) == (0, 0, 0)
+        assert empty.pairing_maxima == brute_delta_maxima(empty) == (0, 0, 0)
         full = build_relation3(
             u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), itertools.product(*map(range, sizes))
         )
-        assert tuple(full.fiber_max(axis) for axis in (3, 2, 1)) == brute_delta_maxima(full)
+        assert full.pairing_maxima == brute_delta_maxima(full)
         assert cylindrical_witness(full, 2) == flatten_every_axis_witness(full, 2)
-
-    @pytest.mark.parametrize("axis", [0, 4, "1", None])
-    def test_fiber_max_refuses_a_bad_axis(self, axis):
-        with pytest.raises(InputError, match=re.escape(f"axis must be 1, 2 or 3, got {axis!r}")):
-            mod_sum_relation(3).fiber_max(axis)
 
     def test_no_axis_flattened_below_k(self, monkeypatch):
         def refuse(rel, axis):
@@ -324,7 +342,7 @@ class TestAxisSkip:
     def test_only_the_axis_reaching_k_is_flattened(self, monkeypatch):
         # (x, z) = (0, 0) and (1, 1) each hold y = 0 and 1: axis 2's maximum is 2, the others' 1
         rel = build_relation3(u(2, "X"), u(2, "Y"), u(2, "Z"), [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)])
-        assert pairing_maxima(rel) == (1, 2, 1)
+        assert rel.pairing_maxima == (1, 2, 1)
         flattened = []
 
         def counting(rel, axis):
@@ -502,7 +520,7 @@ class TestFiberBounds:
         rng = random.Random(43)
         for _ in range(12):
             rel = random_delta_algebraic(rng, (6, 6, 6), rng.randint(1, 3))
-            d = max(pairing_maxima(rel)) or 1
+            d = max(rel.pairing_maxima) or 1
             rep = full_check(rel, d)
             assert rep.ok, rep
             quads = brute_g_quadruples(rel)
@@ -520,7 +538,7 @@ class TestFiberBounds:
             random_delta_algebraic(rng, (6, 6, 6), rng.randint(1, 3)) for _ in range(6)
         ]
         for rel in rels:
-            d = max(pairing_maxima(rel)) or 1
+            d = max(rel.pairing_maxima) or 1
             assert full_check(rel, d).ok
             g = derive_g(rel)
             nz = rel.z.size
@@ -536,6 +554,14 @@ class TestFiberBounds:
         rel = mod_sum_relation(3)
         with pytest.raises(ParameterError):
             full_check(rel, -1)
+
+    def test_negative_d_refused_before_restricting(self, monkeypatch):
+        def refuse(self, *subsets):
+            raise AssertionError("F restricted before d was checked")
+
+        monkeypatch.setattr(FiniteRelation3, "restrict", refuse)
+        with pytest.raises(ParameterError, match="the bounded degree d must be >= 0, got -1"):
+            full_check(mod_sum_relation(3), -1)
 
     def test_empty_relation_holds_at_d0(self):
         rel = build_relation3(u(3, "X"), u(3, "Y"), u(3, "Z"), [])
@@ -571,7 +597,7 @@ class TestCauchySchwarz:
             a = subset(rel.x, [i for i in range(5) if rng.random() < 0.7])
             b = subset(rel.y, [i for i in range(5) if rng.random() < 0.7])
             c = subset(rel.z, [i for i in range(5) if rng.random() < 0.7])
-            rep = cauchy_schwarz_check(rel, a, b, c, max(pairing_maxima(rel)))
+            rep = cauchy_schwarz_check(rel, a, b, c, max(rel.pairing_maxima))
             tr = [t for t in rel.triples if b.bits >> t[1] & 1 and c.bits >> t[2] & 1]
             f_brute = sum(1 for t in tr if a.bits >> t[0] & 1)
             w_brute = sum(
@@ -596,7 +622,7 @@ class TestCauchySchwarz:
         for _ in range(20):
             sizes = tuple(rng.randint(3, 12) for _ in range(3))
             rel = random_delta_algebraic(rng, sizes, 3, attempts=120)
-            rep = full_check(rel, max(pairing_maxima(rel)))
+            rep = full_check(rel, max(rel.pairing_maxima))
             assert rep.cs_ok and rep.fiber_ok and rep.composed_ok
 
 
@@ -679,7 +705,7 @@ class TestFamilies:
                 twists=(("seeded", 1), ("seeded", 2), ("seeded", 3)),
             )
         ).build(8)
-        assert pairing_maxima(base) == pairing_maxima(twisted)
+        assert base.pairing_maxima == twisted.pairing_maxima
         assert (cylindrical_witness(base, 2) is None) == (
             cylindrical_witness(twisted, 2) is None
         )

@@ -349,7 +349,7 @@ class TestPackedCore:
         return [u(s, name) for s, name in zip(sizes, "XYZ")], triples
 
     def test_matches_tuple_oracle_fuzz(self):
-        from expd.pipeline import _axis_flatten, pairing_maxima
+        from expd.pipeline import _axis_flatten
 
         seen_empty = seen_dupes = seen_unit = seen_same = 0
         for seed in range(200):
@@ -362,7 +362,7 @@ class TestPackedCore:
             oracle = TupleRelation3(x, y, z, triples)
             assert rel.triples == oracle.triples
             assert len(rel) == len(oracle.triples)
-            assert pairing_maxima(rel) == tuple(
+            assert rel.pairing_maxima == tuple(
                 max(map(len, fibers.values()), default=0)
                 for fibers in (oracle.by_xy(), oracle.by_xz(), oracle.by_yz())
             )
