@@ -13,7 +13,8 @@ For F ⊆ X×Y×Z the operations here compute, exactly:
       G = {(y,y',z,z') : ∃x (x,y,z) ∈ F and (x,y',z') ∈ F},
     viewed as a bipartite relation over Y² x Z²;
   * |G ∩ B²×C²| and its largest fibers, from F ∩ X×B×C (one
-    FiniteRelation3.restrict call) without enumerating G;
+    FiniteRelation3.restrict call) without enumerating G: from its x-runs and
+    pairing maxima when each (y,z) fixes x, else from the G kernel;
   * in one check, from one such count, the fiber law
     |{z' : (y,y',z,z') ∈ G}| <= d² (and symmetrically), which implies its
     summed form |G ∩ ({(y,y')} x C²)| <= d²|C|, and the count transfer
@@ -171,11 +172,18 @@ def derive_g(rel: FiniteRelation3, budget_cells: int = DEFAULT_BUDGET_CELLS) -> 
 def g_edge_count(
     rel: FiniteRelation3, b: Optional[Subset] = None, c: Optional[Subset] = None
 ) -> tuple[int, int, int]:
-    """(|G ∩ B²×C²|, max (y,y',z) fiber, max (z,z',y) fiber), read from the G
-    kernel without enumerating G.  B and C default to all of Y and Z;
-    restricting F to X×B×C restricts G to B²×C²."""
+    """(|G ∩ B²×C²|, max (y,y',z) fiber, max (z,z',y) fiber); B and C default
+    to all of Y and Z, and restricting F to X×B×C restricts G to B²×C².  When
+    no (y,z) of that restriction has two x's (yz -> x maximum <= 1), G is the
+    disjoint union of the blocks F_x × F_x, each (y,y',z) fiber an F_{x,y'} and
+    each (z,z',y) fiber an F_{x,·,z'}: |G| = Σ_x |F_x|², and the fiber maxima
+    are the xy -> z and xz -> y maxima.  Otherwise the G kernel counts them."""
+    rel = rel.restrict(b=b, c=c)
+    max_xy, max_xz, max_yz = rel.pairing_maxima
+    if max_yz <= 1:
+        return sum((hi - lo) ** 2 for _, lo, hi in rel.x_runs()), max_xy, max_xz
     count = max_zz = max_yy = 0
-    for pairs, zz, yy in _g_fibers(rel.restrict(b=b, c=c)):
+    for pairs, zz, yy in _g_fibers(rel):
         sizes = [mask.bit_count() for mask in zz.values()]
         count += len(pairs) * sum(sizes)
         max_zz = max(max_zz, *sizes)
@@ -211,7 +219,7 @@ def cauchy_schwarz_check(
     rel: FiniteRelation3, a: Subset, b: Subset, c: Subset, d: int
 ) -> CauchySchwarzReport:
     """Exact check, on a concrete grid, of the d² fiber law on G ∩ B²×C² and of
-    the two-step count transfer, from one G kernel call; d is the bounded
+    the two-step count transfer, from one g_edge_count call; d is the bounded
     degree that delta_degree decides (0 for an empty relation).
 
     The summed form of the fiber law, |G ∩ ({(y,y')} x C²)| <= d²|C|, needs no

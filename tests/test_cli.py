@@ -400,12 +400,13 @@ def test_pipeline3_searches_no_axis_below_k(capsys, monkeypatch):
     assert "K_2,2 search needs more than 0 nodes" in capsys.readouterr().err
 
 
+TWISTED_12 = ("--family", "cyclic", "--twists", "seeded", "--seed", "1", "--n", "12")
+SQUARES_MOD_7 = ("--expr", "x^2 + y^2 = z mod 7", "--grid-x", "fullmod", "--grid-y", "fullmod", "--grid-z", "fullmod")
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        ("--family", "cyclic", "--twists", "seeded", "--seed", "1", "--n", "12"),
-        ("--expr", "x^2 + y^2 = z mod 7", "--grid-x", "fullmod", "--grid-y", "fullmod", "--grid-z", "fullmod"),
-    ],
+    [TWISTED_12, SQUARES_MOD_7],
     ids=["twisted-cyclic-12", "squares-mod7"],
 )
 def test_pipeline3_counts_the_pairing_maxima_once(capsys, monkeypatch, argv):
@@ -420,6 +421,38 @@ def test_pipeline3_counts_the_pairing_maxima_once(capsys, monkeypatch, argv):
     assert cli.main(["pipeline3", *argv]) == 0
     assert json.loads(capsys.readouterr().out)["checks_ok"] is True
     assert len(counters) == 3
+
+
+def test_pipeline3_counts_g_of_a_d1_family_without_the_g_kernel(capsys, monkeypatch):
+    # each (y,z) fixes x, so g_edge_count reads |G| and its fiber maxima from the x-runs
+    assert cli.main(["pipeline3", *TWISTED_12]) == 0
+    expected = capsys.readouterr().out
+
+    def walked(rel):
+        raise AssertionError("the G kernel ran")
+
+    monkeypatch.setattr(pipeline, "_g_fibers", walked)
+    assert cli.main(["pipeline3", *TWISTED_12]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive-g", *TWISTED_12),
+        ("pipeline3", *SQUARES_MOD_7),
+    ],
+    ids=["derive-g-twisted-cyclic-12", "pipeline3-squares-mod7"],
+)
+def test_one_g_kernel_walk_per_run(capsys, monkeypatch, argv):
+    # derive-g walks the kernel to build G, and reads the fiber maxima of a d = 1 family from the
+    # x-runs; pipeline3 on a relation where some (y,z) holds two x's falls back to the kernel
+    walks = []
+    kernel = pipeline._g_fibers
+    monkeypatch.setattr(pipeline, "_g_fibers", lambda rel: walks.append(rel) or kernel(rel))
+    assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(walks) == 1
 
 
 # malformed numbers and generator sizes on the command line

@@ -131,6 +131,20 @@ def random_delta_algebraic(rng, sizes, d_cap, attempts=200):
     return build_relation3(u(nx, "X"), u(ny, "Y"), u(nz, "Z"), sorted(triples))
 
 
+def random_relations(rng):
+    """60 draws: 5 empty relations, then dense ones and degree-bounded ones in turn."""
+    for trial in range(60):
+        sizes = tuple(rng.randint(1, 6) for _ in range(3))
+        if trial < 5:
+            yield build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), [])
+        elif trial % 2:
+            # dense and unconstrained: usually not degree-bounded at small d
+            triples = {tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(1, 80))}
+            yield build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), sorted(triples))
+        else:
+            yield random_delta_algebraic(rng, sizes, rng.randint(1, 3))
+
+
 class TestDeltaDegree:
     def test_mod5_d1(self):
         rel = mod_sum_relation(5)
@@ -386,22 +400,10 @@ class TestDeriveG:
 
     @staticmethod
     def draws(rng):
-        """TestGKernel's input mix (empty, dense and degree-bounded relations),
+        """random_relations' mix (empty, dense and degree-bounded relations),
         then twisted cyclic families, where every x-set X_yz is one x-run
         (d = 1), and x^2 + y^2 = z mod p, where some X_yz holds two (d = 2)."""
-        for trial in range(60):
-            sizes = tuple(rng.randint(1, 6) for _ in range(3))
-            if trial < 5:
-                yield build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), [])
-            elif trial % 2:
-                triples = {
-                    tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(1, 80))
-                }
-                yield build_relation3(
-                    u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), sorted(triples)
-                )
-            else:
-                yield random_delta_algebraic(rng, sizes, rng.randint(1, 3))
+        yield from random_relations(rng)
         for n in range(1, 7):
             twists = tuple(("seeded", rng.randrange(100)) for _ in range(3))
             yield make_family(FamilySpec(kind="group_like", group=("cyclic", None), twists=twists)).build(n)
@@ -460,23 +462,42 @@ class TestGKernel:
             max(by_zzy.values(), default=0),
         )
 
-    def test_matches_quadruple_oracle_fuzz(self):
+    @staticmethod
+    def draws(rng):
+        """random_relations' mix, mostly with some (y,z) holding two x's;
+        then relations where each (y,z) fixes x: the empty relation, size-1
+        universes, twisted cyclic n = 1..12, random partial
+        Latin squares (cells of a permuted cyclic square, half of them kept)
+        and random partial maps (y,z) -> x."""
+        yield from random_relations(rng)
+        yield build_relation3(u(1, "X"), u(1, "Y"), u(1, "Z"), [])
+        yield build_relation3(u(1, "X"), u(1, "Y"), u(1, "Z"), [(0, 0, 0)])
+        yield build_relation3(u(1, "X"), u(3, "Y"), u(4, "Z"), [(0, 1, 0), (0, 1, 2), (0, 2, 3)])
+        for n in range(1, 13):
+            twists = tuple(("seeded", rng.randrange(100)) for _ in range(3))
+            yield make_family(FamilySpec(kind="group_like", group=("cyclic", None), twists=twists)).build(n)
+        for _ in range(12):
+            n = rng.randint(1, 7)
+            px, py, pz = (rng.sample(range(n), n) for _ in range(3))
+            cells = [(px[(j + k) % n], py[j], pz[k]) for j in range(n) for k in range(n) if rng.random() < 0.5]
+            yield build_relation3(u(n, "X"), u(n, "Y"), u(n, "Z"), sorted(cells))
+        for _ in range(12):
+            nx, ny, nz = (rng.randint(1, 6) for _ in range(3))
+            cells = [(rng.randrange(nx), j, k) for j in range(ny) for k in range(nz) if rng.random() < 0.6]
+            yield build_relation3(u(nx, "X"), u(ny, "Y"), u(nz, "Z"), sorted(cells))
+
+    def test_matches_quadruple_oracle_fuzz(self, monkeypatch):
+        """g_edge_count against the quadruple oracle on random B and C, on the
+        full grid and with B and C left out, through both of its branches: the
+        closed form from the x-runs when each (y,z) of F ∩ X×B×C fixes x, which
+        walks no G kernel, and the G kernel, walked once."""
+        walks = []
+        kernel = pipeline._g_fibers
+        monkeypatch.setattr(pipeline, "_g_fibers", lambda rel: walks.append(rel) or kernel(rel))
         rng = random.Random(41)
-        for trial in range(60):
-            sizes = tuple(rng.randint(1, 6) for _ in range(3))
-            if trial < 5:
-                rel = build_relation3(u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), [])
-            elif trial % 2:
-                # dense and unconstrained: usually not degree-bounded at small d
-                triples = {
-                    tuple(rng.randrange(s) for s in sizes) for _ in range(rng.randint(1, 80))
-                }
-                rel = build_relation3(
-                    u(sizes[0], "X"), u(sizes[1], "Y"), u(sizes[2], "Z"), sorted(triples)
-                )
-            else:
-                rel = random_delta_algebraic(rng, sizes, rng.randint(1, 3))
-            ny, nz = sizes[1], sizes[2]
+        seen = {"closed_form": 0, "kernel": 0}
+        for trial, rel in enumerate(self.draws(rng)):
+            ny, nz = rel.y.size, rel.z.size
             if trial % 10 == 7:
                 b, c = Subset(rel.y, 0), Subset.full(rel.z)
             elif trial % 10 == 8:
@@ -484,9 +505,14 @@ class TestGKernel:
             else:
                 b = subset(rel.y, [i for i in range(ny) if rng.random() < 0.7])
                 c = subset(rel.z, [i for i in range(nz) if rng.random() < 0.7])
-            assert g_edge_count(rel, b, c) == self.oracle(rel, b, c), trial
-            full = self.oracle(rel, Subset.full(rel.y), Subset.full(rel.z))
-            assert g_edge_count(rel) == full, trial
+            full = Subset.full(rel.y), Subset.full(rel.z)
+            for grid in ((b, c), full, ()):
+                before = len(walks)
+                assert g_edge_count(rel, *grid) == self.oracle(rel, *(grid or full)), trial
+                closed = rel.restrict(None, *grid).pairing_maxima[2] <= 1
+                assert len(walks) - before == (not closed), trial
+                seen["closed_form" if closed else "kernel"] += 1
+        assert seen["closed_form"] >= 10 and seen["kernel"] >= 10, seen
 
     def test_universe_mismatch(self):
         rel = mod_sum_relation(3)
